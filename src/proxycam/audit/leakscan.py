@@ -31,12 +31,12 @@ class LeakScanResult:
     patches_scanned: int
 
 
-def _patch_stats(values: np.ndarray):
-    windows = sliding_window_view(values, (PATCH, PATCH))
-    flat = windows.reshape(*windows.shape[:2], PATCH * PATCH)
-    mean = flat.mean(axis=2)
-    centered = flat - mean[:, :, None]
-    var = (centered * centered).mean(axis=2)
+def _patch_stats(values: np.ndarray, ys: np.ndarray, xs: np.ndarray):
+    """Centred pixels and variance of the 8x8 patches with corners (ys, xs)."""
+    flat = sliding_window_view(values, (PATCH, PATCH))[ys, xs].reshape(-1, PATCH * PATCH)
+    mean = flat.mean(axis=1)
+    centered = flat - mean[:, None]
+    var = (centered * centered).mean(axis=1)
     return centered, var
 
 
@@ -55,21 +55,21 @@ def pixel_leak_scan(
         raise ValidationError("gt_mask does not match the frame size")
 
     inside = sliding_window_view(gt_mask.astype(bool), (PATCH, PATCH)).all(axis=(2, 3))
-    count = int(inside.sum())
-    if count == 0:
+    # only the patches inside the mask are scored; nonzero keeps them in
+    # row-major order, so the first of equal peaks is the one reported
+    ys, xs = np.nonzero(inside)
+    if ys.size == 0:
         return LeakScanResult(max_correlation=0.0, location=None, patches_scanned=0)
 
-    env_c, env_var = _patch_stats(luminance(env[:, :, :3]))
-    raw_c, raw_var = _patch_stats(luminance(raw))
-    cov = (env_c * raw_c).mean(axis=2)
+    env_c, env_var = _patch_stats(luminance(env[:, :, :3]), ys, xs)
+    raw_c, raw_var = _patch_stats(luminance(raw), ys, xs)
+    cov = (env_c * raw_c).mean(axis=1)
     denom = np.sqrt(env_var * raw_var)
     corr = np.where(denom > _VAR_EPS, cov / np.maximum(denom, _VAR_EPS), 0.0)
-    corr = np.where(inside, corr, -np.inf)
 
     peak = int(np.argmax(corr))
-    py, px = np.unravel_index(peak, corr.shape)
     return LeakScanResult(
-        max_correlation=float(corr[py, px]),
-        location=(int(px), int(py)),
-        patches_scanned=count,
+        max_correlation=float(corr[peak]),
+        location=(int(xs[peak]), int(ys[peak])),
+        patches_scanned=int(ys.size),
     )

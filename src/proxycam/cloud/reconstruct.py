@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from ..proxy import keypoint_extent_box, render_proxy
+from ..proxy import ProxyReuse, keypoint_extent_box, render_proxy
 from ..raster import paste_rgba_over_rgba, validate_frame
 from ..skeleton import KeypointSet
 from ..transport.model import SyncKey
@@ -30,9 +30,11 @@ def render_proxies(
     poses: list[tuple[int, KeypointSet]],
     order: list[int],
     canvas_size: tuple[int, int],
+    reuse: ProxyReuse | None = None,
 ) -> np.ndarray:
     """Compose every subject's proxy onto a transparent canvas, back to
-    front. canvas_size is (width, height)."""
+    front. canvas_size is (width, height). `reuse` holds the previous
+    proxies of the same stream; it is left holding this frame's."""
     by_id = dict(poses)
     if sorted(order) != sorted(by_id):
         raise ValidationError(
@@ -40,10 +42,13 @@ def render_proxies(
         )
     width, height = canvas_size
     canvas = np.zeros((height, width, 4), dtype=np.uint8)
+    if reuse is None:
+        reuse = ProxyReuse()
+    reuse.retain(by_id)
     for sid in order:
         pose = by_id[sid]
-        proxy = render_proxy(
-            pose, pose.head_yaw, keypoint_extent_box(pose), canvas_size
+        proxy = reuse.render(
+            sid, pose, pose.head_yaw, keypoint_extent_box(pose), canvas_size, render_proxy
         )
         paste_rgba_over_rgba(canvas, proxy.raster, proxy.anchor[0], proxy.anchor[1])
     return canvas

@@ -84,8 +84,13 @@ def erase(
         )
     out = frame.copy()
     # touch only masked pixels: estimate where the model has data, fill
-    # constant elsewhere
-    masked_vals = np.clip(np.rint(model.accum[joint_mask]), 0, 255).astype(np.uint8)
-    masked_vals[~model.seen[joint_mask]] = NEVER_SEEN_FILL
-    out[joint_mask] = masked_vals
+    # constant elsewhere. One gather of the masked positions (row-major
+    # flat indices) serves the model, the seen flags and the output.
+    index = np.flatnonzero(joint_mask)
+    masked_vals = model.accum.reshape(-1, 3)[index]
+    np.rint(masked_vals, out=masked_vals)
+    np.clip(masked_vals, 0, 255, out=masked_vals)
+    masked_vals = masked_vals.astype(np.uint8)
+    masked_vals[~model.seen.reshape(-1)[index]] = NEVER_SEEN_FILL
+    out.reshape(-1, 3)[index] = masked_vals
     return out

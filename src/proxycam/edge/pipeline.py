@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import AssociationError, DegeneratePoseError, StageError
-from ..proxy import SkeletalProxy, render_proxy
+from ..proxy import ProxyReuse, SkeletalProxy, render_proxy
 from ..skeleton import KeypointSet
 from ..raster import validate_frame
 from .background import (
@@ -25,7 +25,7 @@ from .background import (
 )
 from .compose import embed, occlusion_order, overlay
 from .detect import DIFF_THRESHOLD, MIN_BOX_AREA, detect
-from .pose import estimate_pose
+from .pose import assign_actors, estimate_pose
 from .track import TrackerParams, TrackerState, track_step
 
 
@@ -51,12 +51,14 @@ class EdgeState:
     tracker: TrackerState = field(init=False)
     background: BackgroundModel = field(init=False)
     rng: np.random.Generator = field(init=False)
+    proxies: ProxyReuse = field(init=False)
     frame_index: int = field(default=0, init=False)
 
     def __post_init__(self):
         self.tracker = TrackerState(params=self.params.tracker)
         self.background = BackgroundModel.create(self.width, self.height)
         self.rng = np.random.default_rng(self.seed)
+        self.proxies = ProxyReuse()
 
 
 @dataclass(frozen=True)
@@ -123,18 +125,24 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
 
     poses: dict[int, KeypointSet] = {}
     if gt is not None:
+        assigned = _stage("pose")(
+            assign_actors, {t.subject_id: t.box for t in tracks}, gt
+        )
         for track in tracks:
+            # each track sees only the actor assigned to it, if any
+            actor = assigned.get(track.subject_id)
             try:
                 poses[track.subject_id] = estimate_pose(
                     frame,
                     track.box,
                     "oracle",
-                    gt=gt,
+                    gt=replace(gt, actors=() if actor is None else (actor,)),
                     noise_sigma=params.noise_sigma,
                     rng=state.rng,
                 )
             except AssociationError:
-                # subject left the scene or the track is coasting too far
+                # subject left the scene, the track is coasting too far, or
+                # a track overlapping the actor more took it
                 continue
             except Exception as exc:
                 raise StageError("pose", exc) from exc
@@ -161,11 +169,17 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
 
     live = {t.subject_id: t for t in tracks}
     proxies: list[SkeletalProxy] = []
+    state.proxies.retain(poses)
     for sid in sorted(poses):
         pose = poses[sid]
         try:
-            proxy = render_proxy(
-                pose, pose.head_yaw, live[sid].box, (state.width, state.height)
+            proxy = state.proxies.render(
+                sid,
+                pose,
+                pose.head_yaw,
+                live[sid].box,
+                (state.width, state.height),
+                render_proxy,
             )
         except DegeneratePoseError:
             del poses[sid]

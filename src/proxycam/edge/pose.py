@@ -2,8 +2,10 @@
 
 Only the ground-truth oracle is implemented: the box is associated with
 the overlapping ground-truth subject and its scripted keypoints are
-returned, optionally perturbed with seeded Gaussian noise. A heuristic
-pose estimator is a declared non-capability and is refused explicitly.
+returned, optionally perturbed with seeded Gaussian noise. Within a frame
+the association is exclusive (`assign_actors`), so one person never
+becomes two subjects. A heuristic pose estimator is a declared
+non-capability and is refused explicitly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,30 @@ from ..skeleton import KeypointSet
 from ..raster import validate_frame
 
 ASSOCIATION_IOU = 0.5
+
+
+def assign_actors(boxes: dict[int, BoundingBox], gt) -> dict[int, object]:
+    """Give each ground-truth actor to at most one subject box.
+
+    Pairs with IoU of at least 0.5 are taken greedily: the highest IoU
+    first, ties to the lower subject id, then to the earlier actor. A box
+    whose actors all went to other boxes gets none. Where no two boxes
+    want the same actor, every box gets its own best actor.
+    """
+    pairs = []
+    for sid, box in boxes.items():
+        for index, actor in enumerate(gt.actors):
+            overlap = iou(box, actor.box)
+            if overlap >= ASSOCIATION_IOU:
+                pairs.append((-overlap, sid, index))
+    pairs.sort()
+    assigned: dict[int, object] = {}
+    taken: set[int] = set()
+    for _, sid, index in pairs:
+        if sid not in assigned and index not in taken:
+            assigned[sid] = gt.actors[index]
+            taken.add(index)
+    return assigned
 
 
 def estimate_pose(

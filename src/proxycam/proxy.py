@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -104,6 +105,58 @@ def render_proxy(
     raster[outline_of(inside)] = (*OUTLINE_COLOR, 255)
     raster[tick] = (*OUTLINE_COLOR, 255)
     return SkeletalProxy(raster=raster, anchor=(x0, y0))
+
+
+class ProxyReuse:
+    """The last proxy of each subject of one stream, with the inputs it came from.
+
+    `render_proxy` reads nothing but the joint bytes (confidences
+    included), the head yaw, the box height (through the torso fallback)
+    and the frame size. When all four repeat bit for bit, its output
+    would repeat byte for byte, so the previous proxy is returned instead
+    of drawing it again. Reused rasters are read-only. One entry per
+    subject: `retain` drops the subjects a frame no longer carries.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[int, tuple[tuple, SkeletalProxy]] = {}
+
+    def render(
+        self,
+        subject_id: int,
+        pose: KeypointSet,
+        head_yaw: float | None,
+        box: BoundingBox,
+        frame_size: tuple[int, int],
+        render: Callable[..., SkeletalProxy],
+    ) -> SkeletalProxy:
+        """The subject's previous proxy if its inputs are unchanged, else
+        `render(pose, head_yaw, box, frame_size)`, remembered for next time.
+
+        `render` is the caller's own `render_proxy` binding, so a test can
+        put a counting fake in its place."""
+        # floats by their bits: equal-comparing values such as 0.0 and
+        # -0.0 are not the same input
+        key = (
+            pose.joints.tobytes(),
+            None if head_yaw is None else float(head_yaw).hex(),
+            float(box.h).hex(),
+            (int(frame_size[0]), int(frame_size[1])),
+        )
+        entry = self._entries.get(subject_id)
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        proxy = render(pose, head_yaw, box, frame_size)
+        proxy.raster.flags.writeable = False
+        self._entries[subject_id] = (key, proxy)
+        return proxy
+
+    def retain(self, subject_ids: Iterable[int]) -> None:
+        """Forget every subject not in `subject_ids`."""
+        keep = set(subject_ids)
+        self._entries = {
+            sid: entry for sid, entry in self._entries.items() if sid in keep
+        }
 
 
 def keypoint_extent_box(pose: KeypointSet, margin_frac: float = 0.10) -> BoundingBox:

@@ -8,6 +8,8 @@ test and repeated renders are byte-identical.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -33,7 +35,12 @@ def validate_mask(mask: np.ndarray, frame: np.ndarray, name: str = "mask") -> np
 
 
 def _segment_distance(py, px, ay, ax, by, bx):
-    """Distance from grid points (py, px) to segment (a, b)."""
+    """Distance from pixel centres (py, px) to segment (a, b).
+
+    py and px broadcast against each other (a column of row centres and a
+    row of column centres), so every pixel takes the same float64 steps
+    whatever the shape of the grid it is part of.
+    """
     dy, dx = by - ay, bx - ax
     seg_len2 = dy * dy + dx * dx
     if seg_len2 <= 0.0:
@@ -47,29 +54,56 @@ class SilhouetteCanvas:
     """Accumulates capsules and discs into a boolean patch.
 
     The patch covers [y0, y0+h) x [x0, x0+w) in frame coordinates; shapes
-    falling outside are clipped.
+    falling outside are clipped. A shape is only evaluated inside its own
+    window: its bounding box grown by its radius plus one pixel, clipped
+    to the patch. Every pixel centre outside that window lies more than a
+    pixel beyond the radius, so the window changes cost, not the mask.
+    Shapes with a non-finite coordinate paint nothing.
     """
 
     def __init__(self, x0: int, y0: int, width: int, height: int):
         self.x0 = x0
         self.y0 = y0
         self.mask = np.zeros((height, width), dtype=bool)
-        ys = np.arange(y0, y0 + height, dtype=np.float64)
-        xs = np.arange(x0, x0 + width, dtype=np.float64)
-        # pixel centers at integer + 0.5
-        self._py, self._px = np.meshgrid(ys + 0.5, xs + 0.5, indexing="ij")
+
+    def _window(self, lo_y, hi_y, lo_x, hi_x, radius):
+        """Patch slices and pixel-centre vectors (column, row) of a window,
+        or None when the window misses the patch."""
+        if not all(map(math.isfinite, (lo_y, hi_y, lo_x, hi_x))):
+            return None
+        reach = radius + 1.0
+        h, w = self.mask.shape
+        # clamp in float first: an infinite radius covers the whole patch
+        r0 = math.floor(max(lo_y - reach - self.y0, 0.0))
+        r1 = math.ceil(min(hi_y + reach - self.y0, float(h)))
+        c0 = math.floor(max(lo_x - reach - self.x0, 0.0))
+        c1 = math.ceil(min(hi_x + reach - self.x0, float(w)))
+        if r1 <= r0 or c1 <= c0:
+            return None
+        # pixel centres at integer + 0.5
+        py = np.arange(self.y0 + r0, self.y0 + r1, dtype=np.float64)[:, None] + 0.5
+        px = np.arange(self.x0 + c0, self.x0 + c1, dtype=np.float64)[None, :] + 0.5
+        return (slice(r0, r1), slice(c0, c1)), py, px
 
     def add_capsule(self, a, b, radius: float) -> None:
-        if radius <= 0:
+        if not radius > 0:
             return
-        d = _segment_distance(self._py, self._px, a[1], a[0], b[1], b[0])
-        self.mask |= d <= radius
+        ax, ay, bx, by = float(a[0]), float(a[1]), float(b[0]), float(b[1])
+        window = self._window(min(ay, by), max(ay, by), min(ax, bx), max(ax, bx), radius)
+        if window is None:
+            return
+        region, py, px = window
+        self.mask[region] |= _segment_distance(py, px, ay, ax, by, bx) <= radius
 
     def add_disc(self, center, radius: float) -> None:
-        if radius <= 0:
+        if not radius > 0:
             return
-        d = np.hypot(self._py - center[1], self._px - center[0])
-        self.mask |= d <= radius
+        cx, cy = float(center[0]), float(center[1])
+        window = self._window(cy, cy, cx, cx, radius)
+        if window is None:
+            return
+        region, py, px = window
+        self.mask[region] |= np.hypot(py - cy, px - cx) <= radius
 
 
 def erode4(mask: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .edge.pipeline import EdgeOutput, EdgeState, process_frame
 from .errors import GateViolationError, WireError
 from .metrics import evaluate_behavior
 from .pngio import decode_png, encode_png
+from .proxy import ProxyReuse
 from .sim.generate import generate_scene, write_ground_truth_jsonl
 from .sim.spec import SceneSpec, load_scene_spec
 from .transport.codec import decode, encode
@@ -146,6 +147,7 @@ class CloudRunner:
     released: int = 0
     _buffers: dict[int, ReorderBuffer] = field(default_factory=dict)
     _windows: dict[int, deque] = field(default_factory=dict)
+    _proxies: dict[int, ProxyReuse] = field(default_factory=dict)
     _embedding_mean: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def feed(self, packet: bytes) -> None:
@@ -167,6 +169,7 @@ class CloudRunner:
             )
             self._buffers[cam] = buffer
             self._windows[cam] = deque(maxlen=INFER_WINDOW)
+            self._proxies[cam] = ProxyReuse()
         released, events = buffer.accept(t)
         self._note_events(events)
         for ready in released:
@@ -205,7 +208,12 @@ class CloudRunner:
         self.released += 1
 
         env = decode_png(t.env_png)
-        proxies = render_proxies(list(t.poses), list(t.order), (env.shape[1], env.shape[0]))
+        proxies = render_proxies(
+            list(t.poses),
+            list(t.order),
+            (env.shape[1], env.shape[0]),
+            self._proxies[t.key.camera_id],
+        )
         scene = reconstruct(env, proxies)
         if self.write_recon:
             name = f"cam{t.key.camera_id}_frame{t.key.frame_id}.png"

@@ -50,6 +50,37 @@ class TestIndependenceAudit:
         assert a == b
 
 
+def full_image_leak_scan(env, raw, mask):
+    """The leak scan as first written: statistics for every 8x8 patch of
+    the image, then the peak over the patches lying inside the mask."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from proxycam.audit.leakscan import LeakScanResult
+    from proxycam.raster import luminance
+
+    def stats(values):
+        windows = sliding_window_view(values, (8, 8))
+        flat = windows.reshape(*windows.shape[:2], 64)
+        centered = flat - flat.mean(axis=2)[:, :, None]
+        return centered, (centered * centered).mean(axis=2)
+
+    inside = sliding_window_view(mask, (8, 8)).all(axis=(2, 3))
+    if not inside.any():
+        return LeakScanResult(max_correlation=0.0, location=None, patches_scanned=0)
+    env_c, env_var = stats(luminance(env))
+    raw_c, raw_var = stats(luminance(raw))
+    cov = (env_c * raw_c).mean(axis=2)
+    denom = np.sqrt(env_var * raw_var)
+    corr = np.where(denom > 1e-12, cov / np.maximum(denom, 1e-12), 0.0)
+    corr = np.where(inside, corr, -np.inf)
+    py, px = np.unravel_index(int(np.argmax(corr)), corr.shape)
+    return LeakScanResult(
+        max_correlation=float(corr[py, px]),
+        location=(int(px), int(py)),
+        patches_scanned=int(inside.sum()),
+    )
+
+
 class TestLeakScan:
     def _tuple_with_env(self, env, fid=0):
         from proxycam.transport.model import RepresentationTuple, SyncKey
@@ -103,6 +134,27 @@ class TestLeakScan:
         env = np.zeros((50, 80, 3), dtype=np.uint8)
         with pytest.raises(ValidationError):
             pixel_leak_scan(self._tuple_with_env(env), raw, np.ones((60, 80), bool))
+
+    def test_equals_full_image_scan(self):
+        # the scan scores only patches inside the mask; it must find the
+        # same peak, at the same place, as scoring every patch of the image
+        rng = np.random.default_rng(3)
+        for trial in range(20):
+            raw = rng.integers(0, 256, (240, 320, 3), dtype=np.uint8)
+            env = raw.copy()
+            mask = np.zeros((240, 320), bool)
+            for _ in range(rng.integers(1, 5)):
+                y, x = rng.integers(0, 200), rng.integers(0, 280)
+                mask[y : y + rng.integers(4, 80), x : x + rng.integers(4, 80)] = True
+            # partly scrubbed, partly leaking, and flat stretches that tie at 0
+            scrub = rng.random((240, 320)) < 0.5
+            env[scrub & mask] = rng.integers(0, 256, (int((scrub & mask).sum()), 3))
+            env[100:140, 100:200] = 128
+            if trial % 4 == 0:
+                env[mask] = raw[mask]  # many equal peaks: the first must win
+            result = pixel_leak_scan(self._tuple_with_env(env, trial), raw, mask)
+            expected = full_image_leak_scan(env, raw, mask)
+            assert result == expected, f"trial {trial}"
 
 
 class TestIdentityAttack:

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from proxycam.edge.background import BackgroundModel, erase, update_background
+from proxycam.edge.background import (
+    NEVER_SEEN_FILL,
+    BackgroundModel,
+    erase,
+    update_background,
+)
 from proxycam.errors import ValidationError
 
 
@@ -49,6 +54,29 @@ class TestErase:
             erase(flat(10, h=50, w=80), np.zeros((50, 80), bool), model)
         with pytest.raises(ValidationError):
             erase(flat(10), np.zeros((59, 80), bool), model)
+
+    def test_equals_boolean_mask_formula(self):
+        # erase gathers the masked pixels once; it must give the bytes of
+        # the plain boolean-mask formula it replaces
+        def reference(frame, mask, model):
+            out = frame.copy()
+            vals = np.clip(np.rint(model.accum[mask]), 0, 255).astype(np.uint8)
+            vals[~model.seen[mask]] = NEVER_SEEN_FILL
+            out[mask] = vals
+            return out
+
+        rng = np.random.default_rng(4)
+        for trial in range(50):
+            h, w = rng.integers(1, 90), rng.integers(1, 120)
+            frame = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+            # estimates beyond [0, 255] and at .5 exercise the clip and the rounding
+            accum = rng.uniform(-40.0, 300.0, (h, w, 3))
+            accum[rng.random((h, w, 3)) < 0.2] = rng.integers(0, 255) + 0.5
+            model = BackgroundModel(accum=accum, seen=rng.random((h, w)) < 0.6)
+            mask = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+            before = accum.copy()
+            assert np.array_equal(erase(frame, mask, model), reference(frame, mask, model))
+            assert np.array_equal(model.accum, before)  # the model is only read
 
 
 class TestUpdateBackground:

@@ -5,7 +5,14 @@ from proxycam.edge.compose import embed, occlusion_order, overlay
 from proxycam.edge.track import Track
 from proxycam.errors import DegeneratePoseError, ValidationError
 from proxycam.geometry import BoundingBox
-from proxycam.proxy import FILL_COLOR, OUTLINE_COLOR, SkeletalProxy, render_proxy
+from proxycam.proxy import (
+    FILL_COLOR,
+    OUTLINE_COLOR,
+    ProxyReuse,
+    SkeletalProxy,
+    keypoint_extent_box,
+    render_proxy,
+)
 from proxycam.sim.generate import generate_scene
 from proxycam.skeleton import KeypointSet
 
@@ -68,6 +75,125 @@ class TestRenderProxy:
         kp = KeypointSet(joints=joints)
         with pytest.raises(DegeneratePoseError):
             render_proxy(kp, None, BoundingBox(80, 80, 40, 40), FRAME_SIZE)
+
+
+class CountingRender:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return render_proxy(*args)
+
+
+def same_proxy(a, b):
+    return np.array_equal(a.raster, b.raster) and a.anchor == b.anchor
+
+
+class TestProxyReuse:
+    def test_unchanged_inputs_reuse_the_fresh_raster(self):
+        kp, box = stand_pose()
+        reuse, render = ProxyReuse(), CountingRender()
+        first = reuse.render(1, kp, kp.head_yaw, box, FRAME_SIZE, render)
+        # an equal pose in a new object is still the same input
+        again = KeypointSet(joints=kp.joints.copy(), head_yaw=kp.head_yaw)
+        second = reuse.render(1, again, again.head_yaw, box, FRAME_SIZE, render)
+        assert render.calls == 1
+        assert second is first
+        assert same_proxy(second, render_proxy(kp, kp.head_yaw, box, FRAME_SIZE))
+        assert not second.raster.flags.writeable
+
+    def test_any_changed_input_renders_again(self):
+        kp, box = stand_pose()
+        torsoless = kp.joints.copy()
+        torsoless[[5, 6], 2] = 0.0  # hide the shoulders: torso falls back to the box
+        moved = kp.joints.copy()
+        moved[9, 0] += 0.25
+        dimmed = kp.joints.copy()
+        dimmed[9, 2] *= 0.5  # confidence only
+        tall = BoundingBox(box.x, box.y, box.w, box.h + 20.0)
+        inputs = [
+            (KeypointSet(torsoless, kp.head_yaw), kp.head_yaw, box, FRAME_SIZE),
+            (KeypointSet(torsoless, kp.head_yaw), kp.head_yaw, tall, FRAME_SIZE),
+            (KeypointSet(moved, kp.head_yaw), kp.head_yaw, tall, FRAME_SIZE),
+            (KeypointSet(dimmed, kp.head_yaw), kp.head_yaw, tall, FRAME_SIZE),
+            (KeypointSet(dimmed, kp.head_yaw), None, tall, FRAME_SIZE),
+            (KeypointSet(dimmed, kp.head_yaw), 0.5, tall, FRAME_SIZE),
+            (KeypointSet(dimmed, kp.head_yaw), 0.5, tall, (300, 240)),
+        ]
+        reuse, render = ProxyReuse(), CountingRender()
+        reuse.render(1, kp, kp.head_yaw, box, FRAME_SIZE, render)
+        for n, args in enumerate(inputs, start=2):
+            proxy = reuse.render(1, *args, render)
+            assert render.calls == n
+            assert same_proxy(proxy, render_proxy(*args))
+        # the torso fallback really reads the box height
+        assert not same_proxy(render_proxy(*inputs[0]), render_proxy(*inputs[1]))
+
+    def test_departed_subjects_are_dropped(self):
+        kp, box = stand_pose()
+        other, other_box = stand_pose(x=220.0)
+        reuse, render = ProxyReuse(), CountingRender()
+        reuse.render(1, kp, kp.head_yaw, box, FRAME_SIZE, render)
+        reuse.render(2, other, other.head_yaw, other_box, FRAME_SIZE, render)
+        reuse.retain([2])
+        reuse.render(2, other, other.head_yaw, other_box, FRAME_SIZE, render)
+        assert render.calls == 2
+        reuse.render(1, kp, kp.head_yaw, box, FRAME_SIZE, render)
+        assert render.calls == 3
+
+    def test_subjects_do_not_share_entries(self):
+        kp, box = stand_pose()
+        other, other_box = stand_pose(x=220.0)
+        reuse, render = ProxyReuse(), CountingRender()
+        a = reuse.render(1, kp, kp.head_yaw, box, FRAME_SIZE, render)
+        b = reuse.render(2, other, other.head_yaw, other_box, FRAME_SIZE, render)
+        assert render.calls == 2
+        assert same_proxy(a, render_proxy(kp, kp.head_yaw, box, FRAME_SIZE))
+        assert same_proxy(b, render_proxy(other, other.head_yaw, other_box, FRAME_SIZE))
+
+
+class TestCloudProxyReuse:
+    def packet(self, camera, frame_id, sid, pose):
+        from proxycam.runner import build_tuple
+        from proxycam.transport.codec import encode
+
+        class Output:
+            desensitized = np.full((FRAME_SIZE[1], FRAME_SIZE[0], 3), 90, np.uint8)
+            poses = ((sid, pose),)
+            order = (sid,)
+            embedding = np.zeros(64, np.float32)
+
+        return encode(build_tuple(Output, camera, frame_id, frame_id * 33_333))
+
+    def test_cameras_with_the_same_subject_ids_keep_their_own_entries(
+        self, tmp_path, monkeypatch
+    ):
+        from importlib import import_module
+
+        from proxycam.config import RunConfig
+        from proxycam.runner import CloudRunner
+
+        # the package re-exports a function under the module's name
+        reconstruct_module = import_module("proxycam.cloud.reconstruct")
+        poses = {0: stand_pose()[0], 1: stand_pose(x=220.0)[0]}
+        env = np.full((FRAME_SIZE[1], FRAME_SIZE[0], 3), 90, np.uint8)
+        expected = {
+            camera: reconstruct_module.reconstruct(
+                env, reconstruct_module.render_proxies([(1, pose)], [1], FRAME_SIZE)
+            )
+            for camera, pose in poses.items()
+        }
+        render = CountingRender()
+        monkeypatch.setattr(reconstruct_module, "render_proxy", render)
+        cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path, write_recon=False)
+        for frame_id in range(4):
+            for camera, pose in poses.items():
+                # subject 1 on both cameras, each holding still
+                cloud.feed(self.packet(camera, frame_id, 1, pose))
+                assert np.array_equal(cloud.last_reconstruction, expected[camera])
+        # one render per camera; every later frame reuses its own camera's entry
+        assert render.calls == len(poses)
 
 
 def square_proxy(sid, x0, y0, size=20, alpha_fill=255):
