@@ -22,8 +22,24 @@ NEVER_SEEN_FILL = (128, 128, 128)
 
 @dataclass
 class BackgroundModel:
-    accum: np.ndarray  # (H, W, 3) float64 running estimate
+    accum: np.ndarray  # (H, W, 3) float64 running estimate, C-contiguous
     seen: np.ndarray   # (H, W) bool, pixel ever observed unmasked
+
+    def __post_init__(self) -> None:
+        # update_background writes through a flat view of accum, which
+        # reshape only gives for C-contiguous storage (else it copies and
+        # the writes would be lost)
+        self.accum = np.ascontiguousarray(self.accum, dtype=np.float64)
+        self.seen = np.ascontiguousarray(self.seen, dtype=bool)
+        if self.accum.ndim != 3 or self.accum.shape[2] != 3:
+            raise ValidationError(
+                f"accum must be (H, W, 3), got shape {self.accum.shape}"
+            )
+        if self.seen.shape != self.accum.shape[:2]:
+            raise ValidationError(
+                f"seen shape {self.seen.shape} does not match accum "
+                f"{self.accum.shape[:2]}"
+            )
 
     @classmethod
     def create(cls, width: int, height: int) -> "BackgroundModel":
@@ -48,8 +64,13 @@ def update_background(
 ) -> BackgroundModel:
     """Blend unmasked pixels into the running estimate; skip masked ones.
 
-    A pixel's first unmasked observation seeds the estimate directly.
-    Returns the same (mutated) model for chaining.
+    The update runs in place over the whole frame: every estimate becomes
+    `(1 - alpha) * accum + alpha * frame` in float64, then the estimates
+    under the mask, saved beforehand, are written back, so masked pixels
+    never reach the model. A pixel's first unmasked observation seeds the
+    estimate directly. Each unmasked pixel takes the same float64 steps
+    as the formula applied to it alone. Returns the same (mutated) model
+    for chaining.
     """
     frame = validate_frame(frame)
     joint_mask = validate_mask(joint_mask, frame, "joint_mask")
@@ -57,13 +78,16 @@ def update_background(
         raise ValidationError(
             f"model shape {model.shape} does not match frame {frame.shape[:2]}"
         )
-    observe = ~joint_mask
-    first = observe & ~model.seen
-    rest = observe & model.seen
-    f = frame.astype(np.float64)
-    model.accum[first] = f[first]
-    model.accum[rest] = (1.0 - alpha) * model.accum[rest] + alpha * f[rest]
-    model.seen[first] = True
+    alpha = float(alpha)
+    accum = model.accum.reshape(-1, 3)
+    masked = np.flatnonzero(joint_mask)
+    held = accum[masked]
+    first = np.flatnonzero(~(joint_mask | model.seen))
+    model.accum *= 1.0 - alpha
+    model.accum += np.multiply(frame, alpha, dtype=np.float64)
+    accum[first] = frame.reshape(-1, 3)[first]
+    accum[masked] = held
+    model.seen |= ~joint_mask
     return model
 
 

@@ -60,15 +60,19 @@ def _unfilter(raw: np.ndarray, width: int, height: int, channels: int) -> np.nda
     if raw.size != height * (1 + stride):
         raise ValidationError("PNG pixel data has the wrong length")
     raw = raw.reshape(height, 1 + stride)
-    out = np.zeros((height, stride), dtype=np.uint8)
+    ftypes = raw[:, 0]
+    invalid = ftypes[ftypes > 4]
+    if invalid.size:
+        raise ValidationError(f"PNG filter type {int(invalid[0])} is not valid")
+    # a row with filter 0 is stored as it stands, so every row starts final;
+    # the others are reconstructed in order, each from the finished row above
+    out = raw[:, 1:].copy()
     bpp = channels
-    for y in range(height):
-        ftype = int(raw[y, 0])
-        line = raw[y, 1:].astype(np.int64)
+    for y in np.flatnonzero(ftypes).tolist():
+        ftype = int(ftypes[y])
+        line = out[y].astype(np.int64)
         prev = out[y - 1].astype(np.int64) if y > 0 else np.zeros(stride, dtype=np.int64)
-        if ftype == 0:
-            rec = line
-        elif ftype == 1:
+        if ftype == 1:
             rec = line.copy()
             for lane in range(bpp):
                 rec[lane::bpp] = np.cumsum(rec[lane::bpp]) % 256
@@ -79,7 +83,7 @@ def _unfilter(raw: np.ndarray, width: int, height: int, channels: int) -> np.nda
             for i in range(stride):
                 left = rec[i - bpp] if i >= bpp else 0
                 rec[i] = (line[i] + (left + prev[i]) // 2) % 256
-        elif ftype == 4:
+        else:  # 4 (Paeth); types above 4 were rejected before the loop
             rec = np.zeros(stride, dtype=np.int64)
             for i in range(stride):
                 a = rec[i - bpp] if i >= bpp else 0
@@ -94,8 +98,6 @@ def _unfilter(raw: np.ndarray, width: int, height: int, channels: int) -> np.nda
                 else:
                     pred = c
                 rec[i] = (line[i] + pred) % 256
-        else:
-            raise ValidationError(f"PNG filter type {ftype} is not valid")
         out[y] = rec.astype(np.uint8)
     return out.reshape(height, width, channels)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proxycam.edge.background import (
+    EMA_ALPHA,
     NEVER_SEEN_FILL,
     BackgroundModel,
     erase,
@@ -117,3 +118,76 @@ class TestUpdateBackground:
         model = BackgroundModel.create(80, 60)
         update_background(model, frame, np.zeros((60, 80), bool))
         assert np.array_equal(model.accum, frame.astype(np.float64))
+
+    def test_equals_boolean_mask_formula(self):
+        # update_background works in place over the whole frame; it must
+        # give the bits of the boolean-mask formula it replaces
+        def reference(model, frame, mask, alpha):
+            observe = ~mask
+            first = observe & ~model.seen
+            rest = observe & model.seen
+            f = frame.astype(np.float64)
+            model.accum[first] = f[first]
+            model.accum[rest] = (1.0 - alpha) * model.accum[rest] + alpha * f[rest]
+            model.seen[first] = True
+
+        rng = np.random.default_rng(5)
+        sizes = [(1, 1), (1, 7), (5, 1), (3, 3)]
+        sizes += [(int(rng.integers(1, 90)), int(rng.integers(1, 120))) for _ in range(16)]
+        for trial, (h, w) in enumerate(sizes):
+            if trial % 2:
+                accum, seen = rng.uniform(-40.0, 300.0, (h, w, 3)), rng.random((h, w)) < 0.6
+            else:
+                accum, seen = np.zeros((h, w, 3)), np.zeros((h, w), bool)  # fresh
+            model = BackgroundModel(accum=accum, seen=seen)
+            ref = BackgroundModel(accum=accum.copy(), seen=seen.copy())
+            for step in range(6):
+                frame = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+                mask = [
+                    np.zeros((h, w), bool),
+                    np.ones((h, w), bool),
+                    rng.random((h, w)) < rng.uniform(0.0, 1.0),
+                ][(trial + step) % 3]
+                alpha = [0.0, 1.0, float(rng.random()), EMA_ALPHA][(trial + 2 * step) % 4]
+                assert update_background(model, frame, mask, alpha) is model
+                reference(ref, frame, mask, alpha)
+                assert model.accum.tobytes() == ref.accum.tobytes(), (trial, step)
+                assert np.array_equal(model.seen, ref.seen), (trial, step)
+
+    def test_masked_pixels_never_reach_the_model(self):
+        # two frames equal outside the mask, arbitrary inside, must leave
+        # byte-identical models, on the first frame and on a later one
+        rng = np.random.default_rng(6)
+        h, w = 37, 53
+        model_a = BackgroundModel.create(w, h)
+        model_b = BackgroundModel.create(w, h)
+        for step in range(4):
+            frame_a = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+            mask = rng.random((h, w)) < 0.3
+            frame_b = frame_a.copy()
+            frame_b[mask] = rng.integers(0, 256, (int(mask.sum()), 3), dtype=np.uint8)
+            assert not np.array_equal(frame_a, frame_b)
+            update_background(model_a, frame_a, mask)
+            update_background(model_b, frame_b, mask)
+            assert model_a.accum.tobytes() == model_b.accum.tobytes(), step
+            assert np.array_equal(model_a.seen, model_b.seen), step
+
+    def test_model_storage_is_normalised(self):
+        # the update writes through a flat view of accum, so the model keeps
+        # it C-contiguous float64 whatever it is built from
+        rng = np.random.default_rng(7)
+        accum = np.asfortranarray(rng.uniform(0.0, 255.0, (6, 9, 3)).astype(np.float32))
+        model = BackgroundModel(accum=accum, seen=np.zeros((9, 6), bool).T)
+        assert model.accum.dtype == np.float64 and model.accum.flags.c_contiguous
+        assert model.seen.flags.c_contiguous
+        frame = rng.integers(0, 256, (6, 9, 3), dtype=np.uint8)
+        update_background(model, frame, np.zeros((6, 9), bool), 0.5)
+        assert np.array_equal(model.accum, frame.astype(np.float64))  # all first-seen
+        update_background(model, flat(0, h=6, w=9), np.zeros((6, 9), bool), 0.5)
+        assert np.array_equal(model.accum, 0.5 * frame.astype(np.float64))
+
+    def test_malformed_model_rejected(self):
+        with pytest.raises(ValidationError):
+            BackgroundModel(accum=np.zeros((4, 5)), seen=np.zeros((4, 5), bool))
+        with pytest.raises(ValidationError):
+            BackgroundModel(accum=np.zeros((4, 5, 3)), seen=np.zeros((5, 4), bool))
