@@ -23,7 +23,7 @@ from ..raster import grid_pool, luminance
 from ..sim.generate import generate_scene
 from ..sim.scripts import make_solo_scene
 from ..edge.pipeline import EdgeParams, EdgeState, process_frame
-from ..cloud.reconstruct import render_proxies
+from ..cloud.reconstruct import reconstruct, render_proxies
 from ..transport.model import RepresentationTuple, SyncKey
 
 MIN_CHANNEL_DISTANCE = 64
@@ -126,8 +126,10 @@ def _wire_features(t: RepresentationTuple, width: int, height: int) -> np.ndarra
     """Attacker view: everything it can compute from tuple fields alone."""
     env = decode_png(t.env_png)
     env_stats = grid_pool(luminance(env), 8, 8).ravel() / 255.0
-    proxies = render_proxies(list(t.poses), list(t.order), (width, height))
-    occupancy = grid_pool(proxies[:, :, 3].astype(np.float64), 8, 8).ravel() / 255.0
+    proxies = render_proxies(t.poses, t.order, (width, height))
+    # both proxy colours are non-zero, so painted pixels are the proxy support
+    painted = reconstruct(np.zeros((height, width, 3), np.uint8), proxies).any(axis=2)
+    occupancy = grid_pool(painted * 255.0, 8, 8).ravel() / 255.0
     return np.concatenate([np.asarray(t.embedding, dtype=np.float64), env_stats, occupancy])
 
 

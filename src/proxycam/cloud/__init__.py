@@ -1,14 +1,13 @@
 from .kinematics import KinematicFeatures, extract_kinematics
 from .classify import LABELS, ClassifierParams, classify_behavior
 from .infer import BehaviorReport, SubjectReport, infer
-from .reconstruct import ReconstructedScene, reconstruct, render_proxies
+from .reconstruct import reconstruct, render_proxies
 
 __all__ = [
     "BehaviorReport",
     "ClassifierParams",
     "KinematicFeatures",
     "LABELS",
-    "ReconstructedScene",
     "SubjectReport",
     "classify_behavior",
     "extract_kinematics",

@@ -2,7 +2,7 @@ from .background import BackgroundModel, erase, update_background
 from .detect import Detection, detect
 from .track import Track, TrackerParams, TrackerState, track_step
 from .pose import estimate_pose
-from .compose import embed, occlusion_order, overlay
+from .compose import embed, occlusion_order
 from .pipeline import EdgeOutput, EdgeParams, EdgeState, process_frame
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "erase",
     "estimate_pose",
     "occlusion_order",
-    "overlay",
     "process_frame",
     "track_step",
     "update_background",

@@ -1,12 +1,11 @@
-"""Occlusion ordering, proxy overlay, and the frame embedding."""
+"""Occlusion ordering and the frame embedding."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ValidationError
-from ..proxy import SkeletalProxy
-from ..raster import grid_pool, luminance, paste_rgba, validate_frame
+from ..raster import grid_pool, luminance, validate_frame
 from ..skeleton import KeypointSet, L_ANKLE, R_ANKLE
 from .track import Track
 
@@ -38,29 +37,6 @@ def occlusion_order(
         keyed.append((depth, sid))
     keyed.sort()
     return [sid for _, sid in keyed]
-
-
-def overlay(
-    desensitized: np.ndarray,
-    proxies: list[SkeletalProxy],
-    order: list[int],
-) -> np.ndarray:
-    """Paint proxies onto the scrubbed frame back-to-front.
-
-    Pixels outside every proxy's opaque support are returned untouched.
-    """
-    desensitized = validate_frame(desensitized, "desensitized")
-    by_id = {p.subject_id: p for p in proxies}
-    if sorted(order) != sorted(by_id):
-        raise ValidationError(
-            f"order {sorted(order)} is not a permutation of proxy subjects "
-            f"{sorted(by_id)}"
-        )
-    out = desensitized.copy()
-    for sid in order:
-        proxy = by_id[sid]
-        paste_rgba(out, proxy.raster, proxy.anchor[0], proxy.anchor[1])
-    return out
 
 
 def embed(composite: np.ndarray) -> np.ndarray:

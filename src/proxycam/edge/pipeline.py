@@ -8,12 +8,12 @@ never the raw frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import AssociationError, DegeneratePoseError, StageError
-from ..proxy import ProxyReuse, SkeletalProxy, render_proxy
+from ..errors import DegeneratePoseError, StageError
+from ..proxy import ProxyReuse, SkeletalProxy, overlay, render_proxy
 from ..skeleton import KeypointSet
 from ..raster import validate_frame
 from .background import (
@@ -23,7 +23,7 @@ from .background import (
     erase,
     update_background,
 )
-from .compose import embed, occlusion_order, overlay
+from .compose import embed, occlusion_order
 from .detect import DIFF_THRESHOLD, MIN_BOX_AREA, detect
 from .pose import assign_actors, estimate_pose
 from .track import TrackerParams, TrackerState, track_step
@@ -129,23 +129,18 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
             assign_actors, {t.subject_id: t.box for t in tracks}, gt
         )
         for track in tracks:
-            # each track sees only the actor assigned to it, if any
             actor = assigned.get(track.subject_id)
-            try:
-                poses[track.subject_id] = estimate_pose(
-                    frame,
-                    track.box,
-                    "oracle",
-                    gt=replace(gt, actors=() if actor is None else (actor,)),
-                    noise_sigma=params.noise_sigma,
-                    rng=state.rng,
-                )
-            except AssociationError:
+            if actor is None:
                 # subject left the scene, the track is coasting too far, or
                 # a track overlapping the actor more took it
                 continue
-            except Exception as exc:
-                raise StageError("pose", exc) from exc
+            poses[track.subject_id] = _stage("pose")(
+                estimate_pose,
+                actor,
+                track.box,
+                noise_sigma=params.noise_sigma,
+                rng=state.rng,
+            )
 
     if mode == "oracle":
         if gt is None:
@@ -167,27 +162,21 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
         update_background, state.background, frame, joint_mask, params.background_alpha
     )
 
-    live = {t.subject_id: t for t in tracks}
-    proxies: list[SkeletalProxy] = []
+    proxies: dict[int, SkeletalProxy] = {}
     state.proxies.retain(poses)
     for sid in sorted(poses):
-        pose = poses[sid]
         try:
-            proxy = state.proxies.render(
-                sid,
-                pose,
-                pose.head_yaw,
-                live[sid].box,
-                (state.width, state.height),
-                render_proxy,
+            proxies[sid] = state.proxies.render(
+                sid, poses[sid], (state.width, state.height), render_proxy
             )
         except DegeneratePoseError:
+            # a pose the renderer cannot draw does not go on the wire
             del poses[sid]
-            continue
-        proxies.append(replace(proxy, subject_id=sid))
 
     order = _stage("order")(occlusion_order, tracks, poses)
-    composite = _stage("overlay")(overlay, desensitized, proxies, order)
+    composite = _stage("overlay")(
+        overlay, desensitized, [proxies[sid] for sid in order]
+    )
     embedding = _stage("embed")(embed, composite)
 
     state.frame_index += 1

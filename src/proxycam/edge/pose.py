@@ -1,21 +1,19 @@
 """Per-subject pose extraction.
 
-Only the ground-truth oracle is implemented: the box is associated with
-the overlapping ground-truth subject and its scripted keypoints are
-returned, optionally perturbed with seeded Gaussian noise. Within a frame
-the association is exclusive (`assign_actors`), so one person never
-becomes two subjects. A heuristic pose estimator is a declared
-non-capability and is refused explicitly.
+Only the ground-truth oracle is implemented: `assign_actors` associates
+each track box with an overlapping ground-truth subject, and
+`estimate_pose` returns that subject's scripted keypoints, optionally
+perturbed with seeded Gaussian noise. Within a frame the association is
+exclusive, so one person never becomes two subjects. There is no
+heuristic pose estimator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AssociationError, CapabilityError
 from ..geometry import BoundingBox, iou
 from ..skeleton import KeypointSet
-from ..raster import validate_frame
 
 ASSOCIATION_IOU = 0.5
 
@@ -45,39 +43,18 @@ def assign_actors(boxes: dict[int, BoundingBox], gt) -> dict[int, object]:
 
 
 def estimate_pose(
-    frame: np.ndarray,
+    actor,
     box: BoundingBox,
-    mode: str,
-    gt=None,
     noise_sigma: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> KeypointSet:
-    """Keypoints for the subject inside `box`.
+    """Keypoints of the ground-truth `actor` assigned to the track `box`.
 
-    In oracle mode the ground-truth subject with the highest box IoU
-    (at least 0.5) provides the joints; isotropic Gaussian noise of std
-    `noise_sigma` is added per coordinate when requested, drawn from `rng`.
-    Joints pushed outside the box are clamped to it and marked invisible.
+    Isotropic Gaussian noise of std `noise_sigma` is added per coordinate
+    when requested, drawn from `rng`. Joints pushed outside the box are
+    clamped to it and marked invisible.
     """
-    frame = validate_frame(frame)
-    if mode == "heuristic":
-        raise CapabilityError("heuristic pose estimation is not supported")
-    if mode != "oracle":
-        raise CapabilityError(f"unknown pose mode '{mode}'")
-    if gt is None:
-        raise AssociationError("oracle pose estimation requires ground truth")
-
-    best, best_iou = None, 0.0
-    for actor in gt.actors:
-        overlap = iou(box, actor.box)
-        if overlap > best_iou:
-            best, best_iou = actor, overlap
-    if best is None or best_iou < ASSOCIATION_IOU:
-        raise AssociationError(
-            f"no ground-truth subject overlaps the box (best IoU {best_iou:.2f})"
-        )
-
-    joints = best.keypoints.joints.astype(np.float64).copy()
+    joints = actor.keypoints.joints.astype(np.float64).copy()
     if noise_sigma > 0.0:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -89,5 +66,5 @@ def estimate_pose(
     joints[:, 0] = np.clip(u, box.x, box.x2)
     joints[:, 1] = np.clip(v, box.y, box.y2)
     return KeypointSet(
-        joints=joints.astype(np.float32), head_yaw=best.keypoints.head_yaw
+        joints=joints.astype(np.float32), head_yaw=actor.keypoints.head_yaw
     )

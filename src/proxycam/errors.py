@@ -13,14 +13,6 @@ class ConfigurationError(ProxycamError):
     """An operation was invoked with an unusable configuration."""
 
 
-class CapabilityError(ProxycamError):
-    """The requested mode is not supported by this implementation."""
-
-
-class AssociationError(ProxycamError):
-    """A box could not be matched to any ground-truth subject."""
-
-
 class DegeneratePoseError(ProxycamError):
     """Too few visible joints to render or measure."""
 

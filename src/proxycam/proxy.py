@@ -1,8 +1,10 @@
-"""Appearance-free skeletal proxy renderer.
+"""Appearance-free skeletal proxies: from a wire pose to pixels.
 
-This is the single rendering routine shared by the edge overlay and the
-cloud reconstruction: both sides must produce byte-identical rasters from
-the same pose, so there is exactly one implementation.
+This is the one path from a pose to pixels, shared by the edge composite
+and the cloud reconstruction: `render_proxy` draws a subject and `overlay`
+pastes the proxies onto a frame. The renderer reads only what crosses the
+wire (the joints with their confidences, the head yaw, the frame size), so
+both sides produce the same bytes from the same tuple.
 
 A proxy is a capsule per visible bone plus a head disc, drawn with one
 fixed fill and outline for every subject. Nothing about the person except
@@ -14,20 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegeneratePoseError
 from .geometry import BoundingBox
-from .raster import SilhouetteCanvas, outline_of
+from .raster import SilhouetteCanvas, outline_of, paste_rgba, validate_frame
 from .skeleton import BONES, KeypointSet, L_EAR, NOSE, R_EAR
 
 FILL_COLOR = (180, 180, 180)
 OUTLINE_COLOR = (60, 60, 60)
 
 _LIMB_WIDTH_FRAC = 0.06        # capsule width as a fraction of torso length
-_TORSO_FALLBACK_FRAC = 0.3     # of box height, when shoulders/hips are hidden
+_TORSO_FALLBACK_FRAC = 0.3     # of keypoint-extent height, if shoulders/hips are hidden
 _HEAD_RADIUS_EAR_FRAC = 0.5    # of the inter-ear distance
 _HEAD_RADIUS_FALLBACK = 0.15   # of torso length
 _TICK_LENGTH = 2.0             # orientation tick, pixels past the disc rim
@@ -39,21 +41,16 @@ class SkeletalProxy:
 
     raster: np.ndarray
     anchor: tuple[int, int]
-    subject_id: int = -1
 
 
-def render_proxy(
-    pose: KeypointSet,
-    head_yaw: float | None,
-    box: BoundingBox,
-    frame_size: tuple[int, int],
-) -> SkeletalProxy:
+def render_proxy(pose: KeypointSet, frame_size: tuple[int, int]) -> SkeletalProxy:
     """Rasterize the proxy for one subject.
 
     frame_size is (width, height); the patch is clipped to the frame so the
-    proxy always fits when pasted at its anchor. Raises DegeneratePoseError
-    when fewer than two joints are visible or nothing lands inside the
-    frame.
+    proxy always fits when pasted at its anchor. When the shoulders or hips
+    are hidden, the torso length falls back to a fraction of the height of
+    `keypoint_extent_box(pose)`. Raises DegeneratePoseError when fewer than
+    two joints are visible or nothing lands inside the frame.
     """
     frame_w, frame_h = frame_size
     visible = pose.visible()
@@ -63,7 +60,7 @@ def render_proxy(
 
     torso = pose.torso_length()
     if torso is None or torso <= 0.0:
-        torso = _TORSO_FALLBACK_FRAC * max(box.h, 1.0)
+        torso = _TORSO_FALLBACK_FRAC * max(keypoint_extent_box(pose).h, 1.0)
     limb_r = max(_LIMB_WIDTH_FRAC * torso / 2.0, 0.75)
 
     head_r = 0.0
@@ -92,8 +89,8 @@ def render_proxy(
 
     inside = canvas.mask
     tick = np.zeros_like(inside)
-    if head_r > 0.0 and head_yaw is not None:
-        direction = np.array([math.cos(head_yaw), math.sin(head_yaw)])
+    if head_r > 0.0 and pose.head_yaw is not None:
+        direction = np.array([math.cos(pose.head_yaw), math.sin(pose.head_yaw)])
         tip = pts[NOSE] + direction * (head_r + _TICK_LENGTH)
         base = pts[NOSE] + direction * head_r
         tick_canvas = SilhouetteCanvas(x0, y0, x1 - x0, y1 - y0)
@@ -111,11 +108,11 @@ class ProxyReuse:
     """The last proxy of each subject of one stream, with the inputs it came from.
 
     `render_proxy` reads nothing but the joint bytes (confidences
-    included), the head yaw, the box height (through the torso fallback)
-    and the frame size. When all four repeat bit for bit, its output
-    would repeat byte for byte, so the previous proxy is returned instead
-    of drawing it again. Reused rasters are read-only. One entry per
-    subject: `retain` drops the subjects a frame no longer carries.
+    included), the head yaw and the frame size. When all three repeat bit
+    for bit, its output would repeat byte for byte, so the previous proxy
+    is returned instead of drawing it again. Reused rasters are read-only.
+    One entry per subject: `retain` drops the subjects a frame no longer
+    carries.
     """
 
     def __init__(self) -> None:
@@ -125,13 +122,11 @@ class ProxyReuse:
         self,
         subject_id: int,
         pose: KeypointSet,
-        head_yaw: float | None,
-        box: BoundingBox,
         frame_size: tuple[int, int],
         render: Callable[..., SkeletalProxy],
     ) -> SkeletalProxy:
         """The subject's previous proxy if its inputs are unchanged, else
-        `render(pose, head_yaw, box, frame_size)`, remembered for next time.
+        `render(pose, frame_size)`, remembered for next time.
 
         `render` is the caller's own `render_proxy` binding, so a test can
         put a counting fake in its place."""
@@ -139,14 +134,13 @@ class ProxyReuse:
         # -0.0 are not the same input
         key = (
             pose.joints.tobytes(),
-            None if head_yaw is None else float(head_yaw).hex(),
-            float(box.h).hex(),
+            None if pose.head_yaw is None else float(pose.head_yaw).hex(),
             (int(frame_size[0]), int(frame_size[1])),
         )
         entry = self._entries.get(subject_id)
         if entry is not None and entry[0] == key:
             return entry[1]
-        proxy = render(pose, head_yaw, box, frame_size)
+        proxy = render(pose, frame_size)
         proxy.raster.flags.writeable = False
         self._entries[subject_id] = (key, proxy)
         return proxy
@@ -162,8 +156,8 @@ class ProxyReuse:
 def keypoint_extent_box(pose: KeypointSet, margin_frac: float = 0.10) -> BoundingBox:
     """Box around the visible joints, grown by a relative margin.
 
-    This is the stand-in for the detector box where only poses are
-    available (the cloud side of the wire).
+    The cloud reports it as the subject's box, and its height feeds the
+    renderer's torso fallback: the tracker box never crosses the wire.
     """
     vis = pose.visible_points()
     if vis.shape[0] == 0:
@@ -172,3 +166,16 @@ def keypoint_extent_box(pose: KeypointSet, margin_frac: float = 0.10) -> Boundin
     x1, y1 = vis.max(axis=0)
     box = BoundingBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
     return box.scaled(1.0 + margin_frac)
+
+
+def overlay(frame: np.ndarray, proxies: Sequence[SkeletalProxy]) -> np.ndarray:
+    """Paste proxies, given back to front, onto a copy of the frame.
+
+    This is the one compositor: the edge composite and the cloud
+    reconstruction are both made by it. Pixels outside every proxy's
+    opaque support are returned untouched.
+    """
+    out = validate_frame(frame).copy()
+    for proxy in proxies:
+        paste_rgba(out, proxy.raster, proxy.anchor[0], proxy.anchor[1])
+    return out

@@ -140,22 +140,6 @@ def paste_rgba(dst: np.ndarray, patch: np.ndarray, x0: int, y0: int) -> None:
     region[opaque] = sub[:, :, :3][opaque]
 
 
-def paste_rgba_over_rgba(dst: np.ndarray, patch: np.ndarray, x0: int, y0: int) -> None:
-    """Same painter rule as paste_rgba but the destination keeps alpha."""
-    h, w = patch.shape[:2]
-    H, W = dst.shape[:2]
-    sy0, sx0 = max(0, -y0), max(0, -x0)
-    dy0, dx0 = max(0, y0), max(0, x0)
-    hh = min(h - sy0, H - dy0)
-    ww = min(w - sx0, W - dx0)
-    if hh <= 0 or ww <= 0:
-        return
-    sub = patch[sy0 : sy0 + hh, sx0 : sx0 + ww]
-    opaque = sub[:, :, 3] > 0
-    region = dst[dy0 : dy0 + hh, dx0 : dx0 + ww]
-    region[opaque] = sub[opaque]
-
-
 def luminance(frame: np.ndarray) -> np.ndarray:
     """Rec.601 luma as float64, same height/width as the input."""
     f = frame.astype(np.float64)

@@ -208,12 +208,8 @@ class CloudRunner:
         self.released += 1
 
         env = decode_png(t.env_png)
-        proxies = render_proxies(
-            list(t.poses),
-            list(t.order),
-            (env.shape[1], env.shape[0]),
-            self._proxies[t.key.camera_id],
-        )
+        size = (env.shape[1], env.shape[0])
+        proxies = render_proxies(t.poses, t.order, size, self._proxies[t.key.camera_id])
         scene = reconstruct(env, proxies)
         if self.write_recon:
             name = f"cam{t.key.camera_id}_frame{t.key.frame_id}.png"

@@ -21,13 +21,11 @@ CONNECT_BACKOFF_MS = (100, 200, 400)
 
 
 def write_packets(path: str | Path, packets: Iterable[bytes]) -> int:
-    count = 0
     with open(path, "wb") as fh:
+        writer = PacketWriter(fh)
         for packet in packets:
-            fh.write(_LEN.pack(len(packet)))
-            fh.write(packet)
-            count += 1
-    return count
+            writer.send(packet)
+    return writer.count
 
 
 def read_packets(path: str | Path) -> Iterator[bytes]:

@@ -176,10 +176,8 @@ class TestCriterion4RenderEquivalence:
         for frame_id, (frame, gt) in enumerate(zip(frames, gts)):
             output = process_frame(state, frame, gt)
             t = decode(encode(build_tuple(output, 0, frame_id, frame_id * 33333)))
-            canvas = render_proxies(
-                list(t.poses), list(t.order), (scene.width, scene.height)
-            )
-            recon = reconstruct(decode_png(t.env_png), canvas)
+            proxies = render_proxies(t.poses, t.order, (scene.width, scene.height))
+            recon = reconstruct(decode_png(t.env_png), proxies)
             if not np.array_equal(recon, output.composite):
                 mismatches += 1
         report(

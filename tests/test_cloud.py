@@ -5,14 +5,18 @@ from proxycam.cloud.classify import ClassifierParams, classify_behavior
 from proxycam.cloud.infer import infer
 from proxycam.cloud.kinematics import KinematicFeatures, extract_kinematics
 from proxycam.cloud.reconstruct import reconstruct, render_proxies
+from proxycam.config import RunConfig
 from proxycam.edge.pipeline import EdgeState, process_frame
 from proxycam.errors import DegenerateSubjectError, ValidationError
 from proxycam.pngio import decode_png
-from proxycam.proxy import FILL_COLOR, OUTLINE_COLOR
-from proxycam.runner import build_tuple
+from proxycam.proxy import FILL_COLOR, OUTLINE_COLOR, render_proxy
+from proxycam.runner import CloudRunner, build_tuple, run_e2e
 from proxycam.sim.generate import generate_scene
 from proxycam.sim.kinematics import pose_at
+from proxycam.sim.spec import save_scene_spec
 from proxycam.skeleton import KeypointSet
+from proxycam.transport.codec import decode, encode
+from proxycam.transport.gate import privacy_gate
 
 from conftest import scene, solo_actor
 
@@ -186,16 +190,25 @@ class TestInfer:
             infer([tuples[3], tuples[1]])
 
 
+def support(proxies, frame_size):
+    """Pixels of the frame painted by any of the proxies."""
+    width, height = frame_size
+    painted = reconstruct(np.zeros((height, width, 3), np.uint8), proxies)
+    return painted.any(axis=2)
+
+
 class TestReconstruct:
     def test_empty_poses_is_fully_transparent(self):
-        canvas = render_proxies([], [], (64, 48))
-        assert canvas.shape == (48, 64, 4)
-        assert not canvas[:, :, 3].any()
+        env = np.random.default_rng(0).integers(0, 256, (48, 64, 3), dtype=np.uint8)
+        proxies = render_proxies([], [], (64, 48))
+        assert proxies == []
+        assert np.array_equal(reconstruct(env, proxies), env)
 
     def test_transparent_canvas_reconstructs_identity(self):
         env = np.random.default_rng(0).integers(0, 256, (48, 64, 3), dtype=np.uint8)
-        out = reconstruct(env, np.zeros((48, 64, 4), dtype=np.uint8))
+        out = reconstruct(env, [])
         assert np.array_equal(out, env)
+        assert out is not env
 
     def test_cloud_render_matches_edge_composite(self, fall_scene):
         tuples, _ = run_tuples(fall_scene)
@@ -204,18 +217,18 @@ class TestReconstruct:
         for i, (frame, gt) in enumerate(zip(frames, gts)):
             out = process_frame(state, frame, gt)
             t = tuples[i]
-            canvas = render_proxies(
-                list(t.poses), list(t.order), (fall_scene.width, fall_scene.height)
+            proxies = render_proxies(
+                t.poses, t.order, (fall_scene.width, fall_scene.height)
             )
-            recon = reconstruct(decode_png(t.env_png), canvas)
+            recon = reconstruct(decode_png(t.env_png), proxies)
             assert np.array_equal(recon, out.composite)
 
     def test_reconstruction_palette_inside_alpha(self, stand_scene):
         tuples, _ = run_tuples(stand_scene)
         t = tuples[-1]
-        canvas = render_proxies(list(t.poses), list(t.order), (320, 240))
-        recon = reconstruct(decode_png(t.env_png), canvas)
-        opaque = canvas[:, :, 3] > 0
+        proxies = render_proxies(t.poses, t.order, (320, 240))
+        recon = reconstruct(decode_png(t.env_png), proxies)
+        opaque = support(proxies, (320, 240))
         colors = {tuple(c) for c in np.unique(recon[opaque], axis=0)}
         assert colors == {FILL_COLOR, OUTLINE_COLOR}
 
@@ -223,9 +236,9 @@ class TestReconstruct:
         tuples, _ = run_tuples(stand_scene)
         t = tuples[-1]
         env = decode_png(t.env_png)
-        canvas = render_proxies(list(t.poses), list(t.order), (320, 240))
-        recon = reconstruct(env, canvas)
-        outside = canvas[:, :, 3] == 0
+        proxies = render_proxies(t.poses, t.order, (320, 240))
+        recon = reconstruct(env, proxies)
+        outside = ~support(proxies, (320, 240))
         assert np.array_equal(recon[outside], env[outside])
 
     def test_overlap_belongs_to_later_subject(self):
@@ -234,13 +247,77 @@ class TestReconstruct:
         actor_b = solo_actor([(0, 2, "stand")], trajectory=((0, 118.0, 206.0),))
         kp_a, _ = pose_at(actor_a, 0)
         kp_b, _ = pose_at(actor_b, 0)
+        env = np.zeros((240, 320, 3), np.uint8)
         first = render_proxies([(1, kp_a), (2, kp_b)], [1, 2], (320, 240))
         second = render_proxies([(1, kp_a), (2, kp_b)], [2, 1], (320, 240))
-        overlap_alpha = (first[:, :, 3] > 0) & (second[:, :, 3] > 0)
-        assert overlap_alpha.any()
-        assert np.any(first != second)
+        overlap = support(first[:1], (320, 240)) & support(first[1:], (320, 240))
+        assert overlap.any()
+        assert np.any(reconstruct(env, first) != reconstruct(env, second))
 
     def test_dimension_mismatch_rejected(self):
-        env = np.zeros((48, 64, 3), dtype=np.uint8)
         with pytest.raises(ValidationError):
-            reconstruct(env, np.zeros((40, 64, 4), dtype=np.uint8))
+            reconstruct(np.zeros((48, 64), dtype=np.uint8), [])
+
+
+def tall_actor_scene():
+    """The actor's shoulders sit above the top edge of the frame, so the
+    renderer falls back from the torso length to the keypoint extent."""
+    actor = solo_actor(
+        [(0, 80, "walk")], height_px=200, trajectory=((0, 160.0, 150.0), (79, 200.0, 150.0))
+    )
+    return scene([actor], frame_count=80)
+
+
+class TestRenderEquivalence:
+    def test_tall_actor_reconstruction_equals_edge_composite(self):
+        spec = tall_actor_scene()
+        frames, gts = generate_scene(spec)
+        state = EdgeState(spec.width, spec.height)
+        mismatches = drawn = 0
+        for i, (frame, gt) in enumerate(zip(frames, gts)):
+            out = process_frame(state, frame, gt)
+            t = decode(encode(build_tuple(out, 0, i, i * 33333)))
+            drawn += len(t.poses)
+            proxies = render_proxies(t.poses, t.order, (spec.width, spec.height))
+            recon = reconstruct(decode_png(t.env_png), proxies)
+            mismatches += not np.array_equal(recon, out.composite)
+        assert drawn == len(frames)
+        assert mismatches == 0
+
+    def test_tall_actor_e2e_has_no_render_mismatches(self, tmp_path):
+        save_scene_spec(tall_actor_scene(), tmp_path / "tall.json")
+        config = RunConfig(scene=str(tmp_path / "tall.json"), out_dir=str(tmp_path / "out"))
+        summary = run_e2e(config)
+        assert summary["reports"] == 80
+        assert summary["render_mismatches"] == 0
+
+
+class TestUndrawablePose:
+    FRAME = (320, 240)
+
+    def packet(self, frame_id, pose):
+        class Output:
+            desensitized = np.full((240, 320, 3), 90, np.uint8)
+            poses = ((1, pose),)
+            order = (1,)
+            embedding = np.zeros(64, np.float32)
+
+        t = build_tuple(Output, 0, frame_id, frame_id * 33_333)
+        assert privacy_gate(t, self.FRAME).ok
+        return encode(t)
+
+    def test_undrawable_pose_draws_nothing_and_the_stream_goes_on(self, tmp_path):
+        lone = np.zeros((17, 3), dtype=np.float32)
+        lone[0] = (100.0, 100.0, 1.0)  # one visible joint: nothing to draw
+        normal, _ = pose_at(solo_actor([(0, 2, "stand")]), 0)
+        cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
+        # frame 1 waits for frame 0, so one accept releases both
+        cloud.feed(self.packet(1, normal))
+        cloud.feed(self.packet(0, KeypointSet(joints=lone)))
+        cloud.finish()
+        assert sorted(cloud.reports) == [(0, 0), (0, 1)]
+        assert cloud.recon_files == ["cam0_frame0.png", "cam0_frame1.png"]
+        env = np.full((240, 320, 3), 90, np.uint8)
+        recons = [decode_png((tmp_path / name).read_bytes()) for name in cloud.recon_files]
+        assert np.array_equal(recons[0], env)
+        assert np.array_equal(recons[1], reconstruct(env, [render_proxy(normal, self.FRAME)]))

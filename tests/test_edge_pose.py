@@ -1,46 +1,41 @@
 import numpy as np
 import pytest
 
-from proxycam.edge.pose import estimate_pose
-from proxycam.errors import AssociationError, CapabilityError
+from proxycam.edge.pose import assign_actors, estimate_pose
 from proxycam.geometry import BoundingBox
 from proxycam.sim.generate import generate_scene
 
 
 @pytest.fixture
-def stand_frame(stand_scene):
-    frames, gts = generate_scene(stand_scene)
-    return frames[5], gts[5]
+def gt(stand_scene):
+    return generate_scene(stand_scene)[1][5]
 
 
 class TestEstimatePose:
-    def test_zero_noise_returns_gt_exactly(self, stand_frame):
-        frame, gt = stand_frame
-        kp = estimate_pose(frame, gt.actors[0].box, "oracle", gt)
+    def test_zero_noise_returns_gt_exactly(self, gt):
+        kp = estimate_pose(gt.actors[0], gt.actors[0].box)
         assert np.array_equal(kp.joints, gt.actors[0].keypoints.joints)
         assert kp.head_yaw == gt.actors[0].keypoints.head_yaw
 
-    def test_seeded_noise_is_reproducible(self, stand_frame):
-        frame, gt = stand_frame
+    def test_seeded_noise_is_reproducible(self, gt):
         box = gt.actors[0].box
         a = estimate_pose(
-            frame, box, "oracle", gt, noise_sigma=2.0, rng=np.random.default_rng(42)
+            gt.actors[0], box, noise_sigma=2.0, rng=np.random.default_rng(42)
         )
         b = estimate_pose(
-            frame, box, "oracle", gt, noise_sigma=2.0, rng=np.random.default_rng(42)
+            gt.actors[0], box, noise_sigma=2.0, rng=np.random.default_rng(42)
         )
         assert np.array_equal(a.joints, b.joints)
 
-    def test_noise_rms_matches_sigma(self, stand_frame):
+    def test_noise_rms_matches_sigma(self, gt):
         # Monte Carlo oracle: per-axis RMS deviation of sigma=2 noise over
         # 1000 trials must land in [1.8, 2.2]
-        frame, gt = stand_frame
         box = gt.actors[0].box
         rng = np.random.default_rng(7)
         clean = gt.actors[0].keypoints.joints[:, :2].astype(np.float64)
         sq_sum, count = 0.0, 0
         for _ in range(1000):
-            kp = estimate_pose(frame, box, "oracle", gt, noise_sigma=2.0, rng=rng)
+            kp = estimate_pose(gt.actors[0], box, noise_sigma=2.0, rng=rng)
             vis = kp.visible()
             delta = kp.joints[vis, :2].astype(np.float64) - clean[vis]
             sq_sum += float((delta**2).sum())
@@ -48,23 +43,15 @@ class TestEstimatePose:
         rms = (sq_sum / count) ** 0.5
         assert 1.8 <= rms <= 2.2
 
-    def test_joints_clamped_to_box_lose_confidence(self, stand_frame):
-        frame, gt = stand_frame
+    def test_joints_clamped_to_box_lose_confidence(self, gt):
         actor = gt.actors[0]
         # shrink the box so head joints fall outside
         tight = BoundingBox(actor.box.x, actor.box.y + 40, actor.box.w, actor.box.h - 40)
-        kp = estimate_pose(frame, tight, "oracle", gt)
+        kp = estimate_pose(actor, tight)
         head_conf = kp.joints[:5, 2]
         assert np.all(head_conf == 0.0)
         assert np.all(kp.joints[:, 1] >= tight.y)
 
-    def test_heuristic_mode_unsupported(self, stand_frame):
-        frame, gt = stand_frame
-        with pytest.raises(CapabilityError):
-            estimate_pose(frame, gt.actors[0].box, "heuristic", gt)
-
-    def test_unmatched_box_is_an_association_error(self, stand_frame):
-        frame, gt = stand_frame
+    def test_unmatched_box_gets_no_actor(self, gt):
         far = BoundingBox(0.0, 0.0, 20.0, 20.0)
-        with pytest.raises(AssociationError):
-            estimate_pose(frame, far, "oracle", gt)
+        assert assign_actors({1: far}, gt) == {}

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from proxycam.edge.compose import embed, occlusion_order, overlay
+from proxycam.edge.compose import embed, occlusion_order
 from proxycam.edge.track import Track
-from proxycam.errors import DegeneratePoseError, ValidationError
+from proxycam.errors import DegeneratePoseError
 from proxycam.geometry import BoundingBox
 from proxycam.proxy import (
     FILL_COLOR,
     OUTLINE_COLOR,
     ProxyReuse,
     SkeletalProxy,
-    keypoint_extent_box,
+    overlay,
     render_proxy,
 )
 from proxycam.sim.generate import generate_scene
@@ -27,36 +27,35 @@ def stand_pose(x=110.0, clothing=(200, 40, 40)):
         frame_count=2,
     )
     _, gts = generate_scene(spec)
-    actor = gts[0].actors[0]
-    return actor.keypoints, actor.box
+    return gts[0].actors[0].keypoints
 
 
 class TestRenderProxy:
     def test_standing_silhouette_is_tall(self):
-        kp, box = stand_pose()
-        proxy = render_proxy(kp, kp.head_yaw, box, FRAME_SIZE)
+        kp = stand_pose()
+        proxy = render_proxy(kp, FRAME_SIZE)
         ys, xs = np.nonzero(proxy.raster[:, :, 3])
         ratio = (ys.max() - ys.min() + 1) / (xs.max() - xs.min() + 1)
         assert ratio > 2.0
 
     def test_deterministic(self):
-        kp, box = stand_pose()
-        a = render_proxy(kp, kp.head_yaw, box, FRAME_SIZE)
-        b = render_proxy(kp, kp.head_yaw, box, FRAME_SIZE)
+        kp = stand_pose()
+        a = render_proxy(kp, FRAME_SIZE)
+        b = render_proxy(kp, FRAME_SIZE)
         assert np.array_equal(a.raster, b.raster)
         assert a.anchor == b.anchor
 
     def test_appearance_never_enters_the_render(self):
-        kp_red, box = stand_pose(clothing=(200, 40, 40))
-        kp_blue, _ = stand_pose(clothing=(40, 60, 200))
+        kp_red = stand_pose(clothing=(200, 40, 40))
+        kp_blue = stand_pose(clothing=(40, 60, 200))
         assert kp_red == kp_blue  # same pose regardless of appearance
-        a = render_proxy(kp_red, kp_red.head_yaw, box, FRAME_SIZE)
-        b = render_proxy(kp_blue, kp_blue.head_yaw, box, FRAME_SIZE)
+        a = render_proxy(kp_red, FRAME_SIZE)
+        b = render_proxy(kp_blue, FRAME_SIZE)
         assert np.array_equal(a.raster, b.raster)
 
     def test_palette_is_fill_and_outline_only(self):
-        kp, box = stand_pose()
-        proxy = render_proxy(kp, kp.head_yaw, box, FRAME_SIZE)
+        kp = stand_pose()
+        proxy = render_proxy(kp, FRAME_SIZE)
         opaque = proxy.raster[proxy.raster[:, :, 3] > 0][:, :3]
         colors = {tuple(c) for c in np.unique(opaque, axis=0)}
         assert colors == {FILL_COLOR, OUTLINE_COLOR}
@@ -64,8 +63,8 @@ class TestRenderProxy:
     def test_opaque_support_is_connected(self):
         from scipy import ndimage
 
-        kp, box = stand_pose()
-        proxy = render_proxy(kp, kp.head_yaw, box, FRAME_SIZE)
+        kp = stand_pose()
+        proxy = render_proxy(kp, FRAME_SIZE)
         _, n = ndimage.label(proxy.raster[:, :, 3] > 0, structure=np.ones((3, 3)))
         assert n == 1
 
@@ -74,7 +73,7 @@ class TestRenderProxy:
         joints[0] = (100, 100, 1.0)
         kp = KeypointSet(joints=joints)
         with pytest.raises(DegeneratePoseError):
-            render_proxy(kp, None, BoundingBox(80, 80, 40, 40), FRAME_SIZE)
+            render_proxy(kp, FRAME_SIZE)
 
 
 class CountingRender:
@@ -92,65 +91,61 @@ def same_proxy(a, b):
 
 class TestProxyReuse:
     def test_unchanged_inputs_reuse_the_fresh_raster(self):
-        kp, box = stand_pose()
+        kp = stand_pose()
         reuse, render = ProxyReuse(), CountingRender()
-        first = reuse.render(1, kp, kp.head_yaw, box, FRAME_SIZE, render)
+        first = reuse.render(1, kp, FRAME_SIZE, render)
         # an equal pose in a new object is still the same input
         again = KeypointSet(joints=kp.joints.copy(), head_yaw=kp.head_yaw)
-        second = reuse.render(1, again, again.head_yaw, box, FRAME_SIZE, render)
+        second = reuse.render(1, again, FRAME_SIZE, render)
         assert render.calls == 1
         assert second is first
-        assert same_proxy(second, render_proxy(kp, kp.head_yaw, box, FRAME_SIZE))
+        assert same_proxy(second, render_proxy(kp, FRAME_SIZE))
         assert not second.raster.flags.writeable
 
     def test_any_changed_input_renders_again(self):
-        kp, box = stand_pose()
+        kp = stand_pose()
         torsoless = kp.joints.copy()
-        torsoless[[5, 6], 2] = 0.0  # hide the shoulders: torso falls back to the box
+        torsoless[[5, 6], 2] = 0.0  # hide the shoulders: torso falls back to the extent
         moved = kp.joints.copy()
         moved[9, 0] += 0.25
         dimmed = kp.joints.copy()
         dimmed[9, 2] *= 0.5  # confidence only
-        tall = BoundingBox(box.x, box.y, box.w, box.h + 20.0)
         inputs = [
-            (KeypointSet(torsoless, kp.head_yaw), kp.head_yaw, box, FRAME_SIZE),
-            (KeypointSet(torsoless, kp.head_yaw), kp.head_yaw, tall, FRAME_SIZE),
-            (KeypointSet(moved, kp.head_yaw), kp.head_yaw, tall, FRAME_SIZE),
-            (KeypointSet(dimmed, kp.head_yaw), kp.head_yaw, tall, FRAME_SIZE),
-            (KeypointSet(dimmed, kp.head_yaw), None, tall, FRAME_SIZE),
-            (KeypointSet(dimmed, kp.head_yaw), 0.5, tall, FRAME_SIZE),
-            (KeypointSet(dimmed, kp.head_yaw), 0.5, tall, (300, 240)),
+            (KeypointSet(torsoless, kp.head_yaw), FRAME_SIZE),
+            (KeypointSet(moved, kp.head_yaw), FRAME_SIZE),
+            (KeypointSet(dimmed, kp.head_yaw), FRAME_SIZE),
+            (KeypointSet(dimmed, None), FRAME_SIZE),
+            (KeypointSet(dimmed, 0.5), FRAME_SIZE),
+            (KeypointSet(dimmed, 0.5), (300, 240)),
         ]
         reuse, render = ProxyReuse(), CountingRender()
-        reuse.render(1, kp, kp.head_yaw, box, FRAME_SIZE, render)
+        reuse.render(1, kp, FRAME_SIZE, render)
         for n, args in enumerate(inputs, start=2):
             proxy = reuse.render(1, *args, render)
             assert render.calls == n
             assert same_proxy(proxy, render_proxy(*args))
-        # the torso fallback really reads the box height
-        assert not same_proxy(render_proxy(*inputs[0]), render_proxy(*inputs[1]))
 
     def test_departed_subjects_are_dropped(self):
-        kp, box = stand_pose()
-        other, other_box = stand_pose(x=220.0)
+        kp = stand_pose()
+        other = stand_pose(x=220.0)
         reuse, render = ProxyReuse(), CountingRender()
-        reuse.render(1, kp, kp.head_yaw, box, FRAME_SIZE, render)
-        reuse.render(2, other, other.head_yaw, other_box, FRAME_SIZE, render)
+        reuse.render(1, kp, FRAME_SIZE, render)
+        reuse.render(2, other, FRAME_SIZE, render)
         reuse.retain([2])
-        reuse.render(2, other, other.head_yaw, other_box, FRAME_SIZE, render)
+        reuse.render(2, other, FRAME_SIZE, render)
         assert render.calls == 2
-        reuse.render(1, kp, kp.head_yaw, box, FRAME_SIZE, render)
+        reuse.render(1, kp, FRAME_SIZE, render)
         assert render.calls == 3
 
     def test_subjects_do_not_share_entries(self):
-        kp, box = stand_pose()
-        other, other_box = stand_pose(x=220.0)
+        kp = stand_pose()
+        other = stand_pose(x=220.0)
         reuse, render = ProxyReuse(), CountingRender()
-        a = reuse.render(1, kp, kp.head_yaw, box, FRAME_SIZE, render)
-        b = reuse.render(2, other, other.head_yaw, other_box, FRAME_SIZE, render)
+        a = reuse.render(1, kp, FRAME_SIZE, render)
+        b = reuse.render(2, other, FRAME_SIZE, render)
         assert render.calls == 2
-        assert same_proxy(a, render_proxy(kp, kp.head_yaw, box, FRAME_SIZE))
-        assert same_proxy(b, render_proxy(other, other.head_yaw, other_box, FRAME_SIZE))
+        assert same_proxy(a, render_proxy(kp, FRAME_SIZE))
+        assert same_proxy(b, render_proxy(other, FRAME_SIZE))
 
 
 class TestCloudProxyReuse:
@@ -176,7 +171,7 @@ class TestCloudProxyReuse:
 
         # the package re-exports a function under the module's name
         reconstruct_module = import_module("proxycam.cloud.reconstruct")
-        poses = {0: stand_pose()[0], 1: stand_pose(x=220.0)[0]}
+        poses = {0: stand_pose(), 1: stand_pose(x=220.0)}
         env = np.full((FRAME_SIZE[1], FRAME_SIZE[0], 3), 90, np.uint8)
         expected = {
             camera: reconstruct_module.reconstruct(
@@ -200,26 +195,26 @@ def square_proxy(sid, x0, y0, size=20, alpha_fill=255):
     raster = np.zeros((size, size, 4), dtype=np.uint8)
     raster[:, :, :3] = (10 * sid, 20 * sid, 30 * sid)
     raster[:, :, 3] = alpha_fill
-    return SkeletalProxy(raster=raster, anchor=(x0, y0), subject_id=sid)
+    return SkeletalProxy(raster=raster, anchor=(x0, y0))
 
 
 class TestOverlay:
     def test_no_proxies_is_identity(self):
         base = np.random.default_rng(0).integers(0, 256, (60, 80, 3), dtype=np.uint8)
-        assert np.array_equal(overlay(base, [], []), base)
+        assert np.array_equal(overlay(base, []), base)
 
     def test_painter_rule_front_proxy_wins_overlap(self):
         base = np.zeros((60, 80, 3), dtype=np.uint8)
         a, b = square_proxy(1, 10, 10), square_proxy(2, 20, 20)
-        out = overlay(base, [a, b], [2, 1])  # back-to-front: b then a
+        out = overlay(base, [b, a])  # back-to-front: b then a
         # the overlap [20:30, 20:30] belongs to a (painted last)
         assert np.all(out[25, 25] == (10, 20, 30))
 
     def test_order_flip_changes_overlap_only(self):
         base = np.random.default_rng(1).integers(0, 256, (60, 80, 3), dtype=np.uint8)
         a, b = square_proxy(1, 10, 10), square_proxy(2, 20, 20)
-        ab = overlay(base, [a, b], [1, 2])
-        ba = overlay(base, [a, b], [2, 1])
+        ab = overlay(base, [a, b])
+        ba = overlay(base, [b, a])
         assert np.any(ab[20:30, 20:30] != ba[20:30, 20:30])
         union = np.zeros((60, 80), bool)
         union[10:30, 10:30] = True
@@ -227,10 +222,18 @@ class TestOverlay:
         assert np.array_equal(ab[~union], ba[~union])
         assert np.array_equal(ab[~union], base[~union])
 
-    def test_mismatched_order_rejected(self):
+    def test_frame_is_left_untouched(self):
         base = np.zeros((60, 80, 3), dtype=np.uint8)
-        with pytest.raises(ValidationError):
-            overlay(base, [square_proxy(1, 0, 0)], [1, 2])
+        out = overlay(base, [square_proxy(1, 0, 0)])
+        assert out[5, 5].any()
+        assert not base.any()
+
+    def test_proxy_past_the_frame_edge_is_clipped(self):
+        base = np.zeros((60, 80, 3), dtype=np.uint8)
+        out = overlay(base, [square_proxy(1, -10, 50)])
+        assert not out[:50].any()
+        assert np.all(out[50:, :10] == (10, 20, 30))
+        assert not out[50:, 10:].any()
 
 
 def track_at(sid, x, y, w=30, h=60, velocity=(0.0, 0.0)):
