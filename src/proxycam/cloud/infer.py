@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import DegenerateSubjectError, ValidationError
+from ..errors import ValidationError
 from ..geometry import BoundingBox
 from ..proxy import keypoint_extent_box
 from ..skeleton import KeypointSet
@@ -30,16 +30,36 @@ class BehaviorReport:
     subjects: tuple[SubjectReport, ...]
 
 
+def _resolve(history: Sequence[KeypointSet], params: ClassifierParams) -> tuple[str, float]:
+    """Label the newest pose of a history as a replay from its oldest pose would.
+
+    A label depends on the one before it only when no rule fires, and only
+    that case returns 'unknown' when no previous label is given. So the
+    newest step is classified alone first, and the step before it is
+    resolved, the same way, only when the newest one falls through.
+    """
+    features = extract_kinematics(history)
+    label, conf = classify_behavior(features, None, params)
+    if label == "unknown" and len(history) > 1:
+        prev, _ = _resolve(history[:-1], params)
+        label, conf = classify_behavior(features, prev, params)
+    return label, conf
+
+
 def infer(
     window: Sequence[RepresentationTuple],
     params: ClassifierParams = ClassifierParams(),
 ) -> BehaviorReport:
     """Classify every subject present in the newest tuple of the window.
 
-    The window must be a frame-ordered slice of one camera's stream.
-    Labels are computed sequentially along the window so the hysteresis
-    sees the same history on every call; a subject whose pose is
-    degenerate degrades to ('unknown', 0.5) without failing the frame.
+    The window must be a frame-ordered slice of one camera's stream. Each
+    subject's history is its poses in the window, oldest first. Its label
+    is the one a replay of the classifier along that history gives, where
+    each step holds the previous label when no rule fires; `_resolve`
+    computes it from the newest step backwards and goes back only as far
+    as the hold reaches. A subject with any pose in its history that has
+    no visible joint is reported as ('unknown', 0.5) with an empty box,
+    without failing the frame.
     """
     if not window:
         raise ValidationError("inference needs a non-empty tuple window")
@@ -59,15 +79,10 @@ def infer(
     reports: list[SubjectReport] = []
     for sid, kp in sorted(current.poses, key=lambda p: p[0]):
         history = histories[sid]
-        label, conf = "unknown", 0.5
-        try:
-            prev: str | None = None
-            for upto in range(1, len(history) + 1):
-                features = extract_kinematics(history[:upto])
-                label, conf = classify_behavior(features, prev, params)
-                prev = label
+        if all(pose.visible().any() for pose in history):
+            label, conf = _resolve(history, params)
             box = keypoint_extent_box(kp)
-        except DegenerateSubjectError:
+        else:
             label, conf = "unknown", 0.5
             box = BoundingBox(0.0, 0.0, 0.0, 0.0)
         reports.append(

@@ -55,6 +55,34 @@ def encode_png(image: np.ndarray) -> bytes:
     )
 
 
+def _unfilter_serial(ftype: int, line: np.ndarray, above: np.ndarray, bpp: int) -> np.ndarray:
+    """Rebuild one row with filter 3 (average) or 4 (Paeth).
+
+    Each byte depends on the rebuilt byte `bpp` to its left, so the row is
+    rebuilt one byte at a time, on Python ints, which cost far less per
+    step than numpy scalars. `rec` and `up` carry `bpp` zeros in front of
+    the row: the bytes left of the first pixel count as 0.
+    """
+    rec = bytearray(bpp + line.size)
+    up = [0] * bpp + above.tolist()
+    if ftype == 3:
+        for i, x in enumerate(line.tolist()):
+            rec[i + bpp] = (x + ((rec[i] + up[i + bpp]) >> 1)) & 0xFF
+    else:
+        for i, x in enumerate(line.tolist()):
+            a, b, c = rec[i], up[i + bpp], up[i]
+            # distances of a, b and c from the estimate p = a + b - c
+            pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - c - c)
+            if pa <= pb and pa <= pc:
+                pred = a
+            elif pb <= pc:
+                pred = b
+            else:
+                pred = c
+            rec[i + bpp] = (x + pred) & 0xFF
+    return np.frombuffer(rec, dtype=np.uint8, offset=bpp)
+
+
 def _unfilter(raw: np.ndarray, width: int, height: int, channels: int) -> np.ndarray:
     stride = width * channels
     if raw.size != height * (1 + stride):
@@ -78,26 +106,8 @@ def _unfilter(raw: np.ndarray, width: int, height: int, channels: int) -> np.nda
                 rec[lane::bpp] = np.cumsum(rec[lane::bpp]) % 256
         elif ftype == 2:
             rec = (line + prev) % 256
-        elif ftype == 3:
-            rec = np.zeros(stride, dtype=np.int64)
-            for i in range(stride):
-                left = rec[i - bpp] if i >= bpp else 0
-                rec[i] = (line[i] + (left + prev[i]) // 2) % 256
-        else:  # 4 (Paeth); types above 4 were rejected before the loop
-            rec = np.zeros(stride, dtype=np.int64)
-            for i in range(stride):
-                a = rec[i - bpp] if i >= bpp else 0
-                b = prev[i]
-                c = prev[i - bpp] if i >= bpp else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                if pa <= pb and pa <= pc:
-                    pred = a
-                elif pb <= pc:
-                    pred = b
-                else:
-                    pred = c
-                rec[i] = (line[i] + pred) % 256
+        else:  # 3 or 4; types above 4 were rejected before the loop
+            rec = _unfilter_serial(ftype, line, prev, bpp)
         out[y] = rec.astype(np.uint8)
     return out.reshape(height, width, channels)
 

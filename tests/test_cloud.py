@@ -1,3 +1,6 @@
+import importlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,17 +11,22 @@ from proxycam.cloud.reconstruct import reconstruct, render_proxies
 from proxycam.config import RunConfig
 from proxycam.edge.pipeline import EdgeState, process_frame
 from proxycam.errors import DegenerateSubjectError, ValidationError
+from proxycam.geometry import BoundingBox
 from proxycam.pngio import decode_png
-from proxycam.proxy import FILL_COLOR, OUTLINE_COLOR, render_proxy
+from proxycam.proxy import FILL_COLOR, OUTLINE_COLOR, keypoint_extent_box, render_proxy
 from proxycam.runner import CloudRunner, build_tuple, run_e2e
 from proxycam.sim.generate import generate_scene
 from proxycam.sim.kinematics import pose_at
 from proxycam.sim.spec import save_scene_spec
-from proxycam.skeleton import KeypointSet
+from proxycam.skeleton import L_HIP, L_KNEE, L_SHOULDER, R_HIP, R_KNEE, R_SHOULDER, KeypointSet
 from proxycam.transport.codec import decode, encode
 from proxycam.transport.gate import privacy_gate
+from proxycam.transport.model import RepresentationTuple, SyncKey
 
 from conftest import scene, solo_actor
+
+# the package re-exports the function `infer` under the module's name
+infer_module = importlib.import_module("proxycam.cloud.infer")
 
 
 def run_tuples(spec):
@@ -188,6 +196,173 @@ class TestInfer:
         tuples, _ = run_tuples(stand_scene)
         with pytest.raises(ValidationError):
             infer([tuples[3], tuples[1]])
+
+
+def histories_of(window):
+    histories = {}
+    for t in window:
+        for sid, kp in t.poses:
+            histories.setdefault(sid, []).append(kp)
+    return histories
+
+
+def replay_labels(window, params=ClassifierParams()):
+    """Reference labelling: each subject's history is replayed from its
+    oldest pose, every prefix classified with the label of the prefix
+    before it; a degenerate prefix anywhere makes the subject unknown."""
+    histories = histories_of(window)
+    out = []
+    for sid, kp in sorted(window[-1].poses, key=lambda p: p[0]):
+        history = histories[sid]
+        try:
+            prev = None
+            for upto in range(1, len(history) + 1):
+                features = extract_kinematics(history[:upto])
+                label, conf = classify_behavior(features, prev, params)
+                prev = label
+            box = keypoint_extent_box(kp)
+        except DegenerateSubjectError:
+            label, conf = "unknown", 0.5
+            box = BoundingBox(0.0, 0.0, 0.0, 0.0)
+        out.append((sid, label, conf, box))
+    return out
+
+
+def random_pose(rng, like=None):
+    """A pose with random joints, or a small jitter of `like`; about one
+    joint in ten is invisible."""
+    if like is None:
+        joints = np.empty((17, 3), np.float32)
+        joints[:, 0] = rng.uniform(0, 320, 17)
+        joints[:, 1] = rng.uniform(0, 240, 17)
+    else:
+        joints = like.joints.copy()
+        joints[:, :2] += rng.normal(0.0, 0.3, (17, 2)).astype(np.float32)
+    joints[:, 2] = np.where(rng.random(17) < 0.1, 0.0, rng.uniform(0.05, 1.0, 17))
+    return KeypointSet(joints=joints)
+
+
+def invisible_pose():
+    return KeypointSet(joints=np.zeros((17, 3), np.float32))
+
+
+def window_of(frames):
+    """Tuples of camera 0 from per-frame lists of (subject id, pose)."""
+    return [
+        RepresentationTuple(
+            key=SyncKey(0, f, f * 33333),
+            env_png=b"",
+            poses=poses,
+            order=[sid for sid, _ in poses],
+            embedding=np.zeros(0, np.float32),
+        )
+        for f, poses in enumerate(frames)
+    ]
+
+
+def random_window(rng):
+    """1-5 frames of up to four subjects, each present on a random subset
+    of frames, so subjects enter, leave and come back mid-window."""
+    frames = [[] for _ in range(int(rng.integers(1, 6)))]
+    for sid in range(int(rng.integers(1, 5))):
+        last = None
+        for poses in frames:
+            if rng.random() < 0.25:
+                continue
+            if rng.random() < 0.03:
+                kp = invisible_pose()
+            else:
+                kp = random_pose(rng, last if last is not None and rng.random() < 0.7 else None)
+                last = kp
+            poses.append((sid, kp))
+    return window_of(frames)
+
+
+def as_bits(subjects):
+    return [(s, label, struct.pack("<d", conf), box) for s, label, conf, box in subjects]
+
+
+class TestLazyHysteresis:
+    def test_equals_forward_replay(self):
+        rng = np.random.default_rng(2026)
+        held = early_degenerate = 0
+        for _ in range(1500):
+            window = random_window(rng)
+            expected = replay_labels(window)
+            report = infer(window)
+            got = [(s.subject_id, s.label, s.confidence, s.box) for s in report.subjects]
+            assert as_bits(got) == as_bits(expected)
+            histories = histories_of(window)
+            for sid, label, _, _ in expected:
+                history = histories[sid]
+                if not history[-1].visible().any():
+                    continue
+                if not all(kp.visible().any() for kp in history):
+                    early_degenerate += 1
+                    continue
+                alone, _ = classify_behavior(extract_kinematics(history), None)
+                held += alone == "unknown" and label != "unknown"
+        # the comparison must reach the held-label chains and the
+        # degenerate pose behind a drawable newest pose
+        assert held >= 50
+        assert early_degenerate >= 20
+
+    def test_invisible_pose_early_in_the_window_makes_the_subject_unknown(self):
+        actor = solo_actor([(0, 10, "stand")])
+        kp, _ = pose_at(actor, 0)
+        window = window_of([[(3, invisible_pose())]] + [[(3, kp)]] * 4)
+        assert replay_labels(window[1:])[0][1] == "standing"
+        (subject,) = infer(window).subjects
+        assert (subject.label, subject.confidence) == ("unknown", 0.5)
+        assert subject.box == BoundingBox(0.0, 0.0, 0.0, 0.0)
+
+    def test_held_label_chain_reaches_back_to_the_oldest_pose(self):
+        actor = solo_actor([(0, 5, "stand"), (5, 40, "fall")])
+        fallen, _ = pose_at(actor, 39)
+        assert classify_behavior(extract_kinematics([fallen]))[0] == "fallen"
+        # the same hips with the torso leaning 40 degrees and the knees
+        # hidden: no velocity, too upright to be fallen, too leaning to
+        # stand, no knees to sit on, so no rule fires
+        leaning = fallen.joints.copy()
+        hip = leaning[[L_HIP, R_HIP], :2].mean(axis=0)
+        torso = 30.0
+        lean = np.radians(40.0)
+        top = hip + torso * np.array([np.sin(lean), -np.cos(lean)], np.float32)
+        leaning[L_SHOULDER, :2] = top - (5.0, 0.0)
+        leaning[R_SHOULDER, :2] = top + (5.0, 0.0)
+        leaning[[L_KNEE, R_KNEE], 2] = 0.0
+        leaning = KeypointSet(joints=leaning)
+        assert classify_behavior(extract_kinematics([fallen, leaning]))[0] == "unknown"
+        window = window_of([[(1, fallen)]] + [[(1, leaning)]] * 4)
+        expected = replay_labels(window)
+        assert [(label, conf) for _, label, conf, _ in expected] == [("fallen", 0.5)]
+        (subject,) = infer(window).subjects
+        assert (subject.label, subject.confidence) == ("fallen", 0.5)
+
+    @pytest.mark.parametrize(
+        "action,trajectory,label",
+        [
+            ("stand", ((0, 110.0, 200.0),), "standing"),
+            ("walk", ((0, 80.0, 200.0), (19, 200.0, 200.0)), "walking"),
+        ],
+    )
+    def test_standing_or_walking_costs_one_feature_extraction(
+        self, monkeypatch, action, trajectory, label
+    ):
+        actor = solo_actor([(0, 20, action)], trajectory=trajectory)
+        tuples, _ = run_tuples(scene([actor], frame_count=20))
+        calls = []
+
+        def counting(history):
+            calls.append(len(history))
+            return extract_kinematics(history)
+
+        monkeypatch.setattr(infer_module, "extract_kinematics", counting)
+        for i in range(4, len(tuples)):
+            calls.clear()
+            report = infer(tuples[i - 4 : i + 1])
+            assert [s.label for s in report.subjects] == [label]
+            assert calls == [5]
 
 
 def support(proxies, frame_size):
