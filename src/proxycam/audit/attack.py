@@ -22,7 +22,7 @@ from ..pngio import decode_png, encode_png
 from ..raster import grid_pool, luminance
 from ..sim.generate import generate_scene
 from ..sim.scripts import make_solo_scene
-from ..edge.pipeline import EdgeParams, EdgeState, process_frame
+from ..edge.pipeline import EdgeState, process_frame
 from ..cloud.reconstruct import reconstruct, render_proxies
 from ..transport.model import RepresentationTuple, SyncKey
 
@@ -108,7 +108,7 @@ def _run_scene(scene):
     """Run a scene through the oracle edge; return the last frame's tuple,
     raw frame, and ground truth."""
     frames, gts = generate_scene(scene)
-    state = EdgeState(scene.width, scene.height, params=EdgeParams(mode="oracle"))
+    state = EdgeState(scene.width, scene.height)
     out = None
     for frame, gt in zip(frames, gts):
         out = process_frame(state, frame, gt)

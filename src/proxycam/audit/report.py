@@ -9,7 +9,7 @@ import numpy as np
 from ..pngio import encode_png
 from ..sim.generate import generate_scene
 from ..sim.scripts import make_solo_scene
-from ..edge.pipeline import EdgeParams, EdgeState, process_frame
+from ..edge.pipeline import EdgeState, process_frame
 from ..transport.model import RepresentationTuple, SyncKey
 from .attack import AttackResult, build_gallery, identity_attack
 from .independence import IndependenceResult, mask_independence_audit
@@ -67,7 +67,7 @@ def _leak_scan_scene(seed: int, width: int, height: int) -> list[LeakScanResult]
         seed=seed, width=width, height=height, frame_count=40, actions_pool=("walk",)
     )
     frames, gts = generate_scene(scene)
-    state = EdgeState(width, height, params=EdgeParams(mode="oracle"))
+    state = EdgeState(width, height)
     results = []
     for i, (frame, gt) in enumerate(zip(frames, gts)):
         out = process_frame(state, frame, gt)

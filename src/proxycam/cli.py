@@ -7,8 +7,8 @@
     proxycam audit  --out dir [--trials N --probes N --gallery N]
 
 Every subcommand also accepts --config PATH; explicit flags override the
-file. Exit codes: 0 success, 1 validation/config error, 2 privacy-gate
-violation, 3 I/O or connection error, 4 audit bound failure.
+file. Exit codes: 0 success, 1 usage, validation or config error, 2
+privacy-gate violation, 3 I/O or connection error, 4 audit bound failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .audit.report import run_full_audit
-from .config import RunConfig, config_from_dict
+from .config import RunConfig, config_from_dict, read_config
 from .errors import ConfigurationError, GateViolationError, ProxycamError, ValidationError
 from .runner import CloudRunner, JsonlLog, run_e2e, run_edge, run_sim, _write_summary
 from .sim.spec import load_scene_spec
@@ -47,10 +47,8 @@ def _parse_address(text: str) -> tuple[str, int]:
 
 
 def _resolve_config(args) -> RunConfig:
-    data = {}
-    if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    for key in ("scene", "mode", "seed", "out_dir"):
+    data = read_config(args.config) if args.config else {}
+    for key in ("scene", "seed", "out_dir"):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
@@ -73,7 +71,6 @@ def _resolve_config(args) -> RunConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run config")
     parser.add_argument("--scene", help="scene spec JSON path")
-    parser.add_argument("--mode", choices=("oracle", "heuristic"))
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", dest="out_dir", help="output directory")
 
@@ -258,7 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the gate's code here;
+        # --help exits 0
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except GateViolationError as exc:

@@ -5,13 +5,11 @@ pipeline behavior. Example:
 
     {
       "scene": "scene.json",
-      "mode": "oracle",
       "seed": 7,
       "out_dir": "out",
       "camera_id": 0,
       "fps": 30,
-      "edge": {"noise_sigma": 0, "detect_threshold": 25,
-               "background_alpha": 0.05,
+      "edge": {"noise_sigma": 0, "background_alpha": 0.05,
                "tracker": {"iou_threshold": 0.2, "miss_timeout": 10,
                             "velocity_alpha": 0.5}},
       "classifier": {"fall_vy_frac": 0.08, "fallen_spine_deg": 60},
@@ -21,8 +19,7 @@ pipeline behavior. Example:
                  "dump_raw": false, "unsafe_dump_raw": false}
     }
 
-Unknown keys are rejected so typos fail loudly. The pipeline mode lives at
-the top level; the edge section carries only thresholds.
+Unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ class DebugFlags:
 @dataclass(frozen=True)
 class RunConfig:
     scene: str | None = None
-    mode: str = "oracle"
     seed: int = 0
     out_dir: str = "out"
     camera_id: int = 0
@@ -92,7 +88,6 @@ def config_from_dict(data: dict) -> RunConfig:
     tracker = _make(
         TrackerParams, dict(edge_data.pop("tracker", {}) or {}), "edge.tracker"
     )
-    edge_data.pop("mode", None)  # mode is a top-level setting
     edge = _make(EdgeParams, {**edge_data, "tracker": tracker}, "edge")
     sections = {
         "edge": edge,
@@ -110,7 +105,8 @@ def config_from_dict(data: dict) -> RunConfig:
     return config
 
 
-def load_config(path: str | Path) -> RunConfig:
+def read_config(path: str | Path) -> dict:
+    """The JSON object in a config file, for `config_from_dict`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -118,12 +114,12 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config {path} must hold a JSON object")
+    return data
 
 
 def validate_config(config: RunConfig) -> None:
-    if config.mode not in ("oracle", "heuristic"):
-        raise ConfigurationError(f"mode must be oracle or heuristic, got '{config.mode}'")
     if config.scene is not None and not Path(config.scene).exists():
         raise ConfigurationError(f"scene file '{config.scene}' does not exist")
     if not 0.0 < config.edge.background_alpha <= 1.0:
@@ -136,10 +132,6 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigurationError("tracker.velocity_alpha must be in [0, 1]")
     if config.edge.noise_sigma < 0.0:
         raise ConfigurationError("edge.noise_sigma must be >= 0")
-    if config.edge.detect_threshold < 1:
-        raise ConfigurationError("edge.detect_threshold must be >= 1")
-    if config.edge.heuristic_warmup < 0:
-        raise ConfigurationError("edge.heuristic_warmup must be >= 0")
     if config.fps <= 0:
         raise ConfigurationError("fps must be positive")
     if config.reorder.capacity < 1 or config.reorder.gap_frames < 1:

@@ -1,13 +1,11 @@
 from .background import BackgroundModel, erase, update_background
-from .detect import Detection, detect
 from .track import Track, TrackerParams, TrackerState, track_step
 from .pose import estimate_pose
 from .compose import embed, occlusion_order
-from .pipeline import EdgeOutput, EdgeParams, EdgeState, process_frame
+from .pipeline import EdgeOutput, EdgeParams, EdgeState, detect, process_frame
 
 __all__ = [
     "BackgroundModel",
-    "Detection",
     "EdgeOutput",
     "EdgeParams",
     "EdgeState",

@@ -52,9 +52,6 @@ class BackgroundModel:
     def shape(self) -> tuple[int, int]:
         return self.accum.shape[:2]
 
-    def estimate_u8(self) -> np.ndarray:
-        return np.clip(np.rint(self.accum), 0, 255).astype(np.uint8)
-
 
 def update_background(
     model: BackgroundModel,

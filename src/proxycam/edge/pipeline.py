@@ -12,33 +12,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegeneratePoseError, StageError
+from ..errors import ConfigurationError, DegeneratePoseError, StageError
+from ..geometry import BoundingBox
 from ..proxy import ProxyReuse, SkeletalProxy, overlay, render_proxy
 from ..skeleton import KeypointSet
 from ..raster import validate_frame
-from .background import (
-    BackgroundModel,
-    EMA_ALPHA,
-    NEVER_SEEN_FILL,
-    erase,
-    update_background,
-)
+from .background import BackgroundModel, EMA_ALPHA, erase, update_background
 from .compose import embed, occlusion_order
-from .detect import DIFF_THRESHOLD, MIN_BOX_AREA, detect
 from .pose import assign_actors, estimate_pose
 from .track import TrackerParams, TrackerState, track_step
 
 
 @dataclass(frozen=True)
 class EdgeParams:
-    mode: str = "oracle"
     noise_sigma: float = 0.0
-    detect_threshold: int = DIFF_THRESHOLD
-    min_box_area: float = MIN_BOX_AREA
     background_alpha: float = EMA_ALPHA
-    # heuristic mode only: frames of full-frame suppression while the
-    # background model bootstraps blind; over-erasure is the safe direction
-    heuristic_warmup: int = 30
     tracker: TrackerParams = field(default_factory=TrackerParams)
 
 
@@ -52,7 +40,6 @@ class EdgeState:
     background: BackgroundModel = field(init=False)
     rng: np.random.Generator = field(init=False)
     proxies: ProxyReuse = field(init=False)
-    frame_index: int = field(default=0, init=False)
 
     def __post_init__(self):
         self.tracker = TrackerState(params=self.params.tracker)
@@ -82,27 +69,20 @@ def _stage(name: str):
     return wrap
 
 
-def _box_mask(height: int, width: int, boxes) -> np.ndarray:
-    mask = np.zeros((height, width), dtype=bool)
-    for box in boxes:
-        x0 = max(0, int(np.floor(box.x)))
-        y0 = max(0, int(np.floor(box.y)))
-        x1 = min(width, int(np.ceil(box.x2)))
-        y1 = min(height, int(np.ceil(box.y2)))
-        if x1 > x0 and y1 > y0:
-            mask[y0:y1, x0:x1] = True
-    return mask
+def detect(gt) -> list[BoundingBox]:
+    """The subject boxes of a frame: its ground-truth actor boxes."""
+    if gt is None:
+        raise ConfigurationError("detection requires ground truth")
+    return [actor.box for actor in gt.actors]
 
 
 def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
     """Run the full per-frame edge pipeline.
 
-    Oracle mode takes boxes, masks, and poses from ground truth; heuristic
-    mode takes boxes from background subtraction and over-erases with box
-    rectangles (poses still come from gt when it is supplied, since no
-    heuristic pose estimator exists). Erasure always uses every known
-    subject mask, not just the tracked ones, so a tracking failure can
-    never leak pixels.
+    Boxes, masks and poses come from the ground truth `gt`, which is
+    required: without it the "detect" stage fails. Erasure always uses
+    every ground-truth subject mask, not just the tracked ones, so a
+    tracking failure can never leak pixels.
     """
     frame = validate_frame(frame)
     if frame.shape[:2] != (state.height, state.width):
@@ -110,54 +90,30 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
             "input", ValueError(f"frame shape {frame.shape[:2]} does not match stream")
         )
     params = state.params
-    mode = params.mode
 
-    detections = _stage("detect")(
-        detect,
-        frame,
-        mode,
-        gt=gt,
-        model=state.background,
-        threshold=params.detect_threshold,
-        min_box_area=params.min_box_area,
-    )
-    tracks = _stage("track")(track_step, state.tracker, detections)
+    boxes = _stage("detect")(detect, gt)
+    tracks = _stage("track")(track_step, state.tracker, boxes)
 
     poses: dict[int, KeypointSet] = {}
-    if gt is not None:
-        assigned = _stage("pose")(
-            assign_actors, {t.subject_id: t.box for t in tracks}, gt
+    assigned = _stage("pose")(assign_actors, {t.subject_id: t.box for t in tracks}, gt)
+    for track in tracks:
+        actor = assigned.get(track.subject_id)
+        if actor is None:
+            # subject left the scene, the track is coasting too far, or
+            # a track overlapping the actor more took it
+            continue
+        poses[track.subject_id] = _stage("pose")(
+            estimate_pose,
+            actor,
+            track.box,
+            noise_sigma=params.noise_sigma,
+            rng=state.rng,
         )
-        for track in tracks:
-            actor = assigned.get(track.subject_id)
-            if actor is None:
-                # subject left the scene, the track is coasting too far, or
-                # a track overlapping the actor more took it
-                continue
-            poses[track.subject_id] = _stage("pose")(
-                estimate_pose,
-                actor,
-                track.box,
-                noise_sigma=params.noise_sigma,
-                rng=state.rng,
-            )
 
-    if mode == "oracle":
-        if gt is None:
-            raise StageError("segment", ValueError("oracle mode requires ground truth"))
-        joint_mask = np.zeros((state.height, state.width), dtype=bool)
-        for actor in gt.actors:
-            joint_mask |= actor.mask
-    else:
-        joint_mask = _box_mask(state.height, state.width, [d.box for d in detections])
-
-    if mode == "heuristic" and state.frame_index < params.heuristic_warmup:
-        # the model may still hold subject pixels absorbed before the first
-        # detections existed; suppress the whole frame rather than leak
-        desensitized = np.empty_like(frame)
-        desensitized[:] = NEVER_SEEN_FILL
-    else:
-        desensitized = _stage("erase")(erase, frame, joint_mask, state.background)
+    joint_mask = np.zeros((state.height, state.width), dtype=bool)
+    for actor in gt.actors:
+        joint_mask |= actor.mask
+    desensitized = _stage("erase")(erase, frame, joint_mask, state.background)
     _stage("background")(
         update_background, state.background, frame, joint_mask, params.background_alpha
     )
@@ -179,7 +135,6 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
     )
     embedding = _stage("embed")(embed, composite)
 
-    state.frame_index += 1
     return EdgeOutput(
         desensitized=desensitized,
         poses=tuple((sid, poses[sid]) for sid in sorted(poses)),

@@ -1,11 +1,10 @@
 """Per-subject pose extraction.
 
-Only the ground-truth oracle is implemented: `assign_actors` associates
-each track box with an overlapping ground-truth subject, and
-`estimate_pose` returns that subject's scripted keypoints, optionally
-perturbed with seeded Gaussian noise. Within a frame the association is
-exclusive, so one person never becomes two subjects. There is no
-heuristic pose estimator.
+Poses come from ground truth: `assign_actors` associates each track box
+with an overlapping ground-truth subject, and `estimate_pose` returns
+that subject's scripted keypoints, optionally perturbed with seeded
+Gaussian noise. Within a frame the association is exclusive, so one
+person never becomes two subjects.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ..geometry import BoundingBox, iou
-from .detect import Detection
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,11 @@ class TrackerState:
     next_id: int = 1
 
 
-def track_step(state: TrackerState, detections: list[Detection]) -> list[Track]:
+def track_step(state: TrackerState, boxes: list[BoundingBox]) -> list[Track]:
     """Advance the tracker by one frame and return the live tracks.
 
-    Empty detection lists are fine: every track coasts on its predicted
-    box and accrues a miss.
+    Empty box lists are fine: every track coasts on its predicted box and
+    accrues a miss.
     """
     params = state.params
     tracks = state.tracks
@@ -57,11 +56,11 @@ def track_step(state: TrackerState, detections: list[Detection]) -> list[Track]:
     matched_t: set[int] = set()
     matched_d: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    if tracks and detections:
-        cost = np.ones((len(tracks), len(detections)), dtype=np.float64)
+    if tracks and boxes:
+        cost = np.ones((len(tracks), len(boxes)), dtype=np.float64)
         for i, pbox in enumerate(predicted):
-            for j, det in enumerate(detections):
-                cost[i, j] = 1.0 - iou(pbox, det.box)
+            for j, box in enumerate(boxes):
+                cost[i, j] = 1.0 - iou(pbox, box)
         rows, cols = linear_sum_assignment(cost)
         for i, j in zip(rows, cols):
             if 1.0 - cost[i, j] >= params.iou_threshold:
@@ -71,15 +70,15 @@ def track_step(state: TrackerState, detections: list[Detection]) -> list[Track]:
 
     for i, j in pairs:
         track = tracks[i]
-        det = detections[j]
+        box = boxes[j]
         old_cx, old_cy = track.box.center
-        new_cx, new_cy = det.box.center
+        new_cx, new_cy = box.center
         a = params.velocity_alpha
         track.velocity = (
             (1.0 - a) * track.velocity[0] + a * (new_cx - old_cx),
             (1.0 - a) * track.velocity[1] + a * (new_cy - old_cy),
         )
-        track.box = det.box
+        track.box = box
         track.age += 1
         track.misses = 0
 
@@ -89,9 +88,9 @@ def track_step(state: TrackerState, detections: list[Detection]) -> list[Track]:
             track.age += 1
             track.misses += 1
 
-    for j, det in enumerate(detections):
+    for j, box in enumerate(boxes):
         if j not in matched_d:
-            tracks.append(Track(subject_id=state.next_id, box=det.box))
+            tracks.append(Track(subject_id=state.next_id, box=box))
             state.next_id += 1
 
     state.tracks = [t for t in tracks if t.misses <= params.miss_timeout]

@@ -11,7 +11,7 @@ import hashlib
 import json
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -82,8 +82,7 @@ def run_edge(
     `collect_outputs`, for in-process consumers that want composites).
     """
     frames, gts = pregenerated if pregenerated is not None else generate_scene(scene)
-    edge_params = replace(config.edge, mode=config.mode)
-    state = EdgeState(scene.width, scene.height, params=edge_params, seed=config.seed)
+    state = EdgeState(scene.width, scene.height, params=config.edge, seed=config.seed)
     period = us_per_frame(config.fps)
     log = log or JsonlLog(None)
 
@@ -314,12 +313,11 @@ def run_e2e(config: RunConfig) -> dict:
     # in-process equivalence check: cloud reconstruction vs edge composite
     gts = generated[1]
     mismatches = 0
-    if config.mode == "oracle":
-        for frame_id, output in enumerate(edge_stats["outputs"]):
-            name = f"cam{config.camera_id}_frame{frame_id}.png"
-            recon = decode_png((recon_dir / name).read_bytes())
-            if not np.array_equal(recon, output.composite):
-                mismatches += 1
+    for frame_id, output in enumerate(edge_stats["outputs"]):
+        name = f"cam{config.camera_id}_frame{frame_id}.png"
+        recon = decode_png((recon_dir / name).read_bytes())
+        if not np.array_equal(recon, output.composite):
+            mismatches += 1
 
     reports_by_frame = {
         fid: report
@@ -333,7 +331,6 @@ def run_e2e(config: RunConfig) -> dict:
     summary = {
         "command": "e2e",
         "scene": str(config.scene),
-        "mode": config.mode,
         "seed": config.seed,
         "frames": edge_stats["frames"],
         "packets": edge_stats["packets"],

@@ -18,8 +18,7 @@ from proxycam.audit.independence import mask_independence_audit
 from proxycam.cli import main
 from proxycam.cloud.infer import infer
 from proxycam.cloud.reconstruct import reconstruct, render_proxies
-from proxycam.edge.detect import detect
-from proxycam.edge.pipeline import EdgeState, process_frame
+from proxycam.edge.pipeline import EdgeState, detect, process_frame
 from proxycam.edge.track import TrackerState, track_step
 from proxycam.errors import WireError
 from proxycam.geometry import iou
@@ -237,8 +236,8 @@ class TestCriterion6TrackingStability:
         tracker = TrackerState()
         mapping: dict[int, str] = {}
         switches = 0
-        for frame, gt in zip(frames, gts):
-            tracks = track_step(tracker, detect(frame, "oracle", gt))
+        for gt in gts:
+            tracks = track_step(tracker, detect(gt))
             for track in tracks:
                 best, best_overlap = None, 0.0
                 for actor in gt.actors:

@@ -256,3 +256,43 @@ class TestExitCodes:
         config.write_text(json.dumps({"scene": str(scene_file), "tpyo": 1}))
         rc = main(["e2e", "--config", str(config), "--out", str(tmp_path / "x")])
         assert rc == EXIT_VALIDATION
+
+    def test_removed_mode_flag_is_a_usage_error(self, tmp_path, scene_file):
+        # argparse alone would exit 2, the code of a privacy-gate violation
+        rc = main(
+            ["e2e", "--mode", "oracle", "--scene", str(scene_file),
+             "--out", str(tmp_path / "x")]
+        )
+        assert rc == EXIT_VALIDATION
+
+    def test_unknown_subcommand_is_a_usage_error(self):
+        assert main(["detect"]) == EXIT_VALIDATION
+
+    def test_help_still_exits_zero(self, capsys):
+        assert main(["e2e", "--help"]) == EXIT_OK
+        assert "--scene" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            {"mode": "oracle"},
+            {"edge": {"mode": "oracle"}},
+            {"edge": {"detect_threshold": 25}},
+            {"edge": {"min_box_area": 100.0}},
+            {"edge": {"heuristic_warmup": 30}},
+        ],
+    )
+    def test_removed_config_keys_are_rejected(self, tmp_path, scene_file, removed):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scene": str(scene_file), **removed}))
+        rc = main(["e2e", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("text", ['{"scene": ', "[1, 2]", '"scene.json"'])
+    def test_config_that_is_not_a_json_object(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        rc = main(["e2e", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -1,21 +1,19 @@
-import numpy as np
 import pytest
 
-from proxycam.edge.background import BackgroundModel, update_background
-from proxycam.edge.detect import Detection, detect
+from proxycam.edge.pipeline import detect
 from proxycam.edge.track import TrackerState, track_step
 from proxycam.errors import ConfigurationError
 from proxycam.geometry import BoundingBox, iou
 from proxycam.sim.generate import generate_scene
 from proxycam.sim.scripts import make_crossing_scene
 
-from conftest import joint_mask_of, scene, solo_actor
+from conftest import scene, solo_actor
 
 
 class TestDetect:
     def test_oracle_empty_scene(self, empty_scene):
-        frames, gts = generate_scene(empty_scene)
-        assert detect(frames[0], "oracle", gts[0]) == []
+        _, gts = generate_scene(empty_scene)
+        assert detect(gts[0]) == []
 
     def test_oracle_passes_gt_boxes_through(self):
         actors = [
@@ -27,42 +25,17 @@ class TestDetect:
                 trajectory=((0, 230.0, 200.0),),
             ),
         ]
-        frames, gts = generate_scene(scene(actors, frame_count=5))
-        dets = detect(frames[0], "oracle", gts[0])
-        assert len(dets) == 2
-        assert all(d.score == 1.0 for d in dets)
-        assert {d.box for d in dets} == {a.box for a in gts[0].actors}
+        _, gts = generate_scene(scene(actors, frame_count=5))
+        boxes = detect(gts[0])
+        assert boxes == [a.box for a in gts[0].actors]
 
     def test_oracle_without_gt_is_a_configuration_error(self):
-        frame = np.zeros((240, 320, 3), dtype=np.uint8)
         with pytest.raises(ConfigurationError):
-            detect(frame, "oracle")
-
-    def test_heuristic_finds_the_walker(self):
-        # train the model with ground-truth masks for 30 frames, then
-        # detect on frame 30 with background subtraction alone
-        walker = solo_actor(
-            [(0, 40, "walk")],
-            trajectory=((0, 80.0, 200.0), (39, 160.0, 200.0)),
-        )
-        spec = scene([walker], frame_count=40)
-        frames, gts = generate_scene(spec)
-        model = BackgroundModel.create(spec.width, spec.height)
-        for f in range(30):
-            update_background(model, frames[f], joint_mask_of(gts[f]))
-        dets = detect(frames[30], "heuristic", model=model)
-        assert len(dets) == 1
-        assert iou(dets[0].box, gts[30].actors[0].box) >= 0.5
-
-    def test_heuristic_quiet_background_yields_nothing(self):
-        frame = np.full((240, 320, 3), 96, dtype=np.uint8)
-        model = BackgroundModel.create(320, 240)
-        update_background(model, frame, np.zeros((240, 320), bool))
-        assert detect(frame, "heuristic", model=model) == []
+            detect(None)
 
 
-def det(x, y, w=30.0, h=60.0, score=1.0):
-    return Detection(box=BoundingBox(x, y, w, h), score=score)
+def det(x, y, w=30.0, h=60.0):
+    return BoundingBox(x, y, w, h)
 
 
 class TestTracker:
@@ -105,12 +78,12 @@ class TestTracker:
 
     def test_crossing_actors_keep_identities(self):
         spec = make_crossing_scene()
-        frames, gts = generate_scene(spec)
+        _, gts = generate_scene(spec)
         state = TrackerState()
         mapping: dict[int, str] = {}
         switches = 0
-        for frame, gt in zip(frames, gts):
-            tracks = track_step(state, detect(frame, "oracle", gt))
+        for gt in gts:
+            tracks = track_step(state, detect(gt))
             for track in tracks:
                 best, best_iou = None, 0.0
                 for actor in gt.actors:

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
+from proxycam.config import RunConfig
 from proxycam.edge.compose import embed
-from proxycam.edge.pipeline import EdgeParams, EdgeState, process_frame
+from proxycam.edge.pipeline import EdgeState, process_frame
 from proxycam.errors import StageError
+from proxycam.pngio import decode_png
+from proxycam.runner import run_edge
 from proxycam.sim.generate import generate_scene
+from proxycam.transport.codec import decode
 
 from conftest import joint_mask_of, scene, solo_actor
 
 
-def run_scene(spec, mode="oracle", **params):
+def run_scene(spec):
     frames, gts = generate_scene(spec)
-    state = EdgeState(
-        spec.width, spec.height, params=EdgeParams(mode=mode, **params), seed=3
-    )
+    state = EdgeState(spec.width, spec.height, seed=3)
     outputs = [process_frame(state, f, gt) for f, gt in zip(frames, gts)]
     return frames, gts, outputs
 
@@ -65,28 +67,35 @@ class TestProcessFrame:
             assert not np.array_equal(out.desensitized, frame)
             assert not np.array_equal(out.composite, frame)
 
-    def test_heuristic_warmup_suppresses_whole_frames(self):
-        walker = solo_actor(
-            [(0, 45, "walk")], trajectory=((0, 80.0, 200.0), (44, 180.0, 200.0))
+    def test_still_subject_never_reaches_the_wire(self, tmp_path):
+        # an actor standing still from the first frame is in every frame a
+        # background model sees; a detector that learns the background from
+        # the frames themselves never finds it, and its pixels ship raw
+        still = solo_actor(
+            [(0, 60, "stand")], actor_id="still", trajectory=((0, 230.0, 210.0),)
         )
-        spec = scene([walker], frame_count=45)
-        frames, gts, outputs = run_scene(spec, mode="heuristic")
-        for f in (0, 10, 29):
-            assert np.all(outputs[f].desensitized == 128)
-
-    def test_heuristic_mode_never_leaks_subject_pixels(self):
         walker = solo_actor(
-            [(0, 45, "walk")], trajectory=((0, 80.0, 200.0), (44, 180.0, 200.0))
+            [(0, 60, "walk")],
+            actor_id="walker",
+            clothing=(40, 200, 60),
+            trajectory=((0, 60.0, 200.0), (59, 150.0, 200.0)),
         )
-        spec = scene([walker], frame_count=45)
-        frames, gts, outputs = run_scene(spec, mode="heuristic")
-        for f in range(45):
+        spec = scene([still, walker], frame_count=60)
+        frames, gts = generate_scene(spec)
+        packets = []
+        run_edge(
+            RunConfig(out_dir=str(tmp_path)), spec, packets.append,
+            pregenerated=(frames, gts),
+        )
+        assert len(packets) == len(frames)
+        for f, packet in enumerate(packets):
+            env = decode_png(decode(packet).env_png)
             mask = joint_mask_of(gts[f])
             raw = frames[f][mask]
-            scrubbed = outputs[f].desensitized[mask]
+            sent = env[mask]
             clean = gts[f].background[mask]
-            ok = np.any(scrubbed != raw, axis=1) | np.all(scrubbed == clean, axis=1)
-            assert np.all(ok), f"frame {f} leaks subject pixels"
+            ok = np.any(sent != raw, axis=1) | np.all(sent == clean, axis=1)
+            assert np.all(ok), f"frame {f} puts {int((~ok).sum())} subject pixels on the wire"
 
     def test_wrong_resolution_is_a_stage_error(self):
         state = EdgeState(320, 240)
