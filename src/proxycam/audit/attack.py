@@ -22,6 +22,7 @@ from ..pngio import decode_png, encode_png
 from ..raster import grid_pool, luminance
 from ..sim.generate import generate_scene
 from ..sim.scripts import make_solo_scene
+from ..edge.compose import embed
 from ..edge.pipeline import EdgeState, process_frame
 from ..cloud.reconstruct import reconstruct, render_proxies
 from ..transport.model import RepresentationTuple, SyncKey
@@ -117,20 +118,24 @@ def _run_scene(scene):
         env_png=encode_png(out.desensitized),
         poses=list(out.poses),
         order=list(out.order),
-        embedding=out.embedding,
     )
     return t, frames[-1], gts[-1]
 
 
 def _wire_features(t: RepresentationTuple, width: int, height: int) -> np.ndarray:
-    """Attacker view: everything it can compute from tuple fields alone."""
+    """Attacker view: everything it can compute from tuple fields alone.
+
+    The first 64 features embed the reconstruction, which is byte-equal to
+    the edge composite of the same frame.
+    """
     env = decode_png(t.env_png)
     env_stats = grid_pool(luminance(env), 8, 8).ravel() / 255.0
     proxies = render_proxies(t.poses, t.order, (width, height))
+    embedding = embed(reconstruct(env, proxies)).astype(np.float64)
     # both proxy colours are non-zero, so painted pixels are the proxy support
     painted = reconstruct(np.zeros((height, width, 3), np.uint8), proxies).any(axis=2)
     occupancy = grid_pool(painted * 255.0, 8, 8).ravel() / 255.0
-    return np.concatenate([np.asarray(t.embedding, dtype=np.float64), env_stats, occupancy])
+    return np.concatenate([embedding, env_stats, occupancy])
 
 
 def _raw_features(raw: np.ndarray, gt) -> np.ndarray:

@@ -76,7 +76,6 @@ def _leak_scan_scene(seed: int, width: int, height: int) -> list[LeakScanResult]
             env_png=encode_png(out.desensitized),
             poses=list(out.poses),
             order=list(out.order),
-            embedding=out.embedding,
         )
         mask = np.zeros((height, width), dtype=bool)
         for actor in gt.actors:

@@ -61,10 +61,6 @@ def _resolve_config(args) -> RunConfig:
         transport.update(kind="file", replay=args.replay)
     if transport:
         data["transport"] = transport
-    if getattr(args, "unsafe_dump_raw", False):
-        debug = dict(data.get("debug", {}) or {})
-        debug["unsafe_dump_raw"] = True
-        data["debug"] = debug
     return config_from_dict(data)
 
 
@@ -229,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_edge = sub.add_parser("edge", help="run the edge pipeline, emit packets")
     _add_common(p_edge)
     p_edge.add_argument("--connect", help="send packets to HOST:PORT instead of a file")
-    p_edge.add_argument("--unsafe-dump-raw", action="store_true", dest="unsafe_dump_raw")
     p_edge.set_defaults(fn=cmd_edge)
 
     p_cloud = sub.add_parser("cloud", help="consume packets, write reports and scenes")
@@ -240,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_e2e = sub.add_parser("e2e", help="edge plus cloud in one process, with metrics")
     _add_common(p_e2e)
-    p_e2e.add_argument("--unsafe-dump-raw", action="store_true", dest="unsafe_dump_raw")
     p_e2e.set_defaults(fn=cmd_e2e)
 
     p_audit = sub.add_parser("audit", help="run the privacy audit suite")

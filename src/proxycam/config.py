@@ -14,9 +14,7 @@ pipeline behavior. Example:
                             "velocity_alpha": 0.5}},
       "classifier": {"fall_vy_frac": 0.08, "fallen_spine_deg": 60},
       "reorder": {"capacity": 64, "gap_frames": 30, "gap_seconds": 2.0},
-      "transport": {"kind": "in-process"},
-      "debug": {"dump_desensitized": false, "dump_composite": false,
-                 "dump_raw": false, "unsafe_dump_raw": false}
+      "transport": {"kind": "in-process"}
     }
 
 Unknown keys are rejected so typos fail loudly.
@@ -50,14 +48,6 @@ class TransportConfig:
 
 
 @dataclass(frozen=True)
-class DebugFlags:
-    dump_desensitized: bool = False
-    dump_composite: bool = False
-    dump_raw: bool = False
-    unsafe_dump_raw: bool = False
-
-
-@dataclass(frozen=True)
 class RunConfig:
     scene: str | None = None
     seed: int = 0
@@ -68,7 +58,6 @@ class RunConfig:
     classifier: ClassifierParams = field(default_factory=ClassifierParams)
     reorder: ReorderParams = field(default_factory=ReorderParams)
     transport: TransportConfig = field(default_factory=TransportConfig)
-    debug: DebugFlags = field(default_factory=DebugFlags)
 
 
 def _make(cls, payload: dict, where: str):
@@ -98,7 +87,6 @@ def config_from_dict(data: dict) -> RunConfig:
         "transport": _make(
             TransportConfig, dict(data.pop("transport", {}) or {}), "transport"
         ),
-        "debug": _make(DebugFlags, dict(data.pop("debug", {}) or {}), "debug"),
     }
     config = _make(RunConfig, {**data, **sections}, "config")
     validate_config(config)
@@ -140,10 +128,6 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigurationError("reorder.gap_seconds must be positive")
     if config.transport.kind not in ("in-process", "file", "socket"):
         raise ConfigurationError(f"unknown transport kind '{config.transport.kind}'")
-    if config.debug.dump_raw and not config.debug.unsafe_dump_raw:
-        raise ConfigurationError(
-            "raw-frame dumps are refused without the explicit unsafe_dump_raw flag"
-        )
     for name in (
         "fall_vy_frac",
         "fallen_spine_deg",

@@ -1,4 +1,8 @@
-"""Occlusion ordering and the frame embedding."""
+"""Occlusion ordering, and the frame embedding the identity attack uses.
+
+The embedding does not cross the wire: it is a function of the composite,
+which the cloud rebuilds byte for byte from the tuple.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,6 @@ from ..skeleton import KeypointSet, L_ANKLE, R_ANKLE
 from .track import Track
 
 EMBEDDING_GRID = 8
-EMBEDDING_DIM = EMBEDDING_GRID * EMBEDDING_GRID
 
 
 def occlusion_order(

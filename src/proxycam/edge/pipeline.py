@@ -1,4 +1,4 @@
-"""Per-frame edge pipeline: detect, track, pose, scrub, overlay, embed.
+"""Per-frame edge pipeline: detect, track, pose, scrub, overlay.
 
 One EdgeState per camera stream; frames must be fed in order because both
 the tracker and the background model are temporal. The output carries
@@ -18,6 +18,7 @@ from ..proxy import ProxyReuse, SkeletalProxy, overlay, render_proxy
 from ..skeleton import KeypointSet
 from ..raster import validate_frame
 from .background import BackgroundModel, EMA_ALPHA, erase, update_background
+# unused here; perfbench/trace.py wraps the name proxycam.edge.pipeline.embed
 from .compose import embed, occlusion_order
 from .pose import assign_actors, estimate_pose
 from .track import TrackerParams, TrackerState, track_step
@@ -55,7 +56,6 @@ class EdgeOutput:
     desensitized: np.ndarray
     poses: tuple[tuple[int, KeypointSet], ...]
     order: tuple[int, ...]
-    embedding: np.ndarray
     composite: np.ndarray
 
 
@@ -133,12 +133,10 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
     composite = _stage("overlay")(
         overlay, desensitized, [proxies[sid] for sid in order]
     )
-    embedding = _stage("embed")(embed, composite)
 
     return EdgeOutput(
         desensitized=desensitized,
         poses=tuple((sid, poses[sid]) for sid in sorted(poses)),
         order=tuple(order),
-        embedding=embedding,
         composite=composite,
     )

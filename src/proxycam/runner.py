@@ -45,7 +45,6 @@ def build_tuple(
         env_png=encode_png(output.desensitized),
         poses=list(output.poses),
         order=list(output.order),
-        embedding=output.embedding,
     )
 
 
@@ -88,7 +87,6 @@ def run_edge(
 
     outputs: list[EdgeOutput] = []
     packets = 0
-    debug_dir = Path(config.out_dir) / "debug"
     for frame_id, (frame, gt) in enumerate(zip(frames, gts)):
         t0 = time.perf_counter()
         output = process_frame(state, frame, gt)
@@ -107,18 +105,6 @@ def run_edge(
         packets += 1
         if collect_outputs:
             outputs.append(output)
-        if config.debug.dump_desensitized or config.debug.dump_composite or config.debug.dump_raw:
-            debug_dir.mkdir(parents=True, exist_ok=True)
-            if config.debug.dump_desensitized:
-                (debug_dir / f"desensitized_{frame_id:06d}.png").write_bytes(
-                    encode_png(output.desensitized)
-                )
-            if config.debug.dump_composite:
-                (debug_dir / f"composite_{frame_id:06d}.png").write_bytes(
-                    encode_png(output.composite)
-                )
-            if config.debug.dump_raw and config.debug.unsafe_dump_raw:
-                (debug_dir / f"raw_{frame_id:06d}.png").write_bytes(encode_png(frame))
         log.write(
             "edge_frame",
             camera_id=config.camera_id,
@@ -136,7 +122,6 @@ class CloudRunner:
     config: RunConfig
     out_dir: Path
     write_recon: bool = True
-    start_frame_id: int | None = 0
     log: JsonlLog | None = None
 
     reports: dict[tuple[int, int], BehaviorReport] = field(default_factory=dict)
@@ -147,7 +132,6 @@ class CloudRunner:
     _buffers: dict[int, ReorderBuffer] = field(default_factory=dict)
     _windows: dict[int, deque] = field(default_factory=dict)
     _proxies: dict[int, ProxyReuse] = field(default_factory=dict)
-    _embedding_mean: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def feed(self, packet: bytes) -> None:
         try:
@@ -164,7 +148,7 @@ class CloudRunner:
                 capacity=self.config.reorder.capacity,
                 gap_frames=self.config.reorder.gap_frames,
                 gap_seconds=self.config.reorder.gap_seconds,
-                start_frame_id=self.start_frame_id,
+                start_frame_id=0,
             )
             self._buffers[cam] = buffer
             self._windows[cam] = deque(maxlen=INFER_WINDOW)
@@ -199,11 +183,6 @@ class CloudRunner:
         window.append(t)
         report = infer(list(window), self.config.classifier)
         self.reports[(t.key.camera_id, t.key.frame_id)] = report
-        # the embedding is received and logged; the rule classifier itself
-        # works from poses alone
-        self._embedding_mean[(t.key.camera_id, t.key.frame_id)] = float(
-            np.asarray(t.embedding).mean()
-        )
         self.released += 1
 
         env = decode_png(t.env_png)
@@ -226,7 +205,6 @@ class CloudRunner:
                     "camera_id": cam,
                     "frame_id": fid,
                     "timestamp_us": report.key.timestamp_us,
-                    "embedding_mean": self._embedding_mean.get((cam, fid)),
                     "subjects": [
                         {
                             "subject_id": s.subject_id,

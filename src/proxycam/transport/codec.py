@@ -3,8 +3,8 @@
 Packet layout, all integers little-endian:
 
     magic           4 bytes  'PCV2'
-    version         u8       = 1
-    flags           u8       reserved, zero in version 1
+    version         u8       = 2
+    flags           u8       reserved, zero in version 2
     camera_id       u32
     frame_id        u64
     timestamp_us    u64
@@ -15,12 +15,12 @@ Packet layout, all integers little-endian:
                       head_yaw f32 (zero when absent)
                       17 x (u f32, v f32, confidence f32)
     order section   u16 count, then subject_id u32 each, back-to-front
-    embedding       u16 dim = 64, then 64 x f32
     crc32           u32, IEEE, over every preceding byte
 
 Encoding is canonical: equal tuples produce byte-identical packets. The
 decoder checks the checksum before touching any section, so any corrupted
-packet fails loudly instead of parsing into garbage.
+packet fails loudly instead of parsing into garbage. Nothing is carried
+that the cloud can compute from the other sections.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from ..errors import (
     VersionError,
 )
 from ..skeleton import JOINT_COUNT, KeypointSet
-from .model import EMBEDDING_DIM, RepresentationTuple, SyncKey, validate_tuple
+from .model import RepresentationTuple, SyncKey, validate_tuple
 
 MAGIC = b"PCV2"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<4sBBIQQ")
 _POSE_HEAD = struct.Struct("<IBf")
@@ -67,8 +67,6 @@ def encode(t: RepresentationTuple) -> bytes:
         parts.append(kp.joints.astype("<f4").tobytes())
     parts.append(_U16.pack(len(t.order)))
     parts.extend(_U32.pack(sid) for sid in t.order)
-    parts.append(_U16.pack(EMBEDDING_DIM))
-    parts.append(t.embedding.astype("<f4").tobytes())
     body = b"".join(parts)
     return body + _U32.pack(zlib.crc32(body))
 
@@ -141,11 +139,6 @@ def decode(packet: bytes) -> RepresentationTuple:
     order_count = reader.u16()
     order = [reader.u32() for _ in range(order_count)]
 
-    dim = reader.u16()
-    if dim != EMBEDDING_DIM:
-        raise ProtocolError(f"embedding dimension {dim}, expected {EMBEDDING_DIM}")
-    embedding = np.frombuffer(reader.take(dim * 4), dtype="<f4").copy()
-
     if not reader.done():
         raise ProtocolError(
             f"{len(reader.data) - reader.pos} unexpected trailing bytes"
@@ -156,7 +149,6 @@ def decode(packet: bytes) -> RepresentationTuple:
         env_png=env_png,
         poses=poses,
         order=order,
-        embedding=embedding,
         flags=flags,
     )
     try:

@@ -1,22 +1,18 @@
 """The only payload that ever crosses the edge-cloud link.
 
 A representation tuple binds, under one sync key, the scrubbed background
-image (as PNG bytes), the per-subject keypoints, the back-to-front subject
-order, and the 64-dim embedding. There is deliberately no field that could
-carry the raw frame or per-subject appearance; version 1 of the wire
-format has no extension sections either.
+image (as PNG bytes), the per-subject keypoints and the back-to-front
+subject order. There is deliberately no field that could carry the raw
+frame or per-subject appearance, nor one the cloud can compute from the
+others; version 2 of the wire format has no extension sections either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..errors import ValidationError
 from ..skeleton import KeypointSet
-
-EMBEDDING_DIM = 64
 
 U32_MAX = 2**32 - 1
 U64_MAX = 2**64 - 1
@@ -43,11 +39,7 @@ class RepresentationTuple:
     env_png: bytes
     poses: list[tuple[int, KeypointSet]]
     order: list[int]
-    embedding: np.ndarray
     flags: int = 0  # reserved, must be zero to pass the privacy gate
-
-    def __post_init__(self):
-        self.embedding = np.asarray(self.embedding, dtype=np.float32)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RepresentationTuple):
@@ -62,7 +54,6 @@ class RepresentationTuple:
                 for (a_sid, a_kp), (b_sid, b_kp) in zip(self.poses, other.poses)
             )
             and list(self.order) == list(other.order)
-            and np.array_equal(self.embedding, other.embedding)
         )
 
 
@@ -89,9 +80,3 @@ def validate_tuple(t: RepresentationTuple) -> None:
         raise ValidationError(
             "order must be a permutation of the pose subject ids"
         )
-    if t.embedding.shape != (EMBEDDING_DIM,):
-        raise ValidationError(f"embedding must have dimension {EMBEDDING_DIM}")
-    if not np.all(np.isfinite(t.embedding)):
-        raise ValidationError("embedding entries must be finite")
-    if np.any(t.embedding < 0.0) or np.any(t.embedding > 1.0):
-        raise ValidationError("embedding entries must lie in [0, 1]")

@@ -116,7 +116,6 @@ def random_tuple(rng: np.random.Generator) -> RepresentationTuple:
         env_png=env,
         poses=poses,
         order=order,
-        embedding=rng.uniform(0, 1, 64).astype(np.float32),
     )
 
 

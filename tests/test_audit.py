@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from proxycam.audit.attack import AttackGallery, GalleryActor, build_gallery, identity_attack
+from proxycam.audit.attack import (
+    AttackGallery,
+    GalleryActor,
+    _wire_features,
+    build_gallery,
+    identity_attack,
+)
 from proxycam.audit.independence import mask_independence_audit, random_mask
 from proxycam.audit.leakscan import pixel_leak_scan
 from proxycam.edge.background import erase
+from proxycam.edge.compose import embed
 from proxycam.edge.pipeline import EdgeState, process_frame
 from proxycam.errors import ValidationError
 from proxycam.pngio import encode_png
 from proxycam.runner import build_tuple
 from proxycam.sim.generate import generate_scene
+from proxycam.sim.scripts import make_solo_scene
 
 from conftest import joint_mask_of
 
@@ -90,7 +98,6 @@ class TestLeakScan:
             env_png=encode_png(env),
             poses=[],
             order=[],
-            embedding=np.zeros(64, np.float32),
         )
 
     def test_constant_fill_does_not_correlate(self):
@@ -185,6 +192,23 @@ class TestIdentityAttack:
         assert result.control_accuracy >= 0.95
         # generous small-sample bound: chance 0.25 plus wide slack
         assert result.accuracy <= 0.25 + 0.2
+
+    def test_wire_features_embed_the_edge_composite(self):
+        # the attacker recomputes the embedding from the reconstruction;
+        # it must equal the embedding of the edge composite, frame by frame
+        gallery = build_gallery(8)
+        for seed, actor in enumerate(gallery.actors[:6]):
+            scene = make_solo_scene(
+                seed=seed, actor_id=actor.actor_id, clothing=actor.clothing,
+                skin=actor.skin, frame_count=10,
+            )
+            frames, gts = generate_scene(scene)
+            state = EdgeState(scene.width, scene.height)
+            for fid, (frame, gt) in enumerate(zip(frames, gts)):
+                out = process_frame(state, frame, gt)
+                t = build_tuple(out, 0, fid, fid * 33_333)
+                features = _wire_features(t, scene.width, scene.height)
+                assert np.array_equal(features[:64], embed(out.composite)), (seed, fid)
 
     def test_gallery_builder_spacing(self):
         gallery = build_gallery(8)

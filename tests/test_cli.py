@@ -265,6 +265,15 @@ class TestExitCodes:
         )
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command", ["edge", "e2e"])
+    def test_removed_dump_flag_is_a_usage_error(self, tmp_path, scene_file, command):
+        rc = main(
+            [command, "--unsafe-dump-raw", "--scene", str(scene_file),
+             "--out", str(tmp_path / "x")]
+        )
+        assert rc == EXIT_VALIDATION
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_subcommand_is_a_usage_error(self):
         assert main(["detect"]) == EXIT_VALIDATION
 
@@ -280,6 +289,7 @@ class TestExitCodes:
             {"edge": {"detect_threshold": 25}},
             {"edge": {"min_box_area": 100.0}},
             {"edge": {"heuristic_warmup": 30}},
+            {"debug": {"dump_raw": True, "unsafe_dump_raw": True}},
         ],
     )
     def test_removed_config_keys_are_rejected(self, tmp_path, scene_file, removed):

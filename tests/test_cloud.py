@@ -254,7 +254,6 @@ def window_of(frames):
             env_png=b"",
             poses=poses,
             order=[sid for sid, _ in poses],
-            embedding=np.zeros(0, np.float32),
         )
         for f, poses in enumerate(frames)
     ]
@@ -475,7 +474,6 @@ class TestUndrawablePose:
             desensitized = np.full((240, 320, 3), 90, np.uint8)
             poses = ((1, pose),)
             order = (1,)
-            embedding = np.zeros(64, np.float32)
 
         t = build_tuple(Output, 0, frame_id, frame_id * 33_333)
         assert privacy_gate(t, self.FRAME).ok

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from proxycam.config import RunConfig
-from proxycam.edge.compose import embed
 from proxycam.edge.pipeline import EdgeState, process_frame
 from proxycam.errors import StageError
 from proxycam.pngio import decode_png
@@ -27,7 +26,6 @@ class TestProcessFrame:
         assert np.array_equal(out.desensitized, frames[0])
         assert out.poses == ()
         assert out.order == ()
-        assert np.array_equal(out.embedding, embed(frames[0]))
 
     def test_single_actor_leaves_no_appearance_pixels(self, fall_scene):
         frames, gts, outputs = run_scene(fall_scene)

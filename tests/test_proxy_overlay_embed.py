@@ -157,7 +157,6 @@ class TestCloudProxyReuse:
             desensitized = np.full((FRAME_SIZE[1], FRAME_SIZE[0], 3), 90, np.uint8)
             poses = ((sid, pose),)
             order = (sid,)
-            embedding = np.zeros(64, np.float32)
 
         return encode(build_tuple(Output, camera, frame_id, frame_id * 33_333))
 

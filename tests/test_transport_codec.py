@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,15 +21,12 @@ from proxycam.transport.model import RepresentationTuple, SyncKey
 SMALL_PNG = encode_png(np.full((8, 8, 3), 77, dtype=np.uint8))
 
 
-def make_tuple(poses=(), order=(), frame_id=0, flags=0, embedding=None, env=SMALL_PNG):
-    if embedding is None:
-        embedding = np.zeros(64, dtype=np.float32)
+def make_tuple(poses=(), order=(), frame_id=0, flags=0, env=SMALL_PNG):
     return RepresentationTuple(
         key=SyncKey(camera_id=0, frame_id=frame_id, timestamp_us=frame_id * 33333),
         env_png=env,
         poses=list(poses),
         order=list(order),
-        embedding=embedding,
         flags=flags,
     )
 
@@ -51,7 +51,6 @@ class TestRoundTrip:
             poses=[(3, keypoints(1)), (9, keypoints(2, head=False))],
             order=[9, 3],
             frame_id=41,
-            embedding=np.linspace(0, 1, 64, dtype=np.float32),
         )
         assert decode(encode(t)) == t
 
@@ -74,12 +73,10 @@ def tuples(draw):
         for sid in sids
     ]
     order = draw(st.permutations(sids))
-    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     return make_tuple(
         poses=poses,
         order=list(order),
         frame_id=draw(st.integers(0, 2**44)),  # timestamp = fid * 33333 must fit u64
-        embedding=rng.uniform(0, 1, 64).astype(np.float32),
     )
 
 
@@ -120,7 +117,7 @@ class TestRejection:
             decode(packet[: len(packet) // 2])
 
     def test_trailing_bytes_rejected(self):
-        # version 1 has no extension sections: extra bytes cannot ride along
+        # version 2 has no extension sections: extra bytes cannot ride along
         packet = encode(make_tuple())
         with pytest.raises(WireError):
             decode(packet + b"extra")
@@ -130,19 +127,8 @@ class TestRejection:
         with pytest.raises(ValidationError):
             encode(t)
 
-    def test_encode_refuses_bad_embedding(self):
-        t = make_tuple(embedding=np.full(64, 2.0, dtype=np.float32))
-        with pytest.raises(ValidationError):
-            encode(t)
-        t = make_tuple(embedding=np.zeros(32, dtype=np.float32))
-        with pytest.raises(ValidationError):
-            encode(t)
-
     def test_decode_rejects_pose_order_mismatch_as_consistency(self):
         # corrupt a valid packet's order section id and fix up the CRC
-        import struct
-        import zlib
-
         t = make_tuple(poses=[(1, keypoints(0))], order=[1])
         packet = bytearray(encode(t))
         body = packet[:-4]
@@ -151,6 +137,44 @@ class TestRejection:
         fixed = bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
         with pytest.raises(ConsistencyError):
             decode(fixed)
+
+
+def version1_layout(packet: bytes, version: int = 1) -> bytes:
+    """A version-2 packet rewritten in the version-1 layout: a 64-dim
+    section (u16 dim, then 64 x f32) before the checksum, CRC recomputed."""
+    body = bytearray(packet[:-4])
+    body[4] = version
+    body += struct.pack("<H", 64) + np.linspace(0, 1, 64, dtype="<f4").tobytes()
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+
+class TestVersion2:
+    def test_packet_length(self):
+        for n in range(3):
+            sids = list(range(10, 10 + n))
+            t = make_tuple(poses=[(sid, keypoints(sid)) for sid in sids], order=sids)
+            assert len(encode(t)) == 26 + 4 + len(SMALL_PNG) + 2 + n * 213 + 2 + 4 * n + 4
+
+    def test_version1_packet_is_refused(self):
+        packet = encode(make_tuple(poses=[(1, keypoints(0))], order=[1]))
+        with pytest.raises(VersionError):
+            decode(version1_layout(packet))
+
+    def test_version1_section_under_version2_is_trailing(self):
+        packet = encode(make_tuple(poses=[(1, keypoints(0))], order=[1]))
+        with pytest.raises(ProtocolError, match="trailing"):
+            decode(version1_layout(packet, version=2))
+
+    def test_cloud_counts_version1_packet_as_malformed(self, tmp_path):
+        from proxycam.config import RunConfig
+        from proxycam.runner import CloudRunner
+
+        cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
+        cloud.feed(version1_layout(encode(make_tuple(frame_id=0))))
+        cloud.feed(encode(make_tuple(frame_id=0)))
+        cloud.finish()
+        assert cloud.malformed == 1
+        assert sorted(cloud.reports) == [(0, 0)]
 
 
 class TestSingleByteFuzz:

@@ -25,7 +25,6 @@ def tup(fid, camera_id=0, flags=0, env=PNG_16x12, conf=0.5):
         env_png=env,
         poses=[(1, KeypointSet(joints=joints))],
         order=[1],
-        embedding=np.zeros(64, dtype=np.float32),
         flags=flags,
     )
 
