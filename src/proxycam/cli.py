@@ -53,12 +53,10 @@ def _resolve_config(args) -> RunConfig:
         if value is not None:
             data[key] = value
     transport = dict(data.get("transport", {}) or {})
-    if getattr(args, "connect", None):
-        transport.update(kind="socket", connect=args.connect)
-    if getattr(args, "listen", None):
-        transport.update(kind="socket", listen=args.listen)
-    if getattr(args, "replay", None):
-        transport.update(kind="file", replay=args.replay)
+    for key in ("connect", "listen", "replay"):
+        value = getattr(args, key, None)
+        if value:
+            transport[key] = value
     if transport:
         data["transport"] = transport
     return config_from_dict(data)
@@ -91,9 +89,7 @@ def cmd_edge(args) -> int:
 
     sock = None
     try:
-        if config.transport.kind == "socket":
-            if not config.transport.connect:
-                raise ConfigurationError("socket transport needs --connect HOST:PORT")
+        if config.transport.connect:
             try:
                 sock = connect_with_retry(_parse_address(config.transport.connect))
             except ConnectionError as exc:
@@ -113,7 +109,7 @@ def cmd_edge(args) -> int:
                 "frames": stats["frames"],
                 "packets": stats["packets"],
                 "files": ["edge_log.jsonl"]
-                + (["packets.bin"] if config.transport.kind != "socket" else []),
+                + ([] if config.transport.connect else ["packets.bin"]),
             },
         )
     finally:
@@ -127,7 +123,6 @@ def cmd_edge(args) -> int:
 def _cloud_finish(config: RunConfig, cloud: CloudRunner, out: Path, source: str) -> None:
     cloud.finish()
     cloud.write_reports(out / "reports.jsonl")
-    gaps = [e for e in cloud.events if type(e).__name__ == "GapEvent"]
     _write_summary(
         out,
         {
@@ -135,7 +130,7 @@ def _cloud_finish(config: RunConfig, cloud: CloudRunner, out: Path, source: str)
             "source": source,
             "reports": len(cloud.reports),
             "malformed_packets": cloud.malformed,
-            "gap_events": [e.frame_id for e in gaps],
+            "gap_events": cloud.gap_frame_ids(),
             "files": ["reports.jsonl", "cloud_log.jsonl"]
             + [f"recon/{name}" for name in cloud.recon_files],
         },
@@ -144,6 +139,10 @@ def _cloud_finish(config: RunConfig, cloud: CloudRunner, out: Path, source: str)
 
 def cmd_cloud(args) -> int:
     config = _resolve_config(args)
+    if config.transport.listen and config.transport.replay:
+        raise ConfigurationError("cloud takes --replay FILE or --listen HOST:PORT, not both")
+    if not (config.transport.listen or config.transport.replay):
+        raise ConfigurationError("cloud needs --replay FILE or --listen HOST:PORT")
     out = Path(config.out_dir)
     recon_dir = out / "recon"
     recon_dir.mkdir(parents=True, exist_ok=True)
@@ -151,9 +150,7 @@ def cmd_cloud(args) -> int:
     cloud = CloudRunner(config=config, out_dir=recon_dir, log=log)
 
     try:
-        if config.transport.kind == "socket":
-            if not config.transport.listen:
-                raise ConfigurationError("socket transport needs --listen HOST:PORT")
+        if config.transport.listen:
             host, port = _parse_address(config.transport.listen)
             with socket.create_server((host, port)) as server:
                 conn, _ = server.accept()
@@ -165,8 +162,6 @@ def cmd_cloud(args) -> int:
                         cloud.feed(packet)
             source = config.transport.listen
         else:
-            if not config.transport.replay:
-                raise ConfigurationError("cloud needs --replay FILE or --listen")
             for packet in read_packets(config.transport.replay):
                 cloud.feed(packet)
             source = config.transport.replay

@@ -13,9 +13,14 @@ pipeline behavior. Example:
                "tracker": {"iou_threshold": 0.2, "miss_timeout": 10,
                             "velocity_alpha": 0.5}},
       "classifier": {"fall_vy_frac": 0.08, "fallen_spine_deg": 60},
-      "reorder": {"capacity": 64, "gap_frames": 30, "gap_seconds": 2.0},
-      "transport": {"kind": "in-process"}
+      "reorder": {"capacity": 64, "gap_frames": 30},
+      "transport": {"connect": "127.0.0.1:7700"}
     }
+
+The transport follows from the address that is set: `edge` sends to
+`transport.connect` over TCP, or else writes `packets.bin`; `cloud`
+takes one stream on `transport.listen` or reads `transport.replay`, and
+refuses both at once. The reorder limits count frames, never seconds.
 
 Unknown keys are rejected so typos fail loudly.
 """
@@ -36,12 +41,10 @@ from .errors import ConfigurationError
 class ReorderParams:
     capacity: int = 64
     gap_frames: int = 30
-    gap_seconds: float = 2.0
 
 
 @dataclass(frozen=True)
 class TransportConfig:
-    kind: str = "in-process"  # in-process | file | socket
     listen: str | None = None
     connect: str | None = None
     replay: str | None = None
@@ -124,10 +127,6 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigurationError("fps must be positive")
     if config.reorder.capacity < 1 or config.reorder.gap_frames < 1:
         raise ConfigurationError("reorder.capacity and gap_frames must be >= 1")
-    if config.reorder.gap_seconds <= 0:
-        raise ConfigurationError("reorder.gap_seconds must be positive")
-    if config.transport.kind not in ("in-process", "file", "socket"):
-        raise ConfigurationError(f"unknown transport kind '{config.transport.kind}'")
     for name in (
         "fall_vy_frac",
         "fallen_spine_deg",

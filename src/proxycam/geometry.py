@@ -50,9 +50,6 @@ class BoundingBox:
         y2 = min(max(self.y2, 0.0), float(height))
         return BoundingBox(x1, y1, x2 - x1, y2 - y1)
 
-    def contains_point(self, u: float, v: float) -> bool:
-        return self.x <= u <= self.x2 and self.y <= v <= self.y2
-
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     x1 = max(a.x, b.x)
@@ -62,10 +59,3 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = max(0.0, x2 - x1) * max(0.0, y2 - y1)
     union = a.area + b.area - inter
     return inter / union if union > 0 else 0.0
-
-
-def box_from_points(us, vs) -> BoundingBox:
-    """Tight box around a point cloud (degenerate boxes allowed)."""
-    u0, u1 = float(min(us)), float(max(us))
-    v0, v1 = float(min(vs)), float(max(vs))
-    return BoundingBox(u0, v0, u1 - u0, v1 - v0)

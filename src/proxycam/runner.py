@@ -117,21 +117,24 @@ def run_edge(
 
 @dataclass
 class CloudRunner:
-    """Decode, order, infer, and reconstruct a packet stream."""
+    """Decode, order, infer, and reconstruct a packet stream.
+
+    Every reconstruction is written to `out_dir` as a PNG; the rest of the
+    fields are the run's state, which callers read but do not set.
+    """
 
     config: RunConfig
     out_dir: Path
-    write_recon: bool = True
     log: JsonlLog | None = None
 
-    reports: dict[tuple[int, int], BehaviorReport] = field(default_factory=dict)
-    recon_files: list[str] = field(default_factory=list)
-    events: list = field(default_factory=list)
-    malformed: int = 0
-    released: int = 0
-    _buffers: dict[int, ReorderBuffer] = field(default_factory=dict)
-    _windows: dict[int, deque] = field(default_factory=dict)
-    _proxies: dict[int, ProxyReuse] = field(default_factory=dict)
+    reports: dict[tuple[int, int], BehaviorReport] = field(default_factory=dict, init=False)
+    recon_files: list[str] = field(default_factory=list, init=False)
+    events: list = field(default_factory=list, init=False)
+    malformed: int = field(default=0, init=False)
+    released: int = field(default=0, init=False)
+    _buffers: dict[int, ReorderBuffer] = field(default_factory=dict, init=False)
+    _windows: dict[int, deque] = field(default_factory=dict, init=False)
+    _proxies: dict[int, ProxyReuse] = field(default_factory=dict, init=False)
 
     def feed(self, packet: bytes) -> None:
         try:
@@ -147,8 +150,6 @@ class CloudRunner:
             buffer = ReorderBuffer(
                 capacity=self.config.reorder.capacity,
                 gap_frames=self.config.reorder.gap_frames,
-                gap_seconds=self.config.reorder.gap_seconds,
-                start_frame_id=0,
             )
             self._buffers[cam] = buffer
             self._windows[cam] = deque(maxlen=INFER_WINDOW)
@@ -189,12 +190,13 @@ class CloudRunner:
         size = (env.shape[1], env.shape[0])
         proxies = render_proxies(t.poses, t.order, size, self._proxies[t.key.camera_id])
         scene = reconstruct(env, proxies)
-        if self.write_recon:
-            name = f"cam{t.key.camera_id}_frame{t.key.frame_id}.png"
-            path = self.out_dir / name
-            path.write_bytes(encode_png(scene))
-            self.recon_files.append(name)
-        self.last_reconstruction = scene
+        name = f"cam{t.key.camera_id}_frame{t.key.frame_id}.png"
+        (self.out_dir / name).write_bytes(encode_png(scene))
+        self.recon_files.append(name)
+
+    def gap_frame_ids(self) -> list[int]:
+        """The frame ids declared dropped, as `summary.json` lists them."""
+        return [e.frame_id for e in self.events if isinstance(e, GapEvent)]
 
     def report_records(self) -> list[dict]:
         records = []
@@ -265,9 +267,7 @@ def run_e2e(config: RunConfig) -> dict:
     cloud_log = JsonlLog(out / "cloud_log.jsonl")
     started = time.perf_counter()
 
-    cloud = CloudRunner(
-        config=config, out_dir=recon_dir, write_recon=True, log=cloud_log
-    )
+    cloud = CloudRunner(config=config, out_dir=recon_dir, log=cloud_log)
     packet_bytes = 0
     packet_digest = hashlib.sha256()
 
@@ -315,7 +315,7 @@ def run_e2e(config: RunConfig) -> dict:
         "packet_bytes": packet_bytes,
         "packets_sha256": packet_digest.hexdigest(),
         "reports": len(cloud.reports),
-        "gap_events": sum(1 for e in cloud.events if isinstance(e, GapEvent)),
+        "gap_events": cloud.gap_frame_ids(),
         "render_mismatches": mismatches,
         "metrics": metrics.to_dict(),
         "elapsed_s": elapsed,

@@ -99,21 +99,13 @@ class KeypointSet:
             and self.head_yaw == other.head_yaw
         )
 
-    def validate(self, width: int | None = None, height: int | None = None) -> None:
-        """Check confidence bounds and (optionally) coordinate bounds."""
+    def validate(self) -> None:
+        """Check that values are finite and confidences lie in [0, 1]."""
         conf = self.joints[:, 2]
         if not np.all(np.isfinite(self.joints)):
             raise ValidationError("keypoints contain non-finite values")
         if np.any(conf < 0.0) or np.any(conf > 1.0):
             raise ValidationError("keypoint confidences must lie in [0, 1]")
-        if width is not None and height is not None:
-            vis = conf > 0.0
-            u, v = self.joints[:, 0], self.joints[:, 1]
-            in_bounds = (u >= 0) & (u <= width) & (v >= 0) & (v <= height)
-            if np.any(vis & ~in_bounds):
-                raise ValidationError(
-                    "visible keypoints fall outside the frame bounds"
-                )
         if self.head_yaw is not None and not np.isfinite(self.head_yaw):
             raise ValidationError("head_yaw must be finite")
 
@@ -149,9 +141,6 @@ class KeypointSet:
 
     def knee_mid(self) -> np.ndarray | None:
         return self.midpoint(L_KNEE, R_KNEE)
-
-    def ankle_mid(self) -> np.ndarray | None:
-        return self.midpoint(L_ANKLE, R_ANKLE)
 
     def torso_length(self) -> float | None:
         """Shoulder-midpoint to hip-midpoint distance, None if unmeasurable."""

@@ -4,7 +4,7 @@ Packet layout, all integers little-endian:
 
     magic           4 bytes  'PCV2'
     version         u8       = 2
-    flags           u8       reserved, zero in version 2
+    flags           u8       reserved, zero in version 2; decode refuses others
     camera_id       u32
     frame_id        u64
     timestamp_us    u64
@@ -53,7 +53,7 @@ def encode(t: RepresentationTuple) -> bytes:
     validate_tuple(t)
     parts = [
         _HEADER.pack(
-            MAGIC, VERSION, t.flags, t.key.camera_id, t.key.frame_id, t.key.timestamp_us
+            MAGIC, VERSION, 0, t.key.camera_id, t.key.frame_id, t.key.timestamp_us
         ),
         _U32.pack(len(t.env_png)),
         bytes(t.env_png),
@@ -116,6 +116,8 @@ def decode(packet: bytes) -> RepresentationTuple:
     _, _, flags, camera_id, frame_id, timestamp_us = _HEADER.unpack(
         reader.take(_HEADER.size)
     )
+    if flags != 0:
+        raise ProtocolError(f"flags byte {flags:#04x} must be zero in version {VERSION}")
     env_len = reader.u32()
     env_png = reader.take(env_len)
 
@@ -149,7 +151,6 @@ def decode(packet: bytes) -> RepresentationTuple:
         env_png=env_png,
         poses=poses,
         order=order,
-        flags=flags,
     )
     try:
         validate_tuple(t)

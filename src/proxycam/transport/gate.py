@@ -1,11 +1,11 @@
 """Pre-transmission privacy gate.
 
 The gate checks structural rules a tuple must satisfy before it may leave
-the edge: the environment image decodes to the negotiated resolution, no
-reserved/auxiliary bits are set (version 1 defines no extensions), and
-pose confidences stay in range. Semantic leakage (does the background
-still contain a person?) is out of its reach; that is what the audit
-module attacks.
+the edge: the environment image decodes to the negotiated resolution, and
+pose confidences stay in range. The tuple has no reserved or auxiliary
+field to check; the codec writes version 2's reserved flags byte as zero.
+Semantic leakage (does the background still contain a person?) is out of
+its reach; that is what the audit module attacks.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ def privacy_gate(
                     f"env image is {w}x{h}, stream is {expected_w}x{expected_h}",
                 )
             )
-
-    if t.flags != 0:
-        violations.append(
-            Violation("reserved-bits", f"flags byte {t.flags:#04x} must be zero")
-        )
 
     for sid, kp in t.poses:
         conf = kp.joints[:, 2]

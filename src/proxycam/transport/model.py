@@ -39,7 +39,6 @@ class RepresentationTuple:
     env_png: bytes
     poses: list[tuple[int, KeypointSet]]
     order: list[int]
-    flags: int = 0  # reserved, must be zero to pass the privacy gate
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RepresentationTuple):
@@ -47,7 +46,6 @@ class RepresentationTuple:
         return (
             self.key == other.key
             and self.env_png == other.env_png
-            and self.flags == other.flags
             and len(self.poses) == len(other.poses)
             and all(
                 a_sid == b_sid and a_kp == b_kp
@@ -62,8 +60,6 @@ def validate_tuple(t: RepresentationTuple) -> None:
     t.key.validate()
     if not isinstance(t.env_png, (bytes, bytearray)):
         raise ValidationError("env_png must be bytes")
-    if not 0 <= t.flags <= 255:
-        raise ValidationError("flags must fit in u8")
 
     sids = [sid for sid, _ in t.poses]
     if len(sids) > 2**16 - 1:

@@ -1,23 +1,18 @@
 """Per-camera in-order delivery with bounded buffering and gap detection.
 
-Tuples are released strictly by increasing frame_id. A missing frame
-blocks delivery until either a frame at least `gap_frames` beyond it
-arrives or `gap_seconds` of wall time passes, at which point the missing
-frame is declared dropped and delivery resumes. Duplicates are discarded.
-If more than `capacity` tuples pile up behind a gap the oldest gap is
-force-declared.
-
-`start_frame_id=None` treats the first arriving frame as the start of the
-stream (useful when attaching mid-stream); pass the known first frame id
-(0 for this package's edge) when arrivals may be shuffled from the very
-beginning.
+Tuples are released strictly by increasing frame_id, starting at frame 0.
+A missing frame blocks delivery until a frame at least `gap_frames` beyond
+it arrives, at which point the missing frame is declared dropped and
+delivery resumes; so at most `gap_frames - 1` tuples wait behind a hole.
+Duplicates are discarded. If more than `capacity` tuples pile up behind a
+gap the oldest gap is force-declared, and `flush` declares every hole
+left at stream end. No rule reads a clock, so the releases and events are
+a function of the arrival order alone.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..errors import ValidationError
 from .model import RepresentationTuple
@@ -48,15 +43,11 @@ Event = GapEvent | DuplicateEvent | OverflowEvent
 class ReorderBuffer:
     capacity: int = 64
     gap_frames: int = 30
-    gap_seconds: float = 2.0
-    start_frame_id: int | None = None
-    clock: Callable[[], float] = time.monotonic
-    camera_id: int | None = None
 
+    camera_id: int | None = field(default=None, init=False)
     _pending: dict[int, RepresentationTuple] = field(default_factory=dict, init=False)
-    _next: int | None = field(default=None, init=False)
+    _next: int = field(default=0, init=False)
     _max_seen: int = field(default=-1, init=False)
-    _blocked_since: float | None = field(default=None, init=False)
 
     def accept(
         self, t: RepresentationTuple
@@ -73,9 +64,6 @@ class ReorderBuffer:
         released: list[RepresentationTuple] = []
         events: list[Event] = []
         fid = t.key.frame_id
-        if self._next is None:
-            self._next = self.start_frame_id if self.start_frame_id is not None else fid
-
         if fid < self._next or fid in self._pending:
             events.append(DuplicateEvent(self.camera_id, fid))
             return released, events
@@ -88,15 +76,6 @@ class ReorderBuffer:
             events.append(OverflowEvent(self.camera_id, len(self._pending)))
             events.append(GapEvent(self.camera_id, self._next))
             self._next += 1
-            self._blocked_since = None
-            self._drain(released, events)
-        return released, events
-
-    def poll(self) -> tuple[list[RepresentationTuple], list[Event]]:
-        """Re-check the wall-time gap rule without a new arrival."""
-        released: list[RepresentationTuple] = []
-        events: list[Event] = []
-        if self._next is not None:
             self._drain(released, events)
         return released, events
 
@@ -110,27 +89,15 @@ class ReorderBuffer:
             else:
                 events.append(GapEvent(self.camera_id, self._next))
             self._next += 1
-        self._blocked_since = None
         return released, events
 
     def _drain(self, released: list, events: list) -> None:
-        while True:
+        while self._pending:
             if self._next in self._pending:
                 released.append(self._pending.pop(self._next))
-                self._next += 1
-                self._blocked_since = None
-                continue
-            if not self._pending:
-                self._blocked_since = None
-                return
-            # something newer is waiting behind this hole
-            if self._blocked_since is None:
-                self._blocked_since = self.clock()
-            timed_out = self.clock() - self._blocked_since >= self.gap_seconds
-            overtaken = self._max_seen >= self._next + self.gap_frames
-            if overtaken or timed_out:
+            elif self._max_seen >= self._next + self.gap_frames:
+                # overtaken: something far enough ahead is waiting behind this hole
                 events.append(GapEvent(self.camera_id, self._next))
-                self._next += 1
-                self._blocked_since = None
-                continue
-            return
+            else:
+                return
+            self._next += 1

@@ -11,6 +11,7 @@ from proxycam.config import RunConfig
 from proxycam.errors import GateViolationError
 from proxycam.runner import run_edge
 from proxycam.sim.spec import save_scene_spec
+from proxycam.skeleton import KeypointSet
 from proxycam.transport.replay import read_packets, write_packets
 
 from conftest import scene, solo_actor
@@ -25,6 +26,15 @@ def scene_file(tmp_path):
     path = tmp_path / "scene.json"
     save_scene_spec(spec, path)
     return path
+
+
+def out_of_range_confidence(t):
+    """A tuple the privacy gate must refuse: one joint confidence above 1."""
+    sid, kp = t.poses[0]
+    joints = kp.joints.copy()
+    joints[0, 2] = 1.5
+    t.poses[0] = (sid, KeypointSet(joints=joints, head_yaw=kp.head_yaw))
+    return t
 
 
 @pytest.fixture
@@ -84,9 +94,7 @@ class TestEdgeCommand:
         sent = []
 
         def violate_after_three(t):
-            if t.key.frame_id == 3:
-                t.flags = 0x80
-            return t
+            return out_of_range_confidence(t) if t.key.frame_id == 3 else t
 
         with pytest.raises(GateViolationError):
             run_edge(config, spec, sent.append, tuple_hook=violate_after_three)
@@ -96,7 +104,7 @@ class TestEdgeCommand:
         import proxycam.cli as cli_mod
 
         def hooked_run_edge(config, spec, sink, **kwargs):
-            kwargs["tuple_hook"] = lambda t: (setattr(t, "flags", 1), t)[1]
+            kwargs["tuple_hook"] = out_of_range_confidence
             return run_edge(config, spec, sink, **kwargs)
 
         monkeypatch.setattr(cli_mod, "run_edge", hooked_run_edge)
@@ -290,6 +298,8 @@ class TestExitCodes:
             {"edge": {"min_box_area": 100.0}},
             {"edge": {"heuristic_warmup": 30}},
             {"debug": {"dump_raw": True, "unsafe_dump_raw": True}},
+            {"reorder": {"gap_seconds": 2.0}},
+            {"transport": {"kind": "file"}},
         ],
     )
     def test_removed_config_keys_are_rejected(self, tmp_path, scene_file, removed):
@@ -297,6 +307,16 @@ class TestExitCodes:
         config.write_text(json.dumps({"scene": str(scene_file), **removed}))
         rc = main(["e2e", "--config", str(config), "--out", str(tmp_path / "x")])
         assert rc == EXIT_VALIDATION
+
+    def test_cloud_with_both_replay_and_listen_is_refused(self, tmp_path, scene_file):
+        packets = tmp_path / "edge" / "packets.bin"
+        assert main(["edge", "--scene", str(scene_file), "--out", str(packets.parent)]) == EXIT_OK
+        rc = main(
+            ["cloud", "--replay", str(packets), "--listen", "127.0.0.1:7700",
+             "--out", str(tmp_path / "x")]
+        )
+        assert rc == EXIT_VALIDATION
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("text", ['{"scene": ', "[1, 2]", '"scene.json"'])
     def test_config_that_is_not_a_json_object(self, tmp_path, capsys, text):

@@ -22,6 +22,7 @@ from proxycam.skeleton import L_HIP, L_KNEE, L_SHOULDER, R_HIP, R_KNEE, R_SHOULD
 from proxycam.transport.codec import decode, encode
 from proxycam.transport.gate import privacy_gate
 from proxycam.transport.model import RepresentationTuple, SyncKey
+from proxycam.transport.reorder import ReorderBuffer
 
 from conftest import scene, solo_actor
 
@@ -494,3 +495,54 @@ class TestUndrawablePose:
         recons = [decode_png((tmp_path / name).read_bytes()) for name in cloud.recon_files]
         assert np.array_equal(recons[0], env)
         assert np.array_equal(recons[1], reconstruct(env, [render_proxy(normal, self.FRAME)]))
+
+
+class SteppingClock:
+    """A clock that jumps `step` seconds every time it is read."""
+
+    def __init__(self, step: float):
+        self.now = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+class TestReorderedStream:
+    def test_stalled_clock_loses_no_frame(self, tmp_path, monkeypatch):
+        # a reorder rule that read the wall clock would declare every hole a
+        # gap here, then count its late packet as a duplicate
+        import proxycam.runner as runner_module
+
+        actor = solo_actor(
+            [(0, 40, "walk")], height_px=70, trajectory=((0, 30.0, 100.0), (39, 130.0, 100.0))
+        )
+        tuples, _ = run_tuples(scene([actor], frame_count=40, width=160, height=120))
+        packets = [encode(t) for t in tuples]
+        rng = np.random.default_rng(5)
+        shuffled = [packets[i] for i in np.argsort(np.arange(40) + rng.uniform(0, 4, 40))]
+        assert shuffled != packets
+
+        def buffer_with_stepping_clock(*args, **kwargs):
+            buffer = ReorderBuffer(*args, **kwargs)
+            buffer.clock = SteppingClock(2.5)
+            return buffer
+
+        in_order = CloudRunner(config=RunConfig(), out_dir=tmp_path / "a")
+        stalled = CloudRunner(config=RunConfig(), out_dir=tmp_path / "b")
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        for packet in packets:
+            in_order.feed(packet)
+        in_order.finish()
+        monkeypatch.setattr(runner_module, "ReorderBuffer", buffer_with_stepping_clock)
+        for packet in shuffled:
+            stalled.feed(packet)
+        stalled.finish()
+
+        assert stalled.events == []
+        assert sorted(stalled.reports) == [(0, i) for i in range(40)]
+        assert stalled.report_records() == in_order.report_records()
+        for name in in_order.recon_files:
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()

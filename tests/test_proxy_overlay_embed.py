@@ -5,6 +5,7 @@ from proxycam.edge.compose import embed, occlusion_order
 from proxycam.edge.track import Track
 from proxycam.errors import DegeneratePoseError
 from proxycam.geometry import BoundingBox
+from proxycam.pngio import decode_png
 from proxycam.proxy import (
     FILL_COLOR,
     OUTLINE_COLOR,
@@ -180,12 +181,14 @@ class TestCloudProxyReuse:
         }
         render = CountingRender()
         monkeypatch.setattr(reconstruct_module, "render_proxy", render)
-        cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path, write_recon=False)
+        cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
         for frame_id in range(4):
             for camera, pose in poses.items():
                 # subject 1 on both cameras, each holding still
                 cloud.feed(self.packet(camera, frame_id, 1, pose))
-                assert np.array_equal(cloud.last_reconstruction, expected[camera])
+                recon_png = tmp_path / f"cam{camera}_frame{frame_id}.png"
+                recon = decode_png(recon_png.read_bytes())
+                assert np.array_equal(recon, expected[camera])
         # one render per camera; every later frame reuses its own camera's entry
         assert render.calls == len(poses)
 

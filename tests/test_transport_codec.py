@@ -21,13 +21,12 @@ from proxycam.transport.model import RepresentationTuple, SyncKey
 SMALL_PNG = encode_png(np.full((8, 8, 3), 77, dtype=np.uint8))
 
 
-def make_tuple(poses=(), order=(), frame_id=0, flags=0, env=SMALL_PNG):
+def make_tuple(poses=(), order=(), frame_id=0, env=SMALL_PNG):
     return RepresentationTuple(
         key=SyncKey(camera_id=0, frame_id=frame_id, timestamp_us=frame_id * 33333),
         env_png=env,
         poses=list(poses),
         order=list(order),
-        flags=flags,
     )
 
 
@@ -148,6 +147,13 @@ def version1_layout(packet: bytes, version: int = 1) -> bytes:
     return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
 
 
+def with_flags(packet: bytes, flags: int) -> bytes:
+    """A packet with its reserved flags byte set, CRC recomputed."""
+    body = bytearray(packet[:-4])
+    body[5] = flags
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+
 class TestVersion2:
     def test_packet_length(self):
         for n in range(3):
@@ -175,6 +181,25 @@ class TestVersion2:
         cloud.finish()
         assert cloud.malformed == 1
         assert sorted(cloud.reports) == [(0, 0)]
+
+    @pytest.mark.parametrize("flags", [0x01, 0x04, 0x80])
+    def test_nonzero_flags_byte_is_refused(self, flags):
+        packet = encode(make_tuple(poses=[(1, keypoints(0))], order=[1]))
+        assert packet[5] == 0
+        with pytest.raises(ProtocolError, match="flags"):
+            decode(with_flags(packet, flags))
+
+    def test_cloud_counts_nonzero_flags_packet_as_malformed(self, tmp_path):
+        from proxycam.config import RunConfig
+        from proxycam.runner import CloudRunner
+
+        cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
+        cloud.feed(encode(make_tuple(frame_id=0)))
+        cloud.feed(with_flags(encode(make_tuple(frame_id=1)), 0x80))
+        cloud.feed(encode(make_tuple(frame_id=2)))
+        cloud.finish()
+        assert cloud.malformed == 1
+        assert sorted(cloud.reports) == [(0, 0), (0, 2)]
 
 
 class TestSingleByteFuzz:

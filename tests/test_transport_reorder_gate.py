@@ -15,7 +15,7 @@ from proxycam.transport.reorder import (
 PNG_16x12 = encode_png(np.full((12, 16, 3), 50, dtype=np.uint8))
 
 
-def tup(fid, camera_id=0, flags=0, env=PNG_16x12, conf=0.5):
+def tup(fid, camera_id=0, env=PNG_16x12, conf=0.5):
     joints = np.zeros((17, 3), dtype=np.float32)
     joints[:, 2] = conf
     from proxycam.skeleton import KeypointSet
@@ -25,18 +25,12 @@ def tup(fid, camera_id=0, flags=0, env=PNG_16x12, conf=0.5):
         env_png=env,
         poses=[(1, KeypointSet(joints=joints))],
         order=[1],
-        flags=flags,
     )
 
 
 class TestPrivacyGate:
     def test_well_formed_tuple_passes(self):
         assert privacy_gate(tup(0), (16, 12)).ok
-
-    def test_reserved_flag_bits_violate(self):
-        result = privacy_gate(tup(0, flags=0x04), (16, 12))
-        assert not result.ok
-        assert [v.rule for v in result.violations] == ["reserved-bits"]
 
     def test_resolution_mismatch_violates(self):
         result = privacy_gate(tup(0), (320, 240))
@@ -62,55 +56,45 @@ class TestReorderBuffer:
         buf = ReorderBuffer()
         all_events = []
         out = []
-        for fid in (1, 2, 3):
+        for fid in (0, 1, 2):
             released, events = buf.accept(tup(fid))
             out += released_ids(released)
             all_events += events
-        assert out == [1, 2, 3]
+        assert out == [0, 1, 2]
         assert all_events == []
 
     def test_simple_reordering(self):
         buf = ReorderBuffer()
-        assert released_ids(buf.accept(tup(1))[0]) == [1]
-        assert released_ids(buf.accept(tup(3))[0]) == []
-        assert released_ids(buf.accept(tup(2))[0]) == [2, 3]
+        assert released_ids(buf.accept(tup(0))[0]) == [0]
+        assert released_ids(buf.accept(tup(2))[0]) == []
+        assert released_ids(buf.accept(tup(1))[0]) == [1, 2]
 
     def test_gap_declared_when_overtaken_by_30_frames(self):
         # frame 2 never arrives; the gap rule fires when a frame at least
         # missing+30 = 32 shows up, after which delivery resumes
         buf = ReorderBuffer()
         out, events = [], []
-        for fid in [1] + list(range(3, 34)):
+        for fid in [0, 1] + list(range(3, 34)):
             released, ev = buf.accept(tup(fid))
             out += released_ids(released)
             events += ev
             if fid == 31:
                 assert events == []  # not yet: max_seen 31 < 2 + 30
         assert events == [GapEvent(0, 2)]
-        assert out == [1] + list(range(3, 34))
-
-    def test_wall_clock_gap(self):
-        clock = FakeClock()
-        buf = ReorderBuffer(clock=clock)
-        buf.accept(tup(1))
-        assert released_ids(buf.accept(tup(3))[0]) == []
-        clock.advance(2.5)
-        released, events = buf.poll()
-        assert events == [GapEvent(0, 2)]
-        assert released_ids(released) == [3]
+        assert out == [0, 1] + list(range(3, 34))
 
     def test_duplicates_discarded_with_event(self):
         buf = ReorderBuffer()
-        buf.accept(tup(1))
-        released, events = buf.accept(tup(1))
+        buf.accept(tup(0))
+        released, events = buf.accept(tup(0))
         assert released == []
-        assert events == [DuplicateEvent(0, 1)]
-        buf.accept(tup(3))
-        released, events = buf.accept(tup(3))
-        assert events == [DuplicateEvent(0, 3)]
+        assert events == [DuplicateEvent(0, 0)]
+        buf.accept(tup(2))
+        released, events = buf.accept(tup(2))
+        assert events == [DuplicateEvent(0, 2)]
 
     def test_overflow_forces_oldest_gap(self):
-        buf = ReorderBuffer(capacity=8, gap_frames=1000, gap_seconds=1e9)
+        buf = ReorderBuffer(capacity=8, gap_frames=1000)
         buf.accept(tup(0))
         events = []
         for fid in range(2, 2 + 9):  # nine pending behind missing frame 1
@@ -121,7 +105,8 @@ class TestReorderBuffer:
         assert GapEvent(0, 1) in events
 
     def test_known_start_handles_shuffle_at_stream_head(self):
-        buf = ReorderBuffer(start_frame_id=0)
+        # every stream starts at frame 0, so a shuffled head still waits for it
+        buf = ReorderBuffer()
         released, events = buf.accept(tup(2))
         assert released == [] and events == []
         assert released_ids(buf.accept(tup(0))[0]) == [0]
@@ -129,6 +114,7 @@ class TestReorderBuffer:
 
     def test_flush_releases_rest_and_declares_holes(self):
         buf = ReorderBuffer()
+        buf.accept(tup(0))
         buf.accept(tup(1))
         buf.accept(tup(3))
         buf.accept(tup(5))
@@ -141,7 +127,7 @@ class TestReorderBuffer:
         fids = np.arange(120)
         # local shuffle with displacement well within capacity
         perm = np.argsort(fids + rng.uniform(0, 8, size=len(fids)))
-        buf = ReorderBuffer(start_frame_id=0)
+        buf = ReorderBuffer()
         out = []
         for fid in fids[perm]:
             released, _ = buf.accept(tup(int(fid)))
@@ -156,13 +142,3 @@ class TestReorderBuffer:
         with pytest.raises(ValidationError):
             buf.accept(tup(1, camera_id=2))
 
-
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def advance(self, dt):
-        self.now += dt
-
-    def __call__(self):
-        return self.now
