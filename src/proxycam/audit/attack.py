@@ -140,9 +140,7 @@ def _wire_features(t: RepresentationTuple, width: int, height: int) -> np.ndarra
 
 def _raw_features(raw: np.ndarray, gt) -> np.ndarray:
     """Control view: mean appearance color inside the true subject mask."""
-    mask = np.zeros(raw.shape[:2], dtype=bool)
-    for actor in gt.actors:
-        mask |= actor.mask
+    mask = gt.joint_mask()
     if not mask.any():
         return np.zeros(3)
     return raw[mask].mean(axis=0) / 255.0

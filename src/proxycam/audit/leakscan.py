@@ -61,7 +61,7 @@ def pixel_leak_scan(
     if ys.size == 0:
         return LeakScanResult(max_correlation=0.0, location=None, patches_scanned=0)
 
-    env_c, env_var = _patch_stats(luminance(env[:, :, :3]), ys, xs)
+    env_c, env_var = _patch_stats(luminance(env), ys, xs)
     raw_c, raw_var = _patch_stats(luminance(raw), ys, xs)
     cov = (env_c * raw_c).mean(axis=1)
     denom = np.sqrt(env_var * raw_var)

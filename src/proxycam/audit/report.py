@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..pngio import encode_png
+from ..config import RunConfig
+from ..runner import run_edge
 from ..sim.generate import generate_scene
 from ..sim.scripts import make_solo_scene
-from ..edge.pipeline import EdgeState, process_frame
-from ..transport.model import RepresentationTuple, SyncKey
+from ..transport.codec import decode
 from .attack import AttackResult, build_gallery, identity_attack
 from .independence import IndependenceResult, mask_independence_audit
 from .leakscan import LeakScanResult, pixel_leak_scan
@@ -62,25 +60,19 @@ class AuditReport:
 
 
 def _leak_scan_scene(seed: int, width: int, height: int) -> list[LeakScanResult]:
-    """Run a solo walking scene through the edge and scan every frame."""
+    """Stream a solo walking scene through `run_edge`, the shipped edge path
+    with its privacy gate and wire codec, and scan every packet it emits."""
     scene = make_solo_scene(
         seed=seed, width=width, height=height, frame_count=40, actions_pool=("walk",)
     )
     frames, gts = generate_scene(scene)
-    state = EdgeState(width, height)
-    results = []
-    for i, (frame, gt) in enumerate(zip(frames, gts)):
-        out = process_frame(state, frame, gt)
-        t = RepresentationTuple(
-            key=SyncKey(0, i, i * 33333),
-            env_png=encode_png(out.desensitized),
-            poses=list(out.poses),
-            order=list(out.order),
-        )
-        mask = np.zeros((height, width), dtype=bool)
-        for actor in gt.actors:
-            mask |= actor.mask
-        results.append(pixel_leak_scan(t, frame, mask))
+    results: list[LeakScanResult] = []
+
+    def scan(packet: bytes) -> None:
+        i = len(results)
+        results.append(pixel_leak_scan(decode(packet), frames[i], gts[i].joint_mask()))
+
+    run_edge(RunConfig(), scene, scan, pregenerated=(frames, gts))
     return results
 
 

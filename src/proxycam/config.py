@@ -13,14 +13,14 @@ pipeline behavior. Example:
                "tracker": {"iou_threshold": 0.2, "miss_timeout": 10,
                             "velocity_alpha": 0.5}},
       "classifier": {"fall_vy_frac": 0.08, "fallen_spine_deg": 60},
-      "reorder": {"capacity": 64, "gap_frames": 30},
+      "reorder": {"gap_frames": 30},
       "transport": {"connect": "127.0.0.1:7700"}
     }
 
 The transport follows from the address that is set: `edge` sends to
 `transport.connect` over TCP, or else writes `packets.bin`; `cloud`
 takes one stream on `transport.listen` or reads `transport.replay`, and
-refuses both at once. The reorder limits count frames, never seconds.
+refuses both at once. The reorder limit counts frames, never seconds.
 
 Unknown keys are rejected so typos fail loudly.
 """
@@ -39,7 +39,6 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class ReorderParams:
-    capacity: int = 64
     gap_frames: int = 30
 
 
@@ -125,8 +124,8 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigurationError("edge.noise_sigma must be >= 0")
     if config.fps <= 0:
         raise ConfigurationError("fps must be positive")
-    if config.reorder.capacity < 1 or config.reorder.gap_frames < 1:
-        raise ConfigurationError("reorder.capacity and gap_frames must be >= 1")
+    if config.reorder.gap_frames < 1:
+        raise ConfigurationError("reorder.gap_frames must be >= 1")
     for name in (
         "fall_vy_frac",
         "fallen_spine_deg",

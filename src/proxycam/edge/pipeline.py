@@ -110,9 +110,7 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
             rng=state.rng,
         )
 
-    joint_mask = np.zeros((state.height, state.width), dtype=bool)
-    for actor in gt.actors:
-        joint_mask |= actor.mask
+    joint_mask = gt.joint_mask()
     desensitized = _stage("erase")(erase, frame, joint_mask, state.background)
     _stage("background")(
         update_background, state.background, frame, joint_mask, params.background_alpha

@@ -21,7 +21,7 @@ from .cloud.infer import INFER_WINDOW, BehaviorReport, infer
 from .cloud.reconstruct import reconstruct, render_proxies
 from .config import RunConfig
 from .edge.pipeline import EdgeOutput, EdgeState, process_frame
-from .errors import GateViolationError, WireError
+from .errors import GateViolationError, ValidationError, WireError
 from .metrics import evaluate_behavior
 from .pngio import decode_png, encode_png
 from .proxy import ProxyReuse
@@ -30,7 +30,7 @@ from .sim.spec import SceneSpec, load_scene_spec
 from .transport.codec import decode, encode
 from .transport.gate import privacy_gate
 from .transport.model import RepresentationTuple, SyncKey
-from .transport.reorder import DuplicateEvent, GapEvent, OverflowEvent, ReorderBuffer
+from .transport.reorder import DuplicateEvent, GapEvent, ReorderBuffer
 
 
 def us_per_frame(fps: float) -> int:
@@ -69,14 +69,12 @@ def run_edge(
     scene: SceneSpec,
     sink: Callable[[bytes], None],
     log: JsonlLog | None = None,
-    tuple_hook: Callable[[RepresentationTuple], RepresentationTuple] | None = None,
     collect_outputs: bool = False,
     pregenerated: tuple[list, list] | None = None,
 ) -> dict:
     """Drive the edge over a scene, gate every tuple, emit packets.
 
-    `tuple_hook` is a test hook that may mutate tuples before the gate;
-    the gate refusing a tuple aborts the run with GateViolationError.
+    The gate refusing a tuple aborts the run with GateViolationError.
     Returns run stats (and the per-frame EdgeOutput list when
     `collect_outputs`, for in-process consumers that want composites).
     """
@@ -91,8 +89,6 @@ def run_edge(
         t0 = time.perf_counter()
         output = process_frame(state, frame, gt)
         t = build_tuple(output, config.camera_id, frame_id, frame_id * period)
-        if tuple_hook is not None:
-            t = tuple_hook(t)
         gate = privacy_gate(t, (scene.width, scene.height))
         if not gate.ok:
             log.write(
@@ -119,8 +115,12 @@ def run_edge(
 class CloudRunner:
     """Decode, order, infer, and reconstruct a packet stream.
 
-    Every reconstruction is written to `out_dir` as a PNG; the rest of the
-    fields are the run's state, which callers read but do not set.
+    A packet that fails the wire codec, or whose env image is not in
+    `encode_png`'s dialect, is counted in `malformed` and logged; it gets
+    no report or reconstruction and does not enter the inference window,
+    and the other frames go on as before. Every reconstruction is written
+    to `out_dir` as a PNG; the rest of the fields are the run's state,
+    which callers read but do not set.
     """
 
     config: RunConfig
@@ -140,17 +140,12 @@ class CloudRunner:
         try:
             t = decode(packet)
         except WireError as exc:
-            self.malformed += 1
-            if self.log:
-                self.log.write("malformed", error=str(exc))
+            self._note_malformed(exc)
             return
         cam = t.key.camera_id
         buffer = self._buffers.get(cam)
         if buffer is None:
-            buffer = ReorderBuffer(
-                capacity=self.config.reorder.capacity,
-                gap_frames=self.config.reorder.gap_frames,
-            )
+            buffer = ReorderBuffer(gap_frames=self.config.reorder.gap_frames)
             self._buffers[cam] = buffer
             self._windows[cam] = deque(maxlen=INFER_WINDOW)
             self._proxies[cam] = ProxyReuse()
@@ -176,21 +171,29 @@ class CloudRunner:
                     self.log.write(
                         "duplicate", camera_id=event.camera_id, frame_id=event.frame_id
                     )
-                elif isinstance(event, OverflowEvent):
-                    self.log.write("overflow", camera_id=event.camera_id, pending=event.pending)
+
+    def _note_malformed(self, exc: Exception, **key) -> None:
+        self.malformed += 1
+        if self.log:
+            self.log.write("malformed", **key, error=str(exc))
 
     def _process(self, t: RepresentationTuple) -> None:
-        window = self._windows[t.key.camera_id]
+        cam, fid = t.key.camera_id, t.key.frame_id
+        try:
+            env = decode_png(t.env_png)
+        except ValidationError as exc:
+            self._note_malformed(exc, camera_id=cam, frame_id=fid)
+            return
+        window = self._windows[cam]
         window.append(t)
         report = infer(list(window), self.config.classifier)
-        self.reports[(t.key.camera_id, t.key.frame_id)] = report
+        self.reports[(cam, fid)] = report
         self.released += 1
 
-        env = decode_png(t.env_png)
         size = (env.shape[1], env.shape[0])
-        proxies = render_proxies(t.poses, t.order, size, self._proxies[t.key.camera_id])
+        proxies = render_proxies(t.poses, t.order, size, self._proxies[cam])
         scene = reconstruct(env, proxies)
-        name = f"cam{t.key.camera_id}_frame{t.key.frame_id}.png"
+        name = f"cam{cam}_frame{fid}.png"
         (self.out_dir / name).write_bytes(encode_png(scene))
         self.recon_files.append(name)
 

@@ -50,6 +50,13 @@ class GroundTruthFrame:
     actors: tuple[ActorTruth, ...]
     background: np.ndarray
 
+    def joint_mask(self) -> np.ndarray:
+        """The union of every actor's mask: the pixels the edge must erase."""
+        mask = np.zeros(self.background.shape[:2], dtype=bool)
+        for actor in self.actors:
+            mask |= actor.mask
+        return mask
+
 
 def render_background(spec: SceneSpec) -> np.ndarray:
     h, w = spec.height, spec.width

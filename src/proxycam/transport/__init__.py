@@ -1,7 +1,7 @@
 from .model import RepresentationTuple, SyncKey, validate_tuple
 from .codec import MAGIC, VERSION, decode, encode
 from .gate import GateResult, Violation, privacy_gate
-from .reorder import DuplicateEvent, GapEvent, OverflowEvent, ReorderBuffer
+from .reorder import DuplicateEvent, GapEvent, ReorderBuffer
 from .replay import read_packets, write_packets
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "GapEvent",
     "GateResult",
     "MAGIC",
-    "OverflowEvent",
     "ReorderBuffer",
     "RepresentationTuple",
     "SyncKey",

@@ -8,7 +8,8 @@ Packet layout, all integers little-endian:
     camera_id       u32
     frame_id        u64
     timestamp_us    u64
-    env section     u32 length, then that many PNG bytes
+    env section     u32 length, then that many bytes of a PNG in
+                    `encode_png`'s dialect (the codec does not look inside)
     pose section    u16 count, then per subject:
                       subject_id u32
                       head_present u8

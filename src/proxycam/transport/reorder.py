@@ -3,11 +3,10 @@
 Tuples are released strictly by increasing frame_id, starting at frame 0.
 A missing frame blocks delivery until a frame at least `gap_frames` beyond
 it arrives, at which point the missing frame is declared dropped and
-delivery resumes; so at most `gap_frames - 1` tuples wait behind a hole.
-Duplicates are discarded. If more than `capacity` tuples pile up behind a
-gap the oldest gap is force-declared, and `flush` declares every hole
-left at stream end. No rule reads a clock, so the releases and events are
-a function of the arrival order alone.
+delivery resumes; so at most `gap_frames - 1` tuples wait behind a hole,
+and that is the buffer's only bound. Duplicates are discarded, and `flush`
+declares every hole left at stream end. No rule reads a clock, so the
+releases and events are a function of the arrival order alone.
 """
 
 from __future__ import annotations
@@ -32,16 +31,18 @@ class DuplicateEvent:
 
 @dataclass(frozen=True)
 class OverflowEvent:
+    """Never emitted: the buffer has no capacity to overflow. It stays
+    defined only because the benchmark in `perfbench/` imports it."""
+
     camera_id: int
     pending: int
 
 
-Event = GapEvent | DuplicateEvent | OverflowEvent
+Event = GapEvent | DuplicateEvent
 
 
 @dataclass
 class ReorderBuffer:
-    capacity: int = 64
     gap_frames: int = 30
 
     camera_id: int | None = field(default=None, init=False)
@@ -71,12 +72,6 @@ class ReorderBuffer:
         self._pending[fid] = t
         self._max_seen = max(self._max_seen, fid)
         self._drain(released, events)
-
-        while len(self._pending) > self.capacity:
-            events.append(OverflowEvent(self.camera_id, len(self._pending)))
-            events.append(GapEvent(self.camera_id, self._next))
-            self._next += 1
-            self._drain(released, events)
         return released, events
 
     def flush(self) -> tuple[list[RepresentationTuple], list[Event]]:

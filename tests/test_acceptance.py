@@ -282,8 +282,7 @@ class TestCriterion7ReorderAndGaps:
         assert main(["edge", "--scene", str(scene_path), "--out", str(edge_out)]) == 0
         packets = list(read_packets(edge_out / "packets.bin"))
 
-        # local shuffle: displacement stays well inside both the buffer
-        # capacity (64) and the 30-frame gap threshold
+        # local shuffle: displacement stays well inside the 30-frame gap threshold
         rng = np.random.default_rng(7)
         keys = np.arange(len(packets)) + rng.uniform(0, 16, size=len(packets))
         shuffled = [packets[i] for i in np.argsort(keys)]

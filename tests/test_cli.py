@@ -9,7 +9,8 @@ import pytest
 from proxycam.cli import EXIT_GATE, EXIT_OK, EXIT_VALIDATION, main
 from proxycam.config import RunConfig
 from proxycam.errors import GateViolationError
-from proxycam.runner import run_edge
+import proxycam.runner as runner_module
+from proxycam.runner import build_tuple, run_edge
 from proxycam.sim.spec import save_scene_spec
 from proxycam.skeleton import KeypointSet
 from proxycam.transport.replay import read_packets, write_packets
@@ -86,28 +87,26 @@ class TestEdgeCommand:
         main(["edge", "--scene", str(scene_file), "--out", str(out_b), "--seed", "5"])
         assert (out_a / "packets.bin").read_bytes() == (out_b / "packets.bin").read_bytes()
 
-    def test_gate_violation_stops_the_stream(self, tmp_path, scene_file):
+    def test_gate_violation_stops_the_stream(self, tmp_path, scene_file, monkeypatch):
         from proxycam.sim.spec import load_scene_spec
 
         spec = load_scene_spec(scene_file)
         config = RunConfig(scene=str(scene_file), out_dir=str(tmp_path / "o"))
         sent = []
 
-        def violate_after_three(t):
+        def violate_at_three(*args):
+            t = build_tuple(*args)
             return out_of_range_confidence(t) if t.key.frame_id == 3 else t
 
+        monkeypatch.setattr(runner_module, "build_tuple", violate_at_three)
         with pytest.raises(GateViolationError):
-            run_edge(config, spec, sent.append, tuple_hook=violate_after_three)
+            run_edge(config, spec, sent.append)
         assert len(sent) == 3  # nothing emitted at or after the violation
 
     def test_gate_violation_exit_code(self, tmp_path, scene_file, monkeypatch):
-        import proxycam.cli as cli_mod
-
-        def hooked_run_edge(config, spec, sink, **kwargs):
-            kwargs["tuple_hook"] = out_of_range_confidence
-            return run_edge(config, spec, sink, **kwargs)
-
-        monkeypatch.setattr(cli_mod, "run_edge", hooked_run_edge)
+        monkeypatch.setattr(
+            runner_module, "build_tuple", lambda *args: out_of_range_confidence(build_tuple(*args))
+        )
         rc = main(["edge", "--scene", str(scene_file), "--out", str(tmp_path / "o")])
         assert rc == EXIT_GATE
 
@@ -299,6 +298,7 @@ class TestExitCodes:
             {"edge": {"heuristic_warmup": 30}},
             {"debug": {"dump_raw": True, "unsafe_dump_raw": True}},
             {"reorder": {"gap_seconds": 2.0}},
+            {"reorder": {"capacity": 64}},
             {"transport": {"kind": "file"}},
         ],
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import struct
 
@@ -24,7 +25,7 @@ from proxycam.transport.gate import privacy_gate
 from proxycam.transport.model import RepresentationTuple, SyncKey
 from proxycam.transport.reorder import ReorderBuffer
 
-from conftest import scene, solo_actor
+from conftest import filtered_png, inflate_bomb_png, scene, solo_actor
 
 # the package re-exports the function `infer` under the module's name
 infer_module = importlib.import_module("proxycam.cloud.infer")
@@ -546,3 +547,45 @@ class TestReorderedStream:
         assert stalled.report_records() == in_order.report_records()
         for name in in_order.recon_files:
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+class TestMalformedEnvImage:
+    def run(self, packets, out_dir):
+        out_dir.mkdir()
+        cloud = CloudRunner(config=RunConfig(), out_dir=out_dir)
+        for packet in packets:
+            cloud.feed(packet)
+        cloud.finish()
+        return cloud
+
+    def test_env_outside_the_dialect_is_counted_and_the_stream_goes_on(self, tmp_path):
+        actor = solo_actor(
+            [(0, 16, "walk")], height_px=70, trajectory=((0, 30.0, 100.0), (15, 110.0, 100.0))
+        )
+        tuples, _ = run_tuples(scene([actor], frame_count=16, width=160, height=120))
+        env = decode_png(tuples[0].env_png)
+        # each packet is CRC-valid; only its env image is outside the dialect
+        bad_env = {
+            3: b"not a png",
+            6: filtered_png(env, 1),
+            9: filtered_png(np.dstack([env, np.full(env.shape[:2], 255, np.uint8)]), 0),
+            12: inflate_bomb_png(),
+        }
+        mixed = [
+            encode(dataclasses.replace(t, env_png=bad_env.get(i, t.env_png)))
+            for i, t in enumerate(tuples)
+        ]
+        good = [encode(t) for i, t in enumerate(tuples) if i not in bad_env]
+
+        cloud = self.run(mixed, tmp_path / "mixed")
+        left_out = self.run(good, tmp_path / "good")
+
+        good_ids = [i for i in range(16) if i not in bad_env]
+        assert cloud.malformed == 4
+        assert cloud.events == []
+        assert sorted(cloud.reports) == [(0, i) for i in good_ids]
+        assert cloud.report_records() == left_out.report_records()
+        assert cloud.recon_files == left_out.recon_files == [f"cam0_frame{i}.png" for i in good_ids]
+        assert sorted(p.name for p in (tmp_path / "mixed").iterdir()) == sorted(cloud.recon_files)
+        for name in cloud.recon_files:
+            assert (tmp_path / "mixed" / name).read_bytes() == (tmp_path / "good" / name).read_bytes()

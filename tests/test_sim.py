@@ -13,7 +13,7 @@ from proxycam.sim.spec import (
     validate_scene_spec,
 )
 
-from conftest import scene, solo_actor
+from conftest import joint_mask_of, scene, solo_actor
 
 
 def spine_angle_deg(kp):
@@ -63,6 +63,23 @@ class TestGenerateScene:
                 assert np.all(vis[:, 0] <= actor.box.x2 + 2)
                 assert np.all(vis[:, 1] >= actor.box.y - 2)
                 assert np.all(vis[:, 1] <= actor.box.y2 + 2)
+
+    def test_joint_mask_is_the_union_of_actor_masks(self, empty_scene):
+        two = scene(
+            [
+                solo_actor([(0, 3, "stand")]),
+                solo_actor(
+                    [(0, 3, "walk")], actor_id="a1", clothing=(40, 40, 200),
+                    trajectory=((0, 150.0, 200.0),),
+                ),
+            ],
+            frame_count=3,
+        )
+        for spec in (empty_scene, two):
+            _, gts = generate_scene(spec)
+            for gt in gts:
+                assert np.array_equal(gt.joint_mask(), joint_mask_of(gt))
+        assert gts[0].joint_mask().sum() > gts[0].actors[0].mask.sum()
 
     def test_masks_inside_frame_and_boxes(self, fall_scene):
         frames, gts = generate_scene(fall_scene)

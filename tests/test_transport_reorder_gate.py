@@ -8,7 +8,6 @@ from proxycam.transport.model import RepresentationTuple, SyncKey
 from proxycam.transport.reorder import (
     DuplicateEvent,
     GapEvent,
-    OverflowEvent,
     ReorderBuffer,
 )
 
@@ -93,17 +92,6 @@ class TestReorderBuffer:
         released, events = buf.accept(tup(2))
         assert events == [DuplicateEvent(0, 2)]
 
-    def test_overflow_forces_oldest_gap(self):
-        buf = ReorderBuffer(capacity=8, gap_frames=1000)
-        buf.accept(tup(0))
-        events = []
-        for fid in range(2, 2 + 9):  # nine pending behind missing frame 1
-            _, ev = buf.accept(tup(fid))
-            events += ev
-        kinds = [type(e) for e in events]
-        assert OverflowEvent in kinds
-        assert GapEvent(0, 1) in events
-
     def test_known_start_handles_shuffle_at_stream_head(self):
         # every stream starts at frame 0, so a shuffled head still waits for it
         buf = ReorderBuffer()
@@ -125,7 +113,7 @@ class TestReorderBuffer:
     def test_strictly_increasing_release_order_property(self):
         rng = np.random.default_rng(12)
         fids = np.arange(120)
-        # local shuffle with displacement well within capacity
+        # local shuffle with displacement well within gap_frames
         perm = np.argsort(fids + rng.uniform(0, 8, size=len(fids)))
         buf = ReorderBuffer()
         out = []
