@@ -89,16 +89,24 @@ def mask_independence_audit(
     rng = np.random.default_rng(seed)
     failures = 0
     first_failure: int | None = None
+    # the model state is drawn into buffers every trial reuses, with the
+    # draws of rng.uniform(0.0, 255.0, ...) and rng.random(...) < 0.5:
+    # uniform is low + (high - low) * random, and low is 0
+    model = BackgroundModel.create(width, height)
+    draw = np.empty((height, width))
     for trial in range(trials):
         frame = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
         mask = random_mask(rng, width, height)
-        model = BackgroundModel(
-            accum=rng.uniform(0.0, 255.0, (height, width, 3)),
-            seen=rng.random((height, width)) < 0.5,
-        )
+        rng.random(out=model.accum)
+        model.accum *= 255.0
+        rng.random(out=draw)
+        np.less(draw, 0.5, out=model.seen)
         altered = frame.copy()
-        n_masked = int(mask.sum())
-        altered[mask] = rng.integers(0, 256, (n_masked, 3), dtype=np.uint8)
+        # flat indices keep the row-major order of the boolean index
+        index = np.flatnonzero(mask)
+        altered.reshape(-1, 3)[index] = rng.integers(
+            0, 256, (index.size, 3), dtype=np.uint8
+        )
 
         out_a = erase_fn(frame, mask, model)
         out_b = erase_fn(altered, mask, model)

@@ -1,11 +1,10 @@
 from .kinematics import KinematicFeatures, extract_kinematics
-from .classify import LABELS, ClassifierParams, classify_behavior
+from .classify import LABELS, classify_behavior
 from .infer import BehaviorReport, SubjectReport, infer
 from .reconstruct import reconstruct, render_proxies
 
 __all__ = [
     "BehaviorReport",
-    "ClassifierParams",
     "KinematicFeatures",
     "LABELS",
     "SubjectReport",

@@ -12,7 +12,6 @@ satisfied one approaches 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .kinematics import KinematicFeatures
 
@@ -22,20 +21,16 @@ LABELS = (
     "sitting",
     "fallen",
     "falling",
-    "raising_arm",
     "unknown",
 )
 
-
-@dataclass(frozen=True)
-class ClassifierParams:
-    fall_vy_frac: float = 0.08       # of torso length, px/frame
-    fallen_spine_deg: float = 60.0
-    fallen_aspect: float = 0.8
-    sit_gap_frac: float = 0.15       # |hip_v - knee_v| as fraction of torso
-    sit_spine_deg: float = 30.0
-    walk_speed_frac: float = 0.02    # of torso length, px/frame
-    stand_spine_deg: float = 20.0
+FALL_VY_FRAC = 0.08       # of torso length, px/frame
+FALLEN_SPINE_DEG = 60.0
+FALLEN_ASPECT = 0.8
+SIT_GAP_FRAC = 0.15       # |hip_v - knee_v| as fraction of torso
+SIT_SPINE_DEG = 30.0
+WALK_SPEED_FRAC = 0.02    # of torso length, px/frame
+STAND_SPINE_DEG = 20.0
 
 
 def _confidence(slacks: list[float]) -> float:
@@ -44,9 +39,7 @@ def _confidence(slacks: list[float]) -> float:
 
 
 def classify_behavior(
-    features: KinematicFeatures,
-    prev_label: str | None = None,
-    params: ClassifierParams = ClassifierParams(),
+    features: KinematicFeatures, prev_label: str | None = None
 ) -> tuple[str, float]:
     """Label one subject from its features.
 
@@ -59,37 +52,35 @@ def classify_behavior(
     spine = features.spine_angle_deg
     aspect = features.kp_bbox_aspect
 
-    vy_thr = params.fall_vy_frac * torso
+    vy_thr = FALL_VY_FRAC * torso
     if features.hip_vy >= vy_thr:
         return "falling", _confidence([(features.hip_vy - vy_thr) / vy_thr])
 
-    if spine >= params.fallen_spine_deg and aspect <= params.fallen_aspect:
+    if spine >= FALLEN_SPINE_DEG and aspect <= FALLEN_ASPECT:
         return "fallen", _confidence(
             [
-                (spine - params.fallen_spine_deg) / params.fallen_spine_deg,
-                (params.fallen_aspect - aspect) / params.fallen_aspect,
+                (spine - FALLEN_SPINE_DEG) / FALLEN_SPINE_DEG,
+                (FALLEN_ASPECT - aspect) / FALLEN_ASPECT,
             ]
         )
 
     if features.knee_mid_v is not None:
         gap = abs(features.hip_mid[1] - features.knee_mid_v)
-        gap_thr = params.sit_gap_frac * torso
-        if gap <= gap_thr and spine <= params.sit_spine_deg:
+        gap_thr = SIT_GAP_FRAC * torso
+        if gap <= gap_thr and spine <= SIT_SPINE_DEG:
             return "sitting", _confidence(
                 [
                     (gap_thr - gap) / gap_thr,
-                    (params.sit_spine_deg - spine) / params.sit_spine_deg,
+                    (SIT_SPINE_DEG - spine) / SIT_SPINE_DEG,
                 ]
             )
 
-    speed_thr = params.walk_speed_frac * torso
+    speed_thr = WALK_SPEED_FRAC * torso
     if abs(features.hip_vx) >= speed_thr:
         return "walking", _confidence([(abs(features.hip_vx) - speed_thr) / speed_thr])
 
-    if spine <= params.stand_spine_deg:
-        return "standing", _confidence(
-            [(params.stand_spine_deg - spine) / params.stand_spine_deg]
-        )
+    if spine <= STAND_SPINE_DEG:
+        return "standing", _confidence([(STAND_SPINE_DEG - spine) / STAND_SPINE_DEG])
 
     if prev_label is not None and prev_label != "unknown":
         return prev_label, 0.5

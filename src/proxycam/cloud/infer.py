@@ -10,7 +10,7 @@ from ..geometry import BoundingBox
 from ..proxy import keypoint_extent_box
 from ..skeleton import KeypointSet
 from ..transport.model import RepresentationTuple, SyncKey
-from .classify import ClassifierParams, classify_behavior
+from .classify import classify_behavior
 from .kinematics import extract_kinematics
 
 INFER_WINDOW = 5
@@ -30,7 +30,7 @@ class BehaviorReport:
     subjects: tuple[SubjectReport, ...]
 
 
-def _resolve(history: Sequence[KeypointSet], params: ClassifierParams) -> tuple[str, float]:
+def _resolve(history: Sequence[KeypointSet]) -> tuple[str, float]:
     """Label the newest pose of a history as a replay from its oldest pose would.
 
     A label depends on the one before it only when no rule fires, and only
@@ -39,17 +39,14 @@ def _resolve(history: Sequence[KeypointSet], params: ClassifierParams) -> tuple[
     resolved, the same way, only when the newest one falls through.
     """
     features = extract_kinematics(history)
-    label, conf = classify_behavior(features, None, params)
+    label, conf = classify_behavior(features, None)
     if label == "unknown" and len(history) > 1:
-        prev, _ = _resolve(history[:-1], params)
-        label, conf = classify_behavior(features, prev, params)
+        prev, _ = _resolve(history[:-1])
+        label, conf = classify_behavior(features, prev)
     return label, conf
 
 
-def infer(
-    window: Sequence[RepresentationTuple],
-    params: ClassifierParams = ClassifierParams(),
-) -> BehaviorReport:
+def infer(window: Sequence[RepresentationTuple]) -> BehaviorReport:
     """Classify every subject present in the newest tuple of the window.
 
     The window must be a frame-ordered slice of one camera's stream. Each
@@ -80,7 +77,7 @@ def infer(
     for sid, kp in sorted(current.poses, key=lambda p: p[0]):
         history = histories[sid]
         if all(pose.visible().any() for pose in history):
-            label, conf = _resolve(history, params)
+            label, conf = _resolve(history)
             box = keypoint_extent_box(kp)
         else:
             label, conf = "unknown", 0.5

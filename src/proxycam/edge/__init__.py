@@ -1,5 +1,5 @@
 from .background import BackgroundModel, erase, update_background
-from .track import Track, TrackerParams, TrackerState, track_step
+from .track import Track, TrackerState, track_step
 from .pose import estimate_pose
 from .compose import embed, occlusion_order
 from .pipeline import EdgeOutput, EdgeParams, EdgeState, detect, process_frame
@@ -10,7 +10,6 @@ __all__ = [
     "EdgeParams",
     "EdgeState",
     "Track",
-    "TrackerParams",
     "TrackerState",
     "detect",
     "embed",

@@ -17,18 +17,16 @@ from ..geometry import BoundingBox
 from ..proxy import ProxyReuse, SkeletalProxy, overlay, render_proxy
 from ..skeleton import KeypointSet
 from ..raster import validate_frame
-from .background import BackgroundModel, EMA_ALPHA, erase, update_background
+from .background import BackgroundModel, erase, update_background
 # unused here; perfbench/trace.py wraps the name proxycam.edge.pipeline.embed
 from .compose import embed, occlusion_order
 from .pose import assign_actors, estimate_pose
-from .track import TrackerParams, TrackerState, track_step
+from .track import TrackerState, track_step
 
 
 @dataclass(frozen=True)
 class EdgeParams:
     noise_sigma: float = 0.0
-    background_alpha: float = EMA_ALPHA
-    tracker: TrackerParams = field(default_factory=TrackerParams)
 
 
 @dataclass
@@ -43,7 +41,7 @@ class EdgeState:
     proxies: ProxyReuse = field(init=False)
 
     def __post_init__(self):
-        self.tracker = TrackerState(params=self.params.tracker)
+        self.tracker = TrackerState()
         self.background = BackgroundModel.create(self.width, self.height)
         self.rng = np.random.default_rng(self.seed)
         self.proxies = ProxyReuse()
@@ -89,7 +87,6 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
         raise StageError(
             "input", ValueError(f"frame shape {frame.shape[:2]} does not match stream")
         )
-    params = state.params
 
     boxes = _stage("detect")(detect, gt)
     tracks = _stage("track")(track_step, state.tracker, boxes)
@@ -106,15 +103,13 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
             estimate_pose,
             actor,
             track.box,
-            noise_sigma=params.noise_sigma,
+            noise_sigma=state.params.noise_sigma,
             rng=state.rng,
         )
 
     joint_mask = gt.joint_mask()
     desensitized = _stage("erase")(erase, frame, joint_mask, state.background)
-    _stage("background")(
-        update_background, state.background, frame, joint_mask, params.background_alpha
-    )
+    _stage("background")(update_background, state.background, frame, joint_mask)
 
     proxies: dict[int, SkeletalProxy] = {}
     state.proxies.retain(poses)

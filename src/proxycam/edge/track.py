@@ -16,12 +16,9 @@ from scipy.optimize import linear_sum_assignment
 
 from ..geometry import BoundingBox, iou
 
-
-@dataclass(frozen=True)
-class TrackerParams:
-    iou_threshold: float = 0.2
-    miss_timeout: int = 10
-    velocity_alpha: float = 0.5
+IOU_THRESHOLD = 0.2
+MISS_TIMEOUT = 10
+VELOCITY_ALPHA = 0.5
 
 
 @dataclass
@@ -38,7 +35,6 @@ class Track:
 
 @dataclass
 class TrackerState:
-    params: TrackerParams = field(default_factory=TrackerParams)
     tracks: list[Track] = field(default_factory=list)
     next_id: int = 1
 
@@ -49,7 +45,6 @@ def track_step(state: TrackerState, boxes: list[BoundingBox]) -> list[Track]:
     Empty box lists are fine: every track coasts on its predicted box and
     accrues a miss.
     """
-    params = state.params
     tracks = state.tracks
     predicted = [t.predicted_box() for t in tracks]
 
@@ -63,7 +58,7 @@ def track_step(state: TrackerState, boxes: list[BoundingBox]) -> list[Track]:
                 cost[i, j] = 1.0 - iou(pbox, box)
         rows, cols = linear_sum_assignment(cost)
         for i, j in zip(rows, cols):
-            if 1.0 - cost[i, j] >= params.iou_threshold:
+            if 1.0 - cost[i, j] >= IOU_THRESHOLD:
                 pairs.append((i, j))
                 matched_t.add(i)
                 matched_d.add(j)
@@ -73,7 +68,7 @@ def track_step(state: TrackerState, boxes: list[BoundingBox]) -> list[Track]:
         box = boxes[j]
         old_cx, old_cy = track.box.center
         new_cx, new_cy = box.center
-        a = params.velocity_alpha
+        a = VELOCITY_ALPHA
         track.velocity = (
             (1.0 - a) * track.velocity[0] + a * (new_cx - old_cx),
             (1.0 - a) * track.velocity[1] + a * (new_cy - old_cy),
@@ -93,5 +88,5 @@ def track_step(state: TrackerState, boxes: list[BoundingBox]) -> list[Track]:
             tracks.append(Track(subject_id=state.next_id, box=box))
             state.next_id += 1
 
-    state.tracks = [t for t in tracks if t.misses <= params.miss_timeout]
+    state.tracks = [t for t in tracks if t.misses <= MISS_TIMEOUT]
     return sorted(state.tracks, key=lambda t: t.subject_id)

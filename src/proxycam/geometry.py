@@ -43,13 +43,6 @@ class BoundingBox:
         nw, nh = self.w * factor, self.h * factor
         return BoundingBox(cx - nw / 2.0, cy - nh / 2.0, nw, nh)
 
-    def clipped(self, width: int, height: int) -> "BoundingBox":
-        x1 = min(max(self.x, 0.0), float(width))
-        y1 = min(max(self.y, 0.0), float(height))
-        x2 = min(max(self.x2, 0.0), float(width))
-        y2 = min(max(self.y2, 0.0), float(height))
-        return BoundingBox(x1, y1, x2 - x1, y2 - y1)
-
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     x1 = max(a.x, b.x)

@@ -5,7 +5,7 @@ scripted phase boundary (including the scene start, which doubles as
 pipeline warm-up) are excluded, since a classifier necessarily lags a
 kinematic transition by a few frames. Predicted `falling` and `fallen`
 both count as matching a scripted `fall` phase; a scripted `raise_arm`
-accepts `standing` because the rule list has no arm-raise rule.
+accepts only `standing`, because no rule labels a raised arm.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ ACCEPTED = {
     "walk": frozenset({"walking"}),
     "sit": frozenset({"sitting"}),
     "fall": frozenset({"falling", "fallen"}),
-    "raise_arm": frozenset({"standing", "raising_arm"}),
+    "raise_arm": frozenset({"standing"}),
 }
 
 FALL_LABELS = frozenset({"falling", "fallen"})

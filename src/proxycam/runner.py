@@ -145,7 +145,7 @@ class CloudRunner:
         cam = t.key.camera_id
         buffer = self._buffers.get(cam)
         if buffer is None:
-            buffer = ReorderBuffer(gap_frames=self.config.reorder.gap_frames)
+            buffer = ReorderBuffer()
             self._buffers[cam] = buffer
             self._windows[cam] = deque(maxlen=INFER_WINDOW)
             self._proxies[cam] = ProxyReuse()
@@ -186,7 +186,7 @@ class CloudRunner:
             return
         window = self._windows[cam]
         window.append(t)
-        report = infer(list(window), self.config.classifier)
+        report = infer(list(window))
         self.reports[(cam, fid)] = report
         self.released += 1
 

@@ -14,26 +14,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-JOINT_NAMES = (
-    "nose",
-    "left_eye",
-    "right_eye",
-    "left_ear",
-    "right_ear",
-    "left_shoulder",
-    "right_shoulder",
-    "left_elbow",
-    "right_elbow",
-    "left_wrist",
-    "right_wrist",
-    "left_hip",
-    "right_hip",
-    "left_knee",
-    "right_knee",
-    "left_ankle",
-    "right_ankle",
-)
-
 NOSE = 0
 L_EYE, R_EYE = 1, 2
 L_EAR, R_EAR = 3, 4
@@ -115,9 +95,6 @@ class KeypointSet:
 
     def visible_points(self) -> np.ndarray:
         return self.joints[self.visible(), :2]
-
-    def point(self, idx: int) -> np.ndarray:
-        return self.joints[idx, :2]
 
     def is_visible(self, idx: int) -> bool:
         return bool(self.joints[idx, 2] > 0.0)

@@ -1,9 +1,9 @@
 """Per-camera in-order delivery with bounded buffering and gap detection.
 
 Tuples are released strictly by increasing frame_id, starting at frame 0.
-A missing frame blocks delivery until a frame at least `gap_frames` beyond
+A missing frame blocks delivery until a frame at least `GAP_FRAMES` beyond
 it arrives, at which point the missing frame is declared dropped and
-delivery resumes; so at most `gap_frames - 1` tuples wait behind a hole,
+delivery resumes; so at most `GAP_FRAMES - 1` tuples wait behind a hole,
 and that is the buffer's only bound. Duplicates are discarded, and `flush`
 declares every hole left at stream end. No rule reads a clock, so the
 releases and events are a function of the arrival order alone.
@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 from ..errors import ValidationError
 from .model import RepresentationTuple
+
+GAP_FRAMES = 30
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,6 @@ Event = GapEvent | DuplicateEvent
 
 @dataclass
 class ReorderBuffer:
-    gap_frames: int = 30
-
     camera_id: int | None = field(default=None, init=False)
     _pending: dict[int, RepresentationTuple] = field(default_factory=dict, init=False)
     _next: int = field(default=0, init=False)
@@ -90,7 +90,7 @@ class ReorderBuffer:
         while self._pending:
             if self._next in self._pending:
                 released.append(self._pending.pop(self._next))
-            elif self._max_seen >= self._next + self.gap_frames:
+            elif self._max_seen >= self._next + GAP_FRAMES:
                 # overtaken: something far enough ahead is waiting behind this hole
                 events.append(GapEvent(self.camera_id, self._next))
             else:

@@ -221,6 +221,24 @@ class TestE2ECommand:
         assert summary["metrics"]["accuracy"] == 1.0
         assert summary["metrics"]["frames_scored"] == 0
 
+    def test_noise_sigma_from_config_is_a_function_of_the_seed(self, tmp_path, scene_file):
+        config = tmp_path / "noise.json"
+        config.write_text(json.dumps({"edge": {"noise_sigma": 2.0}}))
+
+        def run(name, seed, *extra):
+            out = tmp_path / name
+            argv = ["e2e", "--scene", str(scene_file), "--out", str(out), "--seed", seed]
+            assert main(argv + list(extra)) == EXIT_OK
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["render_mismatches"] == 0
+            recon = {p.name: p.read_bytes() for p in sorted((out / "recon").iterdir())}
+            return summary["packets_sha256"], (out / "reports.jsonl").read_bytes(), recon
+
+        first = run("a", "5", "--config", str(config))
+        assert run("b", "5", "--config", str(config)) == first
+        assert run("c", "6", "--config", str(config))[0] != first[0]
+        assert run("plain", "5")[0] != first[0]
+
 
 class TestConnectRetry:
     def test_dead_sink_retries_with_backoff_then_fails(self, tmp_path, scene_file):
@@ -300,6 +318,10 @@ class TestExitCodes:
             {"reorder": {"gap_seconds": 2.0}},
             {"reorder": {"capacity": 64}},
             {"transport": {"kind": "file"}},
+            {"classifier": {"fall_vy_frac": 0.08}},
+            {"reorder": {"gap_frames": 30}},
+            {"edge": {"background_alpha": 0.05}},
+            {"edge": {"tracker": {"iou_threshold": 0.2}}},
         ],
     )
     def test_removed_config_keys_are_rejected(self, tmp_path, scene_file, removed):

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from proxycam.cloud.classify import ClassifierParams, classify_behavior
+from proxycam.cloud.classify import FALL_VY_FRAC, classify_behavior
 from proxycam.cloud.infer import infer
 from proxycam.cloud.kinematics import KinematicFeatures, extract_kinematics
 from proxycam.cloud.reconstruct import reconstruct, render_proxies
@@ -99,8 +99,7 @@ class TestClassifyBehavior:
         assert conf > 0.9
 
     def test_exactly_at_threshold_confidence_half(self):
-        params = ClassifierParams()
-        vy = params.fall_vy_frac * 36.0  # exactly the falling threshold
+        vy = FALL_VY_FRAC * 36.0  # exactly the falling threshold
         label, conf = classify_behavior(feats(vy=vy))
         assert label == "falling"
         assert conf == pytest.approx(0.5)
@@ -208,7 +207,7 @@ def histories_of(window):
     return histories
 
 
-def replay_labels(window, params=ClassifierParams()):
+def replay_labels(window):
     """Reference labelling: each subject's history is replayed from its
     oldest pose, every prefix classified with the label of the prefix
     before it; a degenerate prefix anywhere makes the subject unknown."""
@@ -220,7 +219,7 @@ def replay_labels(window, params=ClassifierParams()):
             prev = None
             for upto in range(1, len(history) + 1):
                 features = extract_kinematics(history[:upto])
-                label, conf = classify_behavior(features, prev, params)
+                label, conf = classify_behavior(features, prev)
                 prev = label
             box = keypoint_extent_box(kp)
         except DegenerateSubjectError:
