@@ -7,8 +7,9 @@
     proxycam audit  --out dir [--trials N --probes N --gallery N]
 
 Every subcommand also accepts --config PATH; explicit flags override the
-file. Exit codes: 0 success, 1 usage, validation or config error, 2
-privacy-gate violation, 3 I/O or connection error, 4 audit bound failure.
+file. Exit codes: 0 success, 1 usage error or any other ProxycamError (a
+bad config or tuple raises ValidationError), 2 privacy-gate refusal
+(GateViolationError), 3 I/O or connection error, 4 audit bound failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .audit.report import run_full_audit
 from .config import RunConfig, config_from_dict, read_config
-from .errors import ConfigurationError, GateViolationError, ProxycamError, ValidationError
+from .errors import GateViolationError, ProxycamError, ValidationError
 from .runner import CloudRunner, JsonlLog, run_e2e, run_edge, run_sim, _write_summary
 from .sim.spec import load_scene_spec
 from .transport.replay import (
@@ -42,7 +43,7 @@ EXIT_AUDIT = 4
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
-        raise ConfigurationError(f"address must be HOST:PORT, got '{text}'")
+        raise ValidationError(f"address must be HOST:PORT, got '{text}'")
     return host, int(port)
 
 
@@ -72,7 +73,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def cmd_sim(args) -> int:
     config = _resolve_config(args)
     if config.scene is None:
-        raise ConfigurationError("sim requires --scene")
+        raise ValidationError("sim requires --scene")
     summary = run_sim(config)
     print(f"wrote {summary['frames']} frames to {config.out_dir}")
     return EXIT_OK
@@ -81,7 +82,7 @@ def cmd_sim(args) -> int:
 def cmd_edge(args) -> int:
     config = _resolve_config(args)
     if config.scene is None:
-        raise ConfigurationError("edge requires --scene")
+        raise ValidationError("edge requires --scene")
     scene = load_scene_spec(config.scene)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -140,9 +141,9 @@ def _cloud_finish(config: RunConfig, cloud: CloudRunner, out: Path, source: str)
 def cmd_cloud(args) -> int:
     config = _resolve_config(args)
     if config.transport.listen and config.transport.replay:
-        raise ConfigurationError("cloud takes --replay FILE or --listen HOST:PORT, not both")
+        raise ValidationError("cloud takes --replay FILE or --listen HOST:PORT, not both")
     if not (config.transport.listen or config.transport.replay):
-        raise ConfigurationError("cloud needs --replay FILE or --listen HOST:PORT")
+        raise ValidationError("cloud needs --replay FILE or --listen HOST:PORT")
     out = Path(config.out_dir)
     recon_dir = out / "recon"
     recon_dir.mkdir(parents=True, exist_ok=True)
@@ -178,7 +179,7 @@ def cmd_cloud(args) -> int:
 def cmd_e2e(args) -> int:
     config = _resolve_config(args)
     if config.scene is None:
-        raise ConfigurationError("e2e requires --scene")
+        raise ValidationError("e2e requires --scene")
     summary = run_e2e(config)
     metrics = summary["metrics"]
     print(
@@ -255,9 +256,6 @@ def main(argv=None) -> int:
     except GateViolationError as exc:
         print(f"privacy gate violation: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (ConfigurationError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DegenerateSubjectError
+from ..errors import DegeneratePoseError
 from ..skeleton import KeypointSet
 
 VELOCITY_WINDOW = 5
@@ -48,14 +48,14 @@ def extract_kinematics(history: Sequence[KeypointSet]) -> KinematicFeatures:
     """Features from a frame-ordered pose history (oldest first).
 
     Only the trailing VELOCITY_WINDOW frames feed the velocity estimate.
-    Raises DegenerateSubjectError when the newest pose has no visible
+    Raises DegeneratePoseError when the newest pose has no visible
     joints at all.
     """
     if not history:
-        raise DegenerateSubjectError("empty pose history")
+        raise DegeneratePoseError("empty pose history")
     current = history[-1]
     if not current.visible().any():
-        raise DegenerateSubjectError("every joint is invisible")
+        raise DegeneratePoseError("every joint is invisible")
 
     sm, hm = current.shoulder_mid(), current.hip_mid()
     if sm is not None and hm is not None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .edge.pipeline import EdgeParams
-from .errors import ConfigurationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,11 @@ def _make(cls, payload: dict, where: str):
     names = {f.name for f in fields(cls)}
     unknown = set(payload) - names
     if unknown:
-        raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
     try:
         return cls(**payload)
     except TypeError as exc:
-        raise ConfigurationError(f"malformed {where} section: {exc}") from exc
+        raise ValidationError(f"malformed {where} section: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -81,18 +81,18 @@ def read_config(path: str | Path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigurationError(f"config {path} must hold a JSON object")
+        raise ValidationError(f"config {path} must hold a JSON object")
     return data
 
 
 def validate_config(config: RunConfig) -> None:
     if config.scene is not None and not Path(config.scene).exists():
-        raise ConfigurationError(f"scene file '{config.scene}' does not exist")
+        raise ValidationError(f"scene file '{config.scene}' does not exist")
     if config.edge.noise_sigma < 0.0:
-        raise ConfigurationError("edge.noise_sigma must be >= 0")
+        raise ValidationError("edge.noise_sigma must be >= 0")
     if config.fps <= 0:
-        raise ConfigurationError("fps must be positive")
+        raise ValidationError("fps must be positive")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigurationError, DegeneratePoseError, StageError
+from ..errors import DegeneratePoseError, StageError, ValidationError
 from ..geometry import BoundingBox
 from ..proxy import ProxyReuse, SkeletalProxy, overlay, render_proxy
 from ..skeleton import KeypointSet
@@ -20,7 +20,7 @@ from ..raster import validate_frame
 from .background import BackgroundModel, erase, update_background
 # unused here; perfbench/trace.py wraps the name proxycam.edge.pipeline.embed
 from .compose import embed, occlusion_order
-from .pose import assign_actors, estimate_pose
+from .pose import estimate_pose
 from .track import TrackerState, track_step
 
 
@@ -70,7 +70,7 @@ def _stage(name: str):
 def detect(gt) -> list[BoundingBox]:
     """The subject boxes of a frame: its ground-truth actor boxes."""
     if gt is None:
-        raise ConfigurationError("detection requires ground truth")
+        raise ValidationError("detection requires ground truth")
     return [actor.box for actor in gt.actors]
 
 
@@ -92,16 +92,13 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
     tracks = _stage("track")(track_step, state.tracker, boxes)
 
     poses: dict[int, KeypointSet] = {}
-    assigned = _stage("pose")(assign_actors, {t.subject_id: t.box for t in tracks}, gt)
     for track in tracks:
-        actor = assigned.get(track.subject_id)
-        if actor is None:
-            # subject left the scene, the track is coasting too far, or
-            # a track overlapping the actor more took it
+        if track.detection is None:
+            # a coasting track took no box this frame, so it has no actor
             continue
         poses[track.subject_id] = _stage("pose")(
             estimate_pose,
-            actor,
+            gt.actors[track.detection],
             track.box,
             noise_sigma=state.params.noise_sigma,
             rng=state.rng,

@@ -1,44 +1,17 @@
 """Per-subject pose extraction.
 
-Poses come from ground truth: `assign_actors` associates each track box
-with an overlapping ground-truth subject, and `estimate_pose` returns
-that subject's scripted keypoints, optionally perturbed with seeded
-Gaussian noise. Within a frame the association is exclusive, so one
-person never becomes two subjects.
+Poses come from ground truth: `estimate_pose` returns the scripted
+keypoints of the actor whose box the tracker paired with a track this
+frame, optionally perturbed with seeded Gaussian noise. The tracker pairs
+each box with one track, so one person never becomes two subjects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import BoundingBox, iou
+from ..geometry import BoundingBox
 from ..skeleton import KeypointSet
-
-ASSOCIATION_IOU = 0.5
-
-
-def assign_actors(boxes: dict[int, BoundingBox], gt) -> dict[int, object]:
-    """Give each ground-truth actor to at most one subject box.
-
-    Pairs with IoU of at least 0.5 are taken greedily: the highest IoU
-    first, ties to the lower subject id, then to the earlier actor. A box
-    whose actors all went to other boxes gets none. Where no two boxes
-    want the same actor, every box gets its own best actor.
-    """
-    pairs = []
-    for sid, box in boxes.items():
-        for index, actor in enumerate(gt.actors):
-            overlap = iou(box, actor.box)
-            if overlap >= ASSOCIATION_IOU:
-                pairs.append((-overlap, sid, index))
-    pairs.sort()
-    assigned: dict[int, object] = {}
-    taken: set[int] = set()
-    for _, sid, index in pairs:
-        if sid not in assigned and index not in taken:
-            assigned[sid] = gt.actors[index]
-            taken.add(index)
-    return assigned
 
 
 def estimate_pose(

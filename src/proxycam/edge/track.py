@@ -28,6 +28,8 @@ class Track:
     velocity: tuple[float, float] = (0.0, 0.0)
     age: int = 1
     misses: int = 0
+    # index of the box this track took this frame; None while it coasts
+    detection: int | None = None
 
     def predicted_box(self) -> BoundingBox:
         return self.box.shifted(*self.velocity)
@@ -74,18 +76,20 @@ def track_step(state: TrackerState, boxes: list[BoundingBox]) -> list[Track]:
             (1.0 - a) * track.velocity[1] + a * (new_cy - old_cy),
         )
         track.box = box
+        track.detection = j
         track.age += 1
         track.misses = 0
 
     for i, track in enumerate(tracks):
         if i not in matched_t:
             track.box = predicted[i]
+            track.detection = None
             track.age += 1
             track.misses += 1
 
     for j, box in enumerate(boxes):
         if j not in matched_d:
-            tracks.append(Track(subject_id=state.next_id, box=box))
+            tracks.append(Track(subject_id=state.next_id, box=box, detection=j))
             state.next_id += 1
 
     state.tracks = [t for t in tracks if t.misses <= MISS_TIMEOUT]

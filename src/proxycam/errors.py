@@ -1,28 +1,24 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception types, one per decision a caller makes on them."""
 
 
 class ProxycamError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; the CLI exits 1."""
 
 
 class ValidationError(ProxycamError):
-    """An input violates a documented invariant."""
-
-
-class ConfigurationError(ProxycamError):
-    """An operation was invoked with an unusable configuration."""
+    """An input violates a documented invariant: a config, a tuple, a
+    packet or a PNG. The cloud counts a packet that raises it as malformed.
+    """
 
 
 class DegeneratePoseError(ProxycamError):
-    """Too few visible joints to render or measure."""
-
-
-class DegenerateSubjectError(ProxycamError):
-    """Every joint of a subject is invisible."""
+    """Too few visible joints to render or measure; the renderers skip
+    the subject."""
 
 
 class StageError(ProxycamError):
-    """Failure inside the per-frame edge pipeline, tagged with its stage."""
+    """Failure inside the per-frame edge pipeline; its message names the
+    stage on the CLI's `error:` line."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}': {cause}")
@@ -31,29 +27,4 @@ class StageError(ProxycamError):
 
 
 class GateViolationError(ProxycamError):
-    """The pre-transmission privacy gate refused a tuple."""
-
-    def __init__(self, violations):
-        names = ", ".join(v.rule for v in violations)
-        super().__init__(f"privacy gate refused tuple: {names}")
-        self.violations = list(violations)
-
-
-class WireError(ProxycamError):
-    """Base class for packet codec failures."""
-
-
-class ProtocolError(WireError):
-    """Bad magic, truncated section, or inconsistent lengths."""
-
-
-class VersionError(WireError):
-    """Packet declares a version this codec does not speak."""
-
-
-class IntegrityError(WireError):
-    """Checksum mismatch."""
-
-
-class ConsistencyError(WireError):
-    """Decoded fields contradict each other (e.g. pose/order id sets differ)."""
+    """The pre-transmission privacy gate refused a tuple; the CLI exits 2."""

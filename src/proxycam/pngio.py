@@ -4,8 +4,9 @@
 one IDAT at a fixed zlib level, so equal pixels give equal bytes.
 `decode_png` reads that layout alone (signature, 13-byte IHDR, one IDAT,
 empty IEND, nothing after; every CRC checked) and refuses any other PNG.
-It inflates at most one byte past the declared image, so a small IDAT
-cannot expand into a large buffer.
+Given the expected (width, height), it refuses any other IHDR size before
+it inflates anything; either way it inflates at most one byte past the
+declared image, so a small IDAT cannot expand past what IHDR declares.
 """
 
 from __future__ import annotations
@@ -61,8 +62,11 @@ def _read_chunks(data: bytes) -> list[bytes]:
     return bodies
 
 
-def decode_png(data: bytes) -> np.ndarray:
-    """Parse PNG bytes in `encode_png`'s dialect into an (H, W, 3) uint8 array."""
+def decode_png(data: bytes, size: tuple[int, int] | None = None) -> np.ndarray:
+    """Parse PNG bytes in `encode_png`'s dialect into an (H, W, 3) uint8 array.
+
+    With `size`, (width, height), an image of any other size is refused.
+    """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise ValidationError("PNG decoder expects bytes")
     data = bytes(data)
@@ -74,14 +78,16 @@ def decode_png(data: bytes) -> np.ndarray:
     width, height, *layout = struct.unpack(">II5B", ihdr)
     if tuple(layout) != _LAYOUT or width < 1 or height < 1:
         raise ValidationError(f"unsupported PNG header {width}x{height} {tuple(layout)}")
+    if size is not None and (width, height) != tuple(size):
+        raise ValidationError(f"PNG is {width}x{height}, expected {size[0]}x{size[1]}")
 
-    size = height * (1 + 3 * width)
+    raw_len = height * (1 + 3 * width)
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(idat, size + 1)
+        raw = inflater.decompress(idat, raw_len + 1)
     except (zlib.error, OverflowError) as exc:
         raise ValidationError(f"PNG pixel data fails to inflate: {exc}") from exc
-    if len(raw) != size or not inflater.eof or inflater.unused_data:
+    if len(raw) != raw_len or not inflater.eof or inflater.unused_data:
         raise ValidationError("PNG pixel data has the wrong length")
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + 3 * width)
     filters = rows[:, 0]

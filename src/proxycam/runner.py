@@ -21,7 +21,7 @@ from .cloud.infer import INFER_WINDOW, BehaviorReport, infer
 from .cloud.reconstruct import reconstruct, render_proxies
 from .config import RunConfig
 from .edge.pipeline import EdgeOutput, EdgeState, process_frame
-from .errors import GateViolationError, ValidationError, WireError
+from .errors import GateViolationError, ValidationError
 from .metrics import evaluate_behavior
 from .pngio import decode_png, encode_png
 from .proxy import ProxyReuse
@@ -89,14 +89,11 @@ def run_edge(
         t0 = time.perf_counter()
         output = process_frame(state, frame, gt)
         t = build_tuple(output, config.camera_id, frame_id, frame_id * period)
-        gate = privacy_gate(t, (scene.width, scene.height))
-        if not gate.ok:
-            log.write(
-                "gate_violation",
-                frame_id=frame_id,
-                rules=[v.rule for v in gate.violations],
-            )
-            raise GateViolationError(gate.violations)
+        try:
+            privacy_gate(t, (scene.width, scene.height))
+        except GateViolationError as exc:
+            log.write("gate_violation", frame_id=frame_id, error=str(exc))
+            raise
         sink(encode(t))
         packets += 1
         if collect_outputs:
@@ -118,9 +115,11 @@ class CloudRunner:
     A packet that fails the wire codec, or whose env image is not in
     `encode_png`'s dialect, is counted in `malformed` and logged; it gets
     no report or reconstruction and does not enter the inference window,
-    and the other frames go on as before. Every reconstruction is written
-    to `out_dir` as a PNG; the rest of the fields are the run's state,
-    which callers read but do not set.
+    and the other frames go on as before. A camera's first decodable env
+    image, in release order, pins its size; a later image of any other
+    size is malformed too, refused before it is inflated. Every
+    reconstruction is written to `out_dir` as a PNG; the rest of the
+    fields are the run's state, which callers read but do not set.
     """
 
     config: RunConfig
@@ -135,11 +134,12 @@ class CloudRunner:
     _buffers: dict[int, ReorderBuffer] = field(default_factory=dict, init=False)
     _windows: dict[int, deque] = field(default_factory=dict, init=False)
     _proxies: dict[int, ProxyReuse] = field(default_factory=dict, init=False)
+    _sizes: dict[int, tuple[int, int]] = field(default_factory=dict, init=False)
 
     def feed(self, packet: bytes) -> None:
         try:
             t = decode(packet)
-        except WireError as exc:
+        except ValidationError as exc:
             self._note_malformed(exc)
             return
         cam = t.key.camera_id
@@ -180,7 +180,7 @@ class CloudRunner:
     def _process(self, t: RepresentationTuple) -> None:
         cam, fid = t.key.camera_id, t.key.frame_id
         try:
-            env = decode_png(t.env_png)
+            env = decode_png(t.env_png, self._sizes.get(cam))
         except ValidationError as exc:
             self._note_malformed(exc, camera_id=cam, frame_id=fid)
             return
@@ -190,7 +190,7 @@ class CloudRunner:
         self.reports[(cam, fid)] = report
         self.released += 1
 
-        size = (env.shape[1], env.shape[0])
+        size = self._sizes.setdefault(cam, (env.shape[1], env.shape[0]))
         proxies = render_proxies(t.poses, t.order, size, self._proxies[cam])
         scene = reconstruct(env, proxies)
         name = f"cam{cam}_frame{fid}.png"

@@ -31,12 +31,7 @@ import zlib
 
 import numpy as np
 
-from ..errors import (
-    ConsistencyError,
-    IntegrityError,
-    ProtocolError,
-    VersionError,
-)
+from ..errors import ValidationError
 from ..skeleton import JOINT_COUNT, KeypointSet
 from .model import RepresentationTuple, SyncKey, validate_tuple
 
@@ -79,7 +74,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise ProtocolError(
+            raise ValidationError(
                 f"packet truncated: wanted {n} bytes at offset {self.pos}"
             )
         out = self.data[self.pos : self.pos + n]
@@ -99,17 +94,17 @@ class _Reader:
 def decode(packet: bytes) -> RepresentationTuple:
     """Parse a packet back into a tuple, validating everything on the way."""
     if len(packet) < _HEADER.size + 4:
-        raise ProtocolError(f"packet too short ({len(packet)} bytes)")
+        raise ValidationError(f"packet too short ({len(packet)} bytes)")
     if packet[:4] != MAGIC:
-        raise ProtocolError(f"bad magic {packet[:4]!r}")
+        raise ValidationError(f"bad magic {packet[:4]!r}")
     version = packet[4]
     if version != VERSION:
-        raise VersionError(f"unsupported packet version {version}")
+        raise ValidationError(f"unsupported packet version {version}")
 
     (stored_crc,) = _U32.unpack(packet[-4:])
     actual_crc = zlib.crc32(packet[:-4])
     if stored_crc != actual_crc:
-        raise IntegrityError(
+        raise ValidationError(
             f"checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )
 
@@ -118,7 +113,7 @@ def decode(packet: bytes) -> RepresentationTuple:
         reader.take(_HEADER.size)
     )
     if flags != 0:
-        raise ProtocolError(f"flags byte {flags:#04x} must be zero in version {VERSION}")
+        raise ValidationError(f"flags byte {flags:#04x} must be zero in version {VERSION}")
     env_len = reader.u32()
     env_png = reader.take(env_len)
 
@@ -143,7 +138,7 @@ def decode(packet: bytes) -> RepresentationTuple:
     order = [reader.u32() for _ in range(order_count)]
 
     if not reader.done():
-        raise ProtocolError(
+        raise ValidationError(
             f"{len(reader.data) - reader.pos} unexpected trailing bytes"
         )
 
@@ -153,8 +148,5 @@ def decode(packet: bytes) -> RepresentationTuple:
         poses=poses,
         order=order,
     )
-    try:
-        validate_tuple(t)
-    except Exception as exc:
-        raise ConsistencyError(f"decoded tuple violates invariants: {exc}") from exc
+    validate_tuple(t)
     return t

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..errors import ProtocolError
+from ..errors import ValidationError
 
 _LEN = struct.Struct("<I")
 
@@ -35,11 +35,11 @@ def read_packets(path: str | Path) -> Iterator[bytes]:
             if not header:
                 return
             if len(header) < _LEN.size:
-                raise ProtocolError("replay file ends inside a record header")
+                raise ValidationError("replay file ends inside a record header")
             (length,) = _LEN.unpack(header)
             packet = fh.read(length)
             if len(packet) < length:
-                raise ProtocolError("replay file ends inside a record body")
+                raise ValidationError("replay file ends inside a record body")
             yield packet
 
 
@@ -80,7 +80,7 @@ def recv_packet(sock: socket.socket) -> bytes | None:
     (length,) = _LEN.unpack(header)
     packet = _recv_exact(sock, length)
     if packet is None:
-        raise ProtocolError("peer closed mid-packet")
+        raise ValidationError("peer closed mid-packet")
     return packet
 
 

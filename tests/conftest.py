@@ -88,9 +88,10 @@ def filtered_png(image, ftype):
     )
 
 
-def inflate_bomb_png():
-    """A 320x240 RGB PNG of about 50 KB whose IDAT inflates to 50 MB of zeros."""
+def inflate_bomb_png(width=320, height=240):
+    """An RGB PNG of about 50 KB that declares `width` x `height` and
+    whose IDAT inflates to 50 MB of zeros."""
     inflater = zlib.compressobj()
     idat = b"".join(inflater.compress(bytes(1 << 20)) for _ in range(50)) + inflater.flush()
-    ihdr = struct.pack(">IIBBBBB", 320, 240, 8, 2, 0, 0, 0)
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
     return PNG_SIGNATURE + png_chunk(b"IHDR", ihdr) + png_chunk(b"IDAT", idat) + png_chunk(b"IEND", b"")

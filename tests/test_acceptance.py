@@ -20,7 +20,7 @@ from proxycam.cloud.infer import infer
 from proxycam.cloud.reconstruct import reconstruct, render_proxies
 from proxycam.edge.pipeline import EdgeState, detect, process_frame
 from proxycam.edge.track import TrackerState, track_step
-from proxycam.errors import WireError
+from proxycam.errors import ValidationError
 from proxycam.geometry import iou
 from proxycam.metrics import BehaviorMetrics, evaluate_behavior
 from proxycam.pngio import decode_png, encode_png
@@ -138,7 +138,7 @@ class TestCriterion2WireRoundTrip:
                     undetected += 1  # decoded without error into a wrong tuple
                 else:
                     undetected += 1  # xor 0xFF cannot produce an equal tuple
-            except WireError:
+            except ValidationError:
                 continue
         elapsed = time.perf_counter() - started
         report(

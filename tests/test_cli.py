@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import socket
 import threading
@@ -9,6 +10,7 @@ import pytest
 from proxycam.cli import EXIT_GATE, EXIT_OK, EXIT_VALIDATION, main
 from proxycam.config import RunConfig
 from proxycam.errors import GateViolationError
+from proxycam.pngio import encode_png
 import proxycam.runner as runner_module
 from proxycam.runner import build_tuple, run_edge
 from proxycam.sim.spec import save_scene_spec
@@ -29,13 +31,29 @@ def scene_file(tmp_path):
     return path
 
 
+def foreign_env(t):
+    """A tuple the privacy gate must refuse: its env image is a valid PNG,
+    but not of the stream's 160x120."""
+    return dataclasses.replace(t, env_png=encode_png(np.zeros((8, 8, 3), dtype=np.uint8)))
+
+
 def out_of_range_confidence(t):
-    """A tuple the privacy gate must refuse: one joint confidence above 1."""
+    """A tuple `encode` must refuse: one joint confidence above 1."""
     sid, kp = t.poses[0]
     joints = kp.joints.copy()
     joints[0, 2] = 1.5
     t.poses[0] = (sid, KeypointSet(joints=joints, head_yaw=kp.head_yaw))
     return t
+
+
+def at_frame_three(change):
+    """A `build_tuple` that applies `change` to the tuple of frame 3 only."""
+
+    def build(*args):
+        t = build_tuple(*args)
+        return change(t) if t.key.frame_id == 3 else t
+
+    return build
 
 
 @pytest.fixture
@@ -93,22 +111,31 @@ class TestEdgeCommand:
         spec = load_scene_spec(scene_file)
         config = RunConfig(scene=str(scene_file), out_dir=str(tmp_path / "o"))
         sent = []
-
-        def violate_at_three(*args):
-            t = build_tuple(*args)
-            return out_of_range_confidence(t) if t.key.frame_id == 3 else t
-
-        monkeypatch.setattr(runner_module, "build_tuple", violate_at_three)
-        with pytest.raises(GateViolationError):
+        monkeypatch.setattr(runner_module, "build_tuple", at_frame_three(foreign_env))
+        with pytest.raises(GateViolationError, match="PNG is 8x8, expected 160x120"):
             run_edge(config, spec, sent.append)
         assert len(sent) == 3  # nothing emitted at or after the violation
 
     def test_gate_violation_exit_code(self, tmp_path, scene_file, monkeypatch):
         monkeypatch.setattr(
-            runner_module, "build_tuple", lambda *args: out_of_range_confidence(build_tuple(*args))
+            runner_module, "build_tuple", lambda *args: foreign_env(build_tuple(*args))
         )
-        rc = main(["edge", "--scene", str(scene_file), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main(["edge", "--scene", str(scene_file), "--out", str(out)])
         assert rc == EXIT_GATE
+        records = [json.loads(line) for line in (out / "edge_log.jsonl").read_text().splitlines()]
+        assert [(r["event"], r["frame_id"]) for r in records] == [("gate_violation", 0)]
+        assert "expected 160x120" in records[0]["error"]
+
+    def test_out_of_range_confidence_is_refused_by_encode(
+        self, tmp_path, scene_file, monkeypatch
+    ):
+        # the gate has no confidence rule; encode validates the tuple first
+        monkeypatch.setattr(runner_module, "build_tuple", at_frame_three(out_of_range_confidence))
+        out = tmp_path / "o"
+        rc = main(["edge", "--scene", str(scene_file), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert len(list(read_packets(out / "packets.bin"))) == 3
 
 
 class TestCloudCommand:

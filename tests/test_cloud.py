@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from proxycam.cloud.kinematics import KinematicFeatures, extract_kinematics
 from proxycam.cloud.reconstruct import reconstruct, render_proxies
 from proxycam.config import RunConfig
 from proxycam.edge.pipeline import EdgeState, process_frame
-from proxycam.errors import DegenerateSubjectError, ValidationError
+from proxycam.errors import DegeneratePoseError, ValidationError
 from proxycam.geometry import BoundingBox
 from proxycam.pngio import decode_png
 from proxycam.proxy import FILL_COLOR, OUTLINE_COLOR, keypoint_extent_box, render_proxy
@@ -67,11 +68,11 @@ class TestExtractKinematics:
 
     def test_all_invisible_is_degenerate(self):
         joints = np.zeros((17, 3), dtype=np.float32)
-        with pytest.raises(DegenerateSubjectError):
+        with pytest.raises(DegeneratePoseError):
             extract_kinematics([KeypointSet(joints=joints)])
 
     def test_empty_history_is_degenerate(self):
-        with pytest.raises(DegenerateSubjectError):
+        with pytest.raises(DegeneratePoseError):
             extract_kinematics([])
 
 
@@ -222,7 +223,7 @@ def replay_labels(window):
                 label, conf = classify_behavior(features, prev)
                 prev = label
             box = keypoint_extent_box(kp)
-        except DegenerateSubjectError:
+        except DegeneratePoseError:
             label, conf = "unknown", 0.5
             box = BoundingBox(0.0, 0.0, 0.0, 0.0)
         out.append((sid, label, conf, box))
@@ -477,7 +478,7 @@ class TestUndrawablePose:
             order = (1,)
 
         t = build_tuple(Output, 0, frame_id, frame_id * 33_333)
-        assert privacy_gate(t, self.FRAME).ok
+        privacy_gate(t, self.FRAME)  # raises unless the edge would send it
         return encode(t)
 
     def test_undrawable_pose_draws_nothing_and_the_stream_goes_on(self, tmp_path):
@@ -588,3 +589,28 @@ class TestMalformedEnvImage:
         assert sorted(p.name for p in (tmp_path / "mixed").iterdir()) == sorted(cloud.recon_files)
         for name in cloud.recon_files:
             assert (tmp_path / "mixed" / name).read_bytes() == (tmp_path / "good" / name).read_bytes()
+
+    def test_env_of_another_size_is_refused_before_it_inflates(self, tmp_path):
+        # frame 0 pins the camera at 160x120; frame 1's 51 KB env image
+        # declares 20000x20000 and would inflate 50 MB before its length is
+        # found wrong
+        actor = solo_actor([(0, 3, "stand")], height_px=70, trajectory=((0, 70.0, 100.0),))
+        tuples, _ = run_tuples(scene([actor], frame_count=3, width=160, height=120))
+        huge = inflate_bomb_png(20000, 20000)
+        assert len(huge) < 64_000
+        packets = [encode(t) for t in tuples]
+        packets[1] = encode(dataclasses.replace(tuples[1], env_png=huge))
+
+        cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
+        cloud.feed(packets[0])
+        tracemalloc.start()
+        try:
+            cloud.feed(packets[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cloud.feed(packets[2])
+        cloud.finish()
+        assert peak < 2_000_000
+        assert cloud.malformed == 1
+        assert sorted(cloud.reports) == [(0, 0), (0, 2)]

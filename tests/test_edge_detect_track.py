@@ -2,7 +2,7 @@ import pytest
 
 from proxycam.edge.pipeline import detect
 from proxycam.edge.track import TrackerState, track_step
-from proxycam.errors import ConfigurationError
+from proxycam.errors import ValidationError
 from proxycam.geometry import BoundingBox, iou
 from proxycam.sim.generate import generate_scene
 from proxycam.sim.scripts import make_crossing_scene
@@ -30,7 +30,7 @@ class TestDetect:
         assert boxes == [a.box for a in gts[0].actors]
 
     def test_oracle_without_gt_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             detect(None)
 
 
@@ -66,6 +66,17 @@ class TestTracker:
             live = track_step(state, [det(10 + 2.0 * step, 50)])
             ids.update(t.subject_id for t in live)
         assert len(ids) == 1
+
+    def test_each_track_names_the_box_it_took(self):
+        state = TrackerState()
+        live = track_step(state, [det(10, 50), det(200, 50)])
+        assert [(t.subject_id, t.detection) for t in live] == [(1, 0), (2, 1)]
+        # listed in the other order, each box keeps its track
+        live = track_step(state, [det(201, 50), det(11, 50)])
+        assert [(t.subject_id, t.detection) for t in live] == [(1, 1), (2, 0)]
+        # subject 2 missed: it coasts and names no box
+        live = track_step(state, [det(12, 50)])
+        assert [(t.subject_id, t.detection) for t in live] == [(1, 0), (2, None)]
 
     def test_coasting_prediction_moves_with_velocity(self):
         state = TrackerState()

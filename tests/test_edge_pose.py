@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proxycam.edge.pose import assign_actors, estimate_pose
+from proxycam.edge.pose import estimate_pose
 from proxycam.geometry import BoundingBox
 from proxycam.sim.generate import generate_scene
 
@@ -51,7 +51,3 @@ class TestEstimatePose:
         head_conf = kp.joints[:5, 2]
         assert np.all(head_conf == 0.0)
         assert np.all(kp.joints[:, 1] >= tight.y)
-
-    def test_unmatched_box_gets_no_actor(self, gt):
-        far = BoundingBox(0.0, 0.0, 20.0, 20.0)
-        assert assign_actors({1: far}, gt) == {}

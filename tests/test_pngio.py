@@ -107,3 +107,20 @@ def test_wrong_inflated_length_is_rejected(delta):
     raw = raw[:delta] if delta < 0 else raw + b"\0" * delta
     with pytest.raises(ValidationError, match="wrong length"):
         decode_png(PNG_SIGNATURE + b"".join(png_chunks(3, 4, raw)))
+
+
+def test_expected_size_is_checked_before_inflating():
+    data = encode_png(np.zeros((4, 6, 3), dtype=np.uint8))
+    assert decode_png(data, (6, 4)).shape == (4, 6, 3)
+    with pytest.raises(ValidationError, match="PNG is 6x4, expected 4x6"):
+        decode_png(data, (4, 6))
+    # the bomb declares 320x240: refused on its header, before its IDAT
+    bomb = inflate_bomb_png()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="expected 32x24"):
+            decode_png(bomb, (32, 24))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000

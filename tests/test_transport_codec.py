@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxycam.errors import (
-    ConsistencyError,
-    IntegrityError,
-    ProtocolError,
-    ValidationError,
-    VersionError,
-    WireError,
-)
+from proxycam.errors import ValidationError
 from proxycam.pngio import encode_png
 from proxycam.skeleton import KeypointSet
 from proxycam.transport.codec import decode, encode
@@ -91,35 +84,44 @@ class TestRoundTripProperty:
         assert encode(t) == encode(t)
 
 
+def with_crc(body: bytes) -> bytes:
+    """`body` closed by its own valid checksum."""
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+
 class TestRejection:
     def test_bad_magic(self):
         packet = bytearray(encode(make_tuple()))
         packet[:4] = b"NOPE"
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ValidationError, match="bad magic"):
             decode(bytes(packet))
 
     def test_unknown_version(self):
         packet = bytearray(encode(make_tuple()))
         packet[4] = 9
-        with pytest.raises(VersionError):
+        with pytest.raises(ValidationError, match="unsupported packet version 9"):
             decode(bytes(packet))
 
     def test_crc_mismatch(self):
         packet = bytearray(encode(make_tuple()))
         packet[-1] ^= 0x01
-        with pytest.raises(IntegrityError):
+        with pytest.raises(ValidationError, match="checksum mismatch"):
             decode(bytes(packet))
 
     def test_truncation(self):
+        # cut inside the env section, with the checksum made valid again,
+        # so that only the section lengths can tell
         packet = encode(make_tuple())
-        with pytest.raises(WireError):
-            decode(packet[: len(packet) // 2])
+        with pytest.raises(ValidationError, match="packet truncated"):
+            decode(with_crc(packet[: len(packet) // 2]))
+        with pytest.raises(ValidationError, match="packet too short"):
+            decode(packet[:20])
 
     def test_trailing_bytes_rejected(self):
         # version 2 has no extension sections: extra bytes cannot ride along
         packet = encode(make_tuple())
-        with pytest.raises(WireError):
-            decode(packet + b"extra")
+        with pytest.raises(ValidationError, match="unexpected trailing bytes"):
+            decode(with_crc(packet[:-4] + b"extra"))
 
     def test_encode_refuses_order_mismatch(self):
         t = make_tuple(poses=[(1, keypoints(0))], order=[2])
@@ -133,9 +135,8 @@ class TestRejection:
         body = packet[:-4]
         idx = bytes(body).rfind(struct.pack("<I", 1))  # order entry
         body[idx : idx + 4] = struct.pack("<I", 2)
-        fixed = bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
-        with pytest.raises(ConsistencyError):
-            decode(fixed)
+        with pytest.raises(ValidationError, match="permutation"):
+            decode(with_crc(body))
 
 
 def version1_layout(packet: bytes, version: int = 1) -> bytes:
@@ -144,14 +145,14 @@ def version1_layout(packet: bytes, version: int = 1) -> bytes:
     body = bytearray(packet[:-4])
     body[4] = version
     body += struct.pack("<H", 64) + np.linspace(0, 1, 64, dtype="<f4").tobytes()
-    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+    return with_crc(body)
 
 
 def with_flags(packet: bytes, flags: int) -> bytes:
     """A packet with its reserved flags byte set, CRC recomputed."""
     body = bytearray(packet[:-4])
     body[5] = flags
-    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+    return with_crc(body)
 
 
 class TestVersion2:
@@ -163,12 +164,12 @@ class TestVersion2:
 
     def test_version1_packet_is_refused(self):
         packet = encode(make_tuple(poses=[(1, keypoints(0))], order=[1]))
-        with pytest.raises(VersionError):
+        with pytest.raises(ValidationError, match="unsupported packet version 1"):
             decode(version1_layout(packet))
 
     def test_version1_section_under_version2_is_trailing(self):
         packet = encode(make_tuple(poses=[(1, keypoints(0))], order=[1]))
-        with pytest.raises(ProtocolError, match="trailing"):
+        with pytest.raises(ValidationError, match="trailing"):
             decode(version1_layout(packet, version=2))
 
     def test_cloud_counts_version1_packet_as_malformed(self, tmp_path):
@@ -186,7 +187,7 @@ class TestVersion2:
     def test_nonzero_flags_byte_is_refused(self, flags):
         packet = encode(make_tuple(poses=[(1, keypoints(0))], order=[1]))
         assert packet[5] == 0
-        with pytest.raises(ProtocolError, match="flags"):
+        with pytest.raises(ValidationError, match="flags"):
             decode(with_flags(packet, flags))
 
     def test_cloud_counts_nonzero_flags_packet_as_malformed(self, tmp_path):
@@ -213,7 +214,7 @@ class TestSingleByteFuzz:
             mutated[i] ^= 0xFF
             try:
                 decoded = decode(bytes(mutated))
-            except WireError:
+            except ValidationError:
                 continue
             if decoded != t:
                 undetected.append(i)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from proxycam.errors import ValidationError
+from proxycam.errors import GateViolationError, ValidationError
 from proxycam.pngio import encode_png
+from proxycam.transport.codec import encode
 from proxycam.transport.gate import privacy_gate
 from proxycam.transport.model import RepresentationTuple, SyncKey
 from proxycam.transport.reorder import (
@@ -29,21 +30,23 @@ def tup(fid, camera_id=0, env=PNG_16x12, conf=0.5):
 
 class TestPrivacyGate:
     def test_well_formed_tuple_passes(self):
-        assert privacy_gate(tup(0), (16, 12)).ok
+        assert privacy_gate(tup(0), (16, 12)) is None
 
     def test_resolution_mismatch_violates(self):
-        result = privacy_gate(tup(0), (320, 240))
-        assert [v.rule for v in result.violations] == ["resolution"]
+        with pytest.raises(GateViolationError, match="PNG is 16x12, expected 320x240"):
+            privacy_gate(tup(0), (320, 240))
 
     def test_undecodable_env_violates_resolution_rule(self):
-        result = privacy_gate(tup(0, env=b"not a png"), (16, 12))
-        assert [v.rule for v in result.violations] == ["resolution"]
+        with pytest.raises(GateViolationError, match="bad signature"):
+            privacy_gate(tup(0, env=b"not a png"), (16, 12))
 
     def test_out_of_range_confidence_detected(self):
+        # no gate rule for it: encode refuses the tuple before a byte leaves
         bad = tup(0)
         bad.poses[0][1].joints[3, 2] = 1.5
-        result = privacy_gate(bad, (16, 12))
-        assert "confidence" in [v.rule for v in result.violations]
+        assert privacy_gate(bad, (16, 12)) is None
+        with pytest.raises(ValidationError, match="confidences must lie in"):
+            encode(bad)
 
 
 def released_ids(result):
