@@ -17,17 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import RunConfig
 from ..errors import ValidationError
+# encode_png is unused here; perfbench/trace.py wraps the name
+# proxycam.audit.attack.encode_png
 from ..pngio import decode_png, encode_png
 from ..raster import grid_pool, luminance
+from ..runner import build_tuple, us_per_frame
 from ..sim.generate import generate_scene
 from ..sim.scripts import make_solo_scene
 from ..edge.compose import embed
 from ..edge.pipeline import EdgeState, process_frame
 from ..cloud.reconstruct import reconstruct, render_proxies
-from ..transport.model import RepresentationTuple, SyncKey
+from ..transport.codec import decode, encode
+from ..transport.model import RepresentationTuple
 
 MIN_CHANNEL_DISTANCE = 64
+# every enrolment and probe scene: one camera at this size, this long
+WIDTH, HEIGHT = 320, 240
+FRAMES_PER_SCENE = 10
 
 _CLOTHING = [
     (48, 48, 48),
@@ -106,20 +114,17 @@ def build_gallery(n: int = 8) -> AttackGallery:
 
 
 def _run_scene(scene):
-    """Run a scene through the oracle edge; return the last frame's tuple,
-    raw frame, and ground truth."""
+    """Run a scene through the oracle edge; return the last frame's tuple
+    as the cloud decodes it from the wire, its raw frame, and its ground
+    truth."""
     frames, gts = generate_scene(scene)
     state = EdgeState(scene.width, scene.height)
     out = None
     for frame, gt in zip(frames, gts):
         out = process_frame(state, frame, gt)
-    t = RepresentationTuple(
-        key=SyncKey(0, len(frames) - 1, (len(frames) - 1) * 33333),
-        env_png=encode_png(out.desensitized),
-        poses=list(out.poses),
-        order=list(out.order),
-    )
-    return t, frames[-1], gts[-1]
+    last = len(frames) - 1
+    t = build_tuple(out, 0, last, last * us_per_frame(RunConfig().fps))
+    return decode(encode(t)), frames[-1], gts[-1]
 
 
 def _wire_features(t: RepresentationTuple, width: int, height: int) -> np.ndarray:
@@ -130,7 +135,7 @@ def _wire_features(t: RepresentationTuple, width: int, height: int) -> np.ndarra
     """
     env = decode_png(t.env_png)
     env_stats = grid_pool(luminance(env), 8, 8).ravel() / 255.0
-    proxies = render_proxies(t.poses, t.order, (width, height))
+    proxies = render_proxies(t.poses, (width, height))
     embedding = embed(reconstruct(env, proxies)).astype(np.float64)
     # both proxy colours are non-zero, so painted pixels are the proxy support
     painted = reconstruct(np.zeros((height, width, 3), np.uint8), proxies).any(axis=2)
@@ -159,9 +164,6 @@ def identity_attack(
     gallery: AttackGallery,
     probe_scenes: int,
     seed: int,
-    width: int = 320,
-    height: int = 240,
-    frames_per_scene: int = 10,
     enroll_per_actor: int = 3,
     probe_actor_ids: list[str] | None = None,
 ) -> AttackResult:
@@ -191,13 +193,13 @@ def identity_attack(
                 actor_id=actor.actor_id,
                 clothing=actor.clothing,
                 skin=actor.skin,
-                width=width,
-                height=height,
-                frame_count=frames_per_scene,
+                width=WIDTH,
+                height=HEIGHT,
+                frame_count=FRAMES_PER_SCENE,
                 height_px=gallery.height_px,
             )
             t, raw, gt = _run_scene(scene)
-            wire_bank.append((actor.actor_id, _wire_features(t, width, height)))
+            wire_bank.append((actor.actor_id, _wire_features(t, WIDTH, HEIGHT)))
             raw_bank.append((actor.actor_id, _raw_features(raw, gt)))
 
     hits = 0
@@ -209,13 +211,13 @@ def identity_attack(
             actor_id=actor.actor_id,
             clothing=actor.clothing,
             skin=actor.skin,
-            width=width,
-            height=height,
-            frame_count=frames_per_scene,
+            width=WIDTH,
+            height=HEIGHT,
+            frame_count=FRAMES_PER_SCENE,
             height_px=gallery.height_px,
         )
         t, raw, gt = _run_scene(scene)
-        if _nearest(_wire_features(t, width, height), wire_bank) == actor.actor_id:
+        if _nearest(_wire_features(t, WIDTH, HEIGHT), wire_bank) == actor.actor_id:
             hits += 1
         if _nearest(_raw_features(raw, gt), raw_bank) == actor.actor_id:
             control_hits += 1

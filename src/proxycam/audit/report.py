@@ -9,7 +9,8 @@ from ..runner import run_edge
 from ..sim.generate import generate_scene
 from ..sim.scripts import make_solo_scene
 from ..transport.codec import decode
-from .attack import AttackResult, build_gallery, identity_attack
+# every probe runs at the attack's frame size
+from .attack import HEIGHT, WIDTH, AttackResult, build_gallery, identity_attack
 from .independence import IndependenceResult, mask_independence_audit
 from .leakscan import LeakScanResult, pixel_leak_scan
 
@@ -59,11 +60,11 @@ class AuditReport:
         }
 
 
-def _leak_scan_scene(seed: int, width: int, height: int) -> list[LeakScanResult]:
+def _leak_scan_scene(seed: int) -> list[LeakScanResult]:
     """Stream a solo walking scene through `run_edge`, the shipped edge path
     with its privacy gate and wire codec, and scan every packet it emits."""
     scene = make_solo_scene(
-        seed=seed, width=width, height=height, frame_count=40, actions_pool=("walk",)
+        seed=seed, width=WIDTH, height=HEIGHT, frame_count=40, actions_pool=("walk",)
     )
     frames, gts = generate_scene(scene)
     results: list[LeakScanResult] = []
@@ -81,16 +82,12 @@ def run_full_audit(
     independence_trials: int = 10_000,
     gallery_size: int = 8,
     probes: int = 400,
-    width: int = 320,
-    height: int = 240,
 ) -> AuditReport:
     independence = mask_independence_audit(
-        independence_trials, seed=seed, width=width, height=height
+        independence_trials, seed=seed, width=WIDTH, height=HEIGHT
     )
-    attack = identity_attack(
-        build_gallery(gallery_size), probes, seed=seed + 1, width=width, height=height
-    )
-    leak_frames = tuple(_leak_scan_scene(seed + 2, width, height))
+    attack = identity_attack(build_gallery(gallery_size), probes, seed=seed + 1)
+    leak_frames = tuple(_leak_scan_scene(seed + 2))
 
     failures: list[str] = []
     if not independence.passed:

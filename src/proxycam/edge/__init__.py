@@ -1,7 +1,7 @@
 from .background import BackgroundModel, erase, update_background
 from .track import Track, TrackerState, track_step
 from .pose import estimate_pose
-from .compose import embed, occlusion_order
+from .compose import embed
 from .pipeline import EdgeOutput, EdgeParams, EdgeState, detect, process_frame
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "embed",
     "erase",
     "estimate_pose",
-    "occlusion_order",
     "process_frame",
     "track_step",
     "update_background",

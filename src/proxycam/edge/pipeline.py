@@ -2,8 +2,8 @@
 
 One EdgeState per camera stream; frames must be fed in order because both
 the tracker and the background model are temporal. The output carries
-everything the transport tuple needs plus the edge-side composite, and
-never the raw frame.
+everything the transport tuple needs plus the edge-side composite and its
+back-to-front paint order, and never the raw frame.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import numpy as np
 
 from ..errors import DegeneratePoseError, StageError, ValidationError
 from ..geometry import BoundingBox
-from ..proxy import ProxyReuse, SkeletalProxy, overlay, render_proxy
+from ..proxy import ProxyReuse, SkeletalProxy, occlusion_order, overlay, render_proxy
 from ..skeleton import KeypointSet
 from ..raster import validate_frame
 from .background import BackgroundModel, erase, update_background
 # unused here; perfbench/trace.py wraps the name proxycam.edge.pipeline.embed
-from .compose import embed, occlusion_order
+from .compose import embed
 from .pose import estimate_pose
 from .track import TrackerState, track_step
 
@@ -53,7 +53,7 @@ class EdgeOutput:
 
     desensitized: np.ndarray
     poses: tuple[tuple[int, KeypointSet], ...]
-    order: tuple[int, ...]
+    order: tuple[int, ...]  # the composite's paint order; not on the wire
     composite: np.ndarray
 
 
@@ -119,7 +119,7 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
             # a pose the renderer cannot draw does not go on the wire
             del poses[sid]
 
-    order = _stage("order")(occlusion_order, tracks, poses)
+    order = _stage("order")(occlusion_order, poses)
     composite = _stage("overlay")(
         overlay, desensitized, [proxies[sid] for sid in order]
     )

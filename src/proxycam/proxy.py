@@ -1,10 +1,11 @@
 """Appearance-free skeletal proxies: from a wire pose to pixels.
 
 This is the one path from a pose to pixels, shared by the edge composite
-and the cloud reconstruction: `render_proxy` draws a subject and `overlay`
-pastes the proxies onto a frame. The renderer reads only what crosses the
-wire (the joints with their confidences, the head yaw, the frame size), so
-both sides produce the same bytes from the same tuple.
+and the cloud reconstruction: `render_proxy` draws a subject,
+`occlusion_order` sorts the drawn subjects back to front, and `overlay`
+pastes the proxies onto a frame in that order. All three read only what
+crosses the wire (the joints with their confidences, the head yaw, the
+frame size), so both sides produce the same bytes from the same tuple.
 
 A proxy is a capsule per visible bone plus a head disc, drawn with one
 fixed fill and outline for every subject. Nothing about the person except
@@ -16,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegeneratePoseError
 from .geometry import BoundingBox
 from .raster import SilhouetteCanvas, outline_of, paste_rgba, validate_frame
-from .skeleton import BONES, KeypointSet, L_EAR, NOSE, R_EAR
+from .skeleton import BONES, KeypointSet, L_ANKLE, L_EAR, NOSE, R_ANKLE, R_EAR
 
 FILL_COLOR = (180, 180, 180)
 OUTLINE_COLOR = (60, 60, 60)
@@ -33,6 +34,7 @@ _TORSO_FALLBACK_FRAC = 0.3     # of keypoint-extent height, if shoulders/hips ar
 _HEAD_RADIUS_EAR_FRAC = 0.5    # of the inter-ear distance
 _HEAD_RADIUS_FALLBACK = 0.15   # of torso length
 _TICK_LENGTH = 2.0             # orientation tick, pixels past the disc rim
+_EXTENT_MARGIN_FRAC = 0.10     # keypoint extent box growth, relative
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ class ProxyReuse:
         }
 
 
-def keypoint_extent_box(pose: KeypointSet, margin_frac: float = 0.10) -> BoundingBox:
+def keypoint_extent_box(pose: KeypointSet) -> BoundingBox:
     """Box around the visible joints, grown by a relative margin.
 
     The cloud reports it as the subject's box, and its height feeds the
@@ -165,7 +167,28 @@ def keypoint_extent_box(pose: KeypointSet, margin_frac: float = 0.10) -> Boundin
     x0, y0 = vis.min(axis=0)
     x1, y1 = vis.max(axis=0)
     box = BoundingBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
-    return box.scaled(1.0 + margin_frac)
+    return box.scaled(1.0 + _EXTENT_MARGIN_FRAC)
+
+
+def occlusion_order(poses: Mapping[int, KeypointSet]) -> list[int]:
+    """Back-to-front subject order of drawable poses, for `overlay`.
+
+    Depth is the image row of the ankle midpoint (smaller row = farther).
+    When both ankles are hidden it is the row of the lowest visible joint;
+    a drawable pose has at least two. Ties break on ascending subject id.
+    The order is a function of the poses alone, so it never crosses the
+    wire: the edge and the cloud each compute it from the same poses.
+    """
+    keyed: list[tuple[float, int]] = []
+    for sid, pose in poses.items():
+        ankle = pose.midpoint(L_ANKLE, R_ANKLE)
+        if ankle is not None:
+            depth = float(ankle[1])
+        else:
+            depth = float(pose.visible_points()[:, 1].max())
+        keyed.append((depth, sid))
+    keyed.sort()
+    return [sid for _, sid in keyed]
 
 
 def overlay(frame: np.ndarray, proxies: Sequence[SkeletalProxy]) -> np.ndarray:

@@ -44,7 +44,6 @@ def build_tuple(
         key=SyncKey(camera_id=camera_id, frame_id=frame_id, timestamp_us=timestamp_us),
         env_png=encode_png(output.desensitized),
         poses=list(output.poses),
-        order=list(output.order),
     )
 
 
@@ -191,7 +190,7 @@ class CloudRunner:
         self.released += 1
 
         size = self._sizes.setdefault(cam, (env.shape[1], env.shape[0]))
-        proxies = render_proxies(t.poses, t.order, size, self._proxies[cam])
+        proxies = render_proxies(t.poses, size, self._proxies[cam])
         scene = reconstruct(env, proxies)
         name = f"cam{cam}_frame{fid}.png"
         (self.out_dir / name).write_bytes(encode_png(scene))

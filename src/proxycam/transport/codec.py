@@ -3,8 +3,8 @@
 Packet layout, all integers little-endian:
 
     magic           4 bytes  'PCV2'
-    version         u8       = 2
-    flags           u8       reserved, zero in version 2; decode refuses others
+    version         u8       = 3
+    flags           u8       reserved, zero; decode refuses others
     camera_id       u32
     frame_id        u64
     timestamp_us    u64
@@ -15,13 +15,15 @@ Packet layout, all integers little-endian:
                       head_present u8
                       head_yaw f32 (zero when absent)
                       17 x (u f32, v f32, confidence f32)
-    order section   u16 count, then subject_id u32 each, back-to-front
     crc32           u32, IEEE, over every preceding byte
 
 Encoding is canonical: equal tuples produce byte-identical packets. The
 decoder checks the checksum before touching any section, so any corrupted
 packet fails loudly instead of parsing into garbage. Nothing is carried
-that the cloud can compute from the other sections.
+that the cloud can compute from the other sections: the back-to-front
+order is `proxy.occlusion_order` of the poses. The magic and the layout
+up to the pose count do not change with the version, because
+`perfbench/checks.py` reads packets by them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from ..skeleton import JOINT_COUNT, KeypointSet
 from .model import RepresentationTuple, SyncKey, validate_tuple
 
 MAGIC = b"PCV2"
-VERSION = 2
+VERSION = 3
 
 _HEADER = struct.Struct("<4sBBIQQ")
 _POSE_HEAD = struct.Struct("<IBf")
@@ -61,8 +63,6 @@ def encode(t: RepresentationTuple) -> bytes:
             _POSE_HEAD.pack(sid, 1 if head_present else 0, kp.head_yaw or 0.0)
         )
         parts.append(kp.joints.astype("<f4").tobytes())
-    parts.append(_U16.pack(len(t.order)))
-    parts.extend(_U32.pack(sid) for sid in t.order)
     body = b"".join(parts)
     return body + _U32.pack(zlib.crc32(body))
 
@@ -134,9 +134,6 @@ def decode(packet: bytes) -> RepresentationTuple:
             )
         )
 
-    order_count = reader.u16()
-    order = [reader.u32() for _ in range(order_count)]
-
     if not reader.done():
         raise ValidationError(
             f"{len(reader.data) - reader.pos} unexpected trailing bytes"
@@ -146,7 +143,6 @@ def decode(packet: bytes) -> RepresentationTuple:
         key=SyncKey(camera_id=camera_id, frame_id=frame_id, timestamp_us=timestamp_us),
         env_png=env_png,
         poses=poses,
-        order=order,
     )
     validate_tuple(t)
     return t

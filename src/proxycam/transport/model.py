@@ -1,10 +1,11 @@
 """The only payload that ever crosses the edge-cloud link.
 
 A representation tuple binds, under one sync key, the scrubbed background
-image (as PNG bytes), the per-subject keypoints and the back-to-front
-subject order. There is deliberately no field that could carry the raw
-frame or per-subject appearance, nor one the cloud can compute from the
-others; version 2 of the wire format has no extension sections either.
+image (as PNG bytes) and the per-subject keypoints. There is deliberately
+no field that could carry the raw frame or per-subject appearance, nor one
+the cloud can compute from the others: the back-to-front subject order is
+`proxy.occlusion_order` of the poses, so it is not carried. Version 3 of
+the wire format has no extension sections either.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class RepresentationTuple:
     key: SyncKey
     env_png: bytes
     poses: list[tuple[int, KeypointSet]]
-    order: list[int]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RepresentationTuple):
@@ -51,7 +51,6 @@ class RepresentationTuple:
                 a_sid == b_sid and a_kp == b_kp
                 for (a_sid, a_kp), (b_sid, b_kp) in zip(self.poses, other.poses)
             )
-            and list(self.order) == list(other.order)
         )
 
 
@@ -72,7 +71,3 @@ def validate_tuple(t: RepresentationTuple) -> None:
         if not isinstance(kp, KeypointSet):
             raise ValidationError("poses must carry KeypointSet values")
         kp.validate()
-    if sorted(t.order) != sorted(sids):
-        raise ValidationError(
-            "order must be a permutation of the pose subject ids"
-        )

@@ -106,7 +106,6 @@ def random_tuple(rng: np.random.Generator) -> RepresentationTuple:
         joints[:, 2] = rng.uniform(0, 1, 17)
         yaw = float(np.float32(rng.uniform(-3.14, 3.14))) if rng.random() < 0.5 else None
         poses.append((int(sid), KeypointSet(joints=joints, head_yaw=yaw)))
-    order = [int(s) for s in rng.permutation(sids)] if sids else []
     return RepresentationTuple(
         key=SyncKey(
             camera_id=int(rng.integers(0, 2**32)),
@@ -115,7 +114,6 @@ def random_tuple(rng: np.random.Generator) -> RepresentationTuple:
         ),
         env_png=env,
         poses=poses,
-        order=order,
     )
 
 
@@ -174,7 +172,7 @@ class TestCriterion4RenderEquivalence:
         for frame_id, (frame, gt) in enumerate(zip(frames, gts)):
             output = process_frame(state, frame, gt)
             t = decode(encode(build_tuple(output, 0, frame_id, frame_id * 33333)))
-            proxies = render_proxies(t.poses, t.order, (scene.width, scene.height))
+            proxies = render_proxies(t.poses, (scene.width, scene.height))
             recon = reconstruct(decode_png(t.env_png), proxies)
             if not np.array_equal(recon, output.composite):
                 mismatches += 1

@@ -97,7 +97,6 @@ class TestLeakScan:
             key=SyncKey(0, fid, 0),
             env_png=encode_png(env),
             poses=[],
-            order=[],
         )
 
     def test_constant_fill_does_not_correlate(self):

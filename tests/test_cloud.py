@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from proxycam.cloud.infer import infer
 from proxycam.cloud.kinematics import KinematicFeatures, extract_kinematics
 from proxycam.cloud.reconstruct import reconstruct, render_proxies
 from proxycam.config import RunConfig
-from proxycam.edge.pipeline import EdgeState, process_frame
+from proxycam.edge.pipeline import EdgeParams, EdgeState, process_frame
 from proxycam.errors import DegeneratePoseError, ValidationError
 from proxycam.geometry import BoundingBox
 from proxycam.pngio import decode_png
@@ -19,8 +20,18 @@ from proxycam.proxy import FILL_COLOR, OUTLINE_COLOR, keypoint_extent_box, rende
 from proxycam.runner import CloudRunner, build_tuple, run_e2e
 from proxycam.sim.generate import generate_scene
 from proxycam.sim.kinematics import pose_at
-from proxycam.sim.spec import save_scene_spec
-from proxycam.skeleton import L_HIP, L_KNEE, L_SHOULDER, R_HIP, R_KNEE, R_SHOULDER, KeypointSet
+from proxycam.sim.spec import load_scene_spec, save_scene_spec
+from proxycam.skeleton import (
+    L_ANKLE,
+    L_HIP,
+    L_KNEE,
+    L_SHOULDER,
+    R_ANKLE,
+    R_HIP,
+    R_KNEE,
+    R_SHOULDER,
+    KeypointSet,
+)
 from proxycam.transport.codec import decode, encode
 from proxycam.transport.gate import privacy_gate
 from proxycam.transport.model import RepresentationTuple, SyncKey
@@ -255,7 +266,6 @@ def window_of(frames):
             key=SyncKey(0, f, f * 33333),
             env_png=b"",
             poses=poses,
-            order=[sid for sid, _ in poses],
         )
         for f, poses in enumerate(frames)
     ]
@@ -376,7 +386,7 @@ def support(proxies, frame_size):
 class TestReconstruct:
     def test_empty_poses_is_fully_transparent(self):
         env = np.random.default_rng(0).integers(0, 256, (48, 64, 3), dtype=np.uint8)
-        proxies = render_proxies([], [], (64, 48))
+        proxies = render_proxies([], (64, 48))
         assert proxies == []
         assert np.array_equal(reconstruct(env, proxies), env)
 
@@ -393,16 +403,14 @@ class TestReconstruct:
         for i, (frame, gt) in enumerate(zip(frames, gts)):
             out = process_frame(state, frame, gt)
             t = tuples[i]
-            proxies = render_proxies(
-                t.poses, t.order, (fall_scene.width, fall_scene.height)
-            )
+            proxies = render_proxies(t.poses, (fall_scene.width, fall_scene.height))
             recon = reconstruct(decode_png(t.env_png), proxies)
             assert np.array_equal(recon, out.composite)
 
     def test_reconstruction_palette_inside_alpha(self, stand_scene):
         tuples, _ = run_tuples(stand_scene)
         t = tuples[-1]
-        proxies = render_proxies(t.poses, t.order, (320, 240))
+        proxies = render_proxies(t.poses, (320, 240))
         recon = reconstruct(decode_png(t.env_png), proxies)
         opaque = support(proxies, (320, 240))
         colors = {tuple(c) for c in np.unique(recon[opaque], axis=0)}
@@ -412,7 +420,7 @@ class TestReconstruct:
         tuples, _ = run_tuples(stand_scene)
         t = tuples[-1]
         env = decode_png(t.env_png)
-        proxies = render_proxies(t.poses, t.order, (320, 240))
+        proxies = render_proxies(t.poses, (320, 240))
         recon = reconstruct(env, proxies)
         outside = ~support(proxies, (320, 240))
         assert np.array_equal(recon[outside], env[outside])
@@ -424,11 +432,32 @@ class TestReconstruct:
         kp_a, _ = pose_at(actor_a, 0)
         kp_b, _ = pose_at(actor_b, 0)
         env = np.zeros((240, 320, 3), np.uint8)
-        first = render_proxies([(1, kp_a), (2, kp_b)], [1, 2], (320, 240))
-        second = render_proxies([(1, kp_a), (2, kp_b)], [2, 1], (320, 240))
-        overlap = support(first[:1], (320, 240)) & support(first[1:], (320, 240))
+        a, b = render_proxies([(1, kp_a), (2, kp_b)], (320, 240))
+        overlap = support([a], (320, 240)) & support([b], (320, 240))
         assert overlap.any()
-        assert np.any(reconstruct(env, first) != reconstruct(env, second))
+        for back, front in ((a, b), (b, a)):
+            recon = reconstruct(env, [back, front])
+            alone = reconstruct(env, [front])
+            assert np.array_equal(recon[overlap], alone[overlap])
+        assert np.any(reconstruct(env, [a, b]) != reconstruct(env, [b, a]))
+
+    def test_proxies_come_in_occlusion_order_of_the_drawn_poses(self):
+        # listed front to back, with an undrawable pose whose one visible
+        # joint lies lowest of all: it is left out, and the rest are drawn
+        # back to front by their ankle rows
+        def standing_at(x, y):
+            actor = solo_actor([(0, 2, "stand")], trajectory=((0, x, y),))
+            return pose_at(actor, 0)[0]
+
+        near, far = standing_at(160.0, 220.0), standing_at(150.0, 150.0)
+        lone = np.zeros((17, 3), dtype=np.float32)
+        lone[L_ANKLE] = (100.0, 239.0, 1.0)
+        poses = [(1, near), (2, KeypointSet(joints=lone)), (3, far)]
+        proxies = render_proxies(poses, (320, 240))
+        expected = [render_proxy(far, (320, 240)), render_proxy(near, (320, 240))]
+        assert [p.anchor for p in proxies] == [p.anchor for p in expected]
+        for got, want in zip(proxies, expected):
+            assert np.array_equal(got.raster, want.raster)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -454,7 +483,7 @@ class TestRenderEquivalence:
             out = process_frame(state, frame, gt)
             t = decode(encode(build_tuple(out, 0, i, i * 33333)))
             drawn += len(t.poses)
-            proxies = render_proxies(t.poses, t.order, (spec.width, spec.height))
+            proxies = render_proxies(t.poses, (spec.width, spec.height))
             recon = reconstruct(decode_png(t.env_png), proxies)
             mismatches += not np.array_equal(recon, out.composite)
         assert drawn == len(frames)
@@ -467,6 +496,23 @@ class TestRenderEquivalence:
         assert summary["reports"] == 80
         assert summary["render_mismatches"] == 0
 
+    def test_hidden_ankles_in_noisy_traffic_reconstruct_equal(self):
+        # the demo scene with pose noise: at frame 96 the noise pushes both
+        # ankles of subject 3 out of its box, so the order falls back to
+        # its lowest visible joint, on the edge and in the cloud alike
+        spec = load_scene_spec(Path(__file__).parent.parent / "scenes" / "demo.json")
+        frames, gts = generate_scene(spec)
+        state = EdgeState(spec.width, spec.height, EdgeParams(noise_sigma=2.0), seed=7)
+        for i, (frame, gt) in enumerate(zip(frames[:97], gts[:97])):
+            out = process_frame(state, frame, gt)
+            t = decode(encode(build_tuple(out, 0, i, i * 33333)))
+            proxies = render_proxies(t.poses, (spec.width, spec.height))
+            recon = reconstruct(decode_png(t.env_png), proxies)
+            assert np.array_equal(recon, out.composite), i
+        hidden = [sid for sid, kp in out.poses if kp.midpoint(L_ANKLE, R_ANKLE) is None]
+        assert hidden == [3]
+        assert out.order == (1, 3, 2)
+
 
 class TestUndrawablePose:
     FRAME = (320, 240)
@@ -475,7 +521,6 @@ class TestUndrawablePose:
         class Output:
             desensitized = np.full((240, 320, 3), 90, np.uint8)
             poses = ((1, pose),)
-            order = (1,)
 
         t = build_tuple(Output, 0, frame_id, frame_id * 33_333)
         privacy_gate(t, self.FRAME)  # raises unless the edge would send it

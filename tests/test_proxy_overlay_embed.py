@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from proxycam.edge.compose import embed, occlusion_order
+from proxycam.edge.compose import embed
 from proxycam.edge.track import Track
 from proxycam.errors import DegeneratePoseError
 from proxycam.geometry import BoundingBox
@@ -11,11 +12,12 @@ from proxycam.proxy import (
     OUTLINE_COLOR,
     ProxyReuse,
     SkeletalProxy,
+    occlusion_order,
     overlay,
     render_proxy,
 )
 from proxycam.sim.generate import generate_scene
-from proxycam.skeleton import KeypointSet
+from proxycam.skeleton import L_ANKLE, L_KNEE, R_ANKLE, KeypointSet
 
 from conftest import scene, solo_actor
 
@@ -157,7 +159,6 @@ class TestCloudProxyReuse:
         class Output:
             desensitized = np.full((FRAME_SIZE[1], FRAME_SIZE[0], 3), 90, np.uint8)
             poses = ((sid, pose),)
-            order = (sid,)
 
         return encode(build_tuple(Output, camera, frame_id, frame_id * 33_333))
 
@@ -175,7 +176,7 @@ class TestCloudProxyReuse:
         env = np.full((FRAME_SIZE[1], FRAME_SIZE[0], 3), 90, np.uint8)
         expected = {
             camera: reconstruct_module.reconstruct(
-                env, reconstruct_module.render_proxies([(1, pose)], [1], FRAME_SIZE)
+                env, reconstruct_module.render_proxies([(1, pose)], FRAME_SIZE)
             )
             for camera, pose in poses.items()
         }
@@ -238,10 +239,6 @@ class TestOverlay:
         assert not out[50:, 10:].any()
 
 
-def track_at(sid, x, y, w=30, h=60, velocity=(0.0, 0.0)):
-    return Track(subject_id=sid, box=BoundingBox(x, y, w, h), velocity=velocity)
-
-
 def pose_with_ankles(v, visible=True):
     joints = np.zeros((17, 3), dtype=np.float32)
     joints[:, 0] = 100.0
@@ -252,31 +249,65 @@ def pose_with_ankles(v, visible=True):
     return KeypointSet(joints=joints)
 
 
+def track_based_order(tracks, poses):
+    """The order of wire format 2, kept as a reference: the ankle-midpoint
+    row, else the bottom of the subject's velocity-predicted track box."""
+    by_id = {t.subject_id: t for t in tracks}
+    keyed = []
+    for sid, pose in poses.items():
+        ankle = pose.midpoint(L_ANKLE, R_ANKLE)
+        if ankle is not None:
+            depth = float(ankle[1])
+        else:
+            depth = by_id[sid].predicted_box().bottom
+        keyed.append((depth, sid))
+    return [sid for _, sid in sorted(keyed)]
+
+
+@st.composite
+def poses_with_an_ankle_and_tracks(draw):
+    sids = draw(st.lists(st.integers(0, 50), max_size=6, unique=True))
+    rows = st.floats(0.0, 240.0, width=32)
+    confidences = st.sampled_from([0.0, 0.5, 1.0])
+    poses, tracks = {}, []
+    for sid in sids:
+        joints = np.zeros((17, 3), dtype=np.float32)
+        joints[:, 1] = draw(st.lists(rows, min_size=17, max_size=17))
+        joints[:, 2] = draw(st.lists(confidences, min_size=17, max_size=17))
+        joints[draw(st.sampled_from([L_ANKLE, R_ANKLE])), 2] = 1.0
+        poses[sid] = KeypointSet(joints=joints)
+        box = BoundingBox(0.0, draw(rows), 30.0, draw(st.floats(1.0, 120.0)))
+        velocity = (0.0, draw(st.floats(-5.0, 5.0)))
+        tracks.append(Track(subject_id=sid, box=box, velocity=velocity))
+    return tracks, poses
+
+
 class TestOcclusionOrder:
     def test_singleton(self):
-        order = occlusion_order([track_at(1, 0, 0)], {1: pose_with_ankles(100)})
-        assert order == [1]
+        assert occlusion_order({1: pose_with_ankles(100)}) == [1]
 
     def test_lower_ankles_are_nearer(self):
         poses = {1: pose_with_ankles(200), 2: pose_with_ankles(120)}
-        tracks = [track_at(1, 0, 0), track_at(2, 0, 0)]
-        assert occlusion_order(tracks, poses) == [2, 1]
+        assert occlusion_order(poses) == [2, 1]
 
-    def test_invisible_ankles_fall_back_to_predicted_box_bottom(self):
-        # subject 1's box bottom (plus velocity) sits below subject 2's
-        # ankles, so the order is stable while its ankles are hidden
-        tracks = [
-            track_at(1, 85, 150, h=52, velocity=(0.0, 1.0)),  # bottom ~203
-            track_at(2, 85, 60, h=60),
-        ]
-        poses = {1: pose_with_ankles(200, visible=False), 2: pose_with_ankles(120)}
-        for _ in range(3):
-            assert occlusion_order(tracks, poses) == [2, 1]
+    def test_hidden_ankles_use_the_lowest_visible_joint(self):
+        # subject 1 hides both ankles (their rows, 200, do not count); its
+        # lowest visible joint is a knee at row 170, between the ankles of
+        # subject 3 (160) and subject 2 (180)
+        hidden = pose_with_ankles(200, visible=False)
+        hidden.joints[L_KNEE] = (98.0, 170.0, 0.5)
+        poses = {1: hidden, 2: pose_with_ankles(180), 3: pose_with_ankles(160)}
+        assert occlusion_order(poses) == [3, 1, 2]
 
     def test_tie_breaks_on_subject_id(self):
         poses = {3: pose_with_ankles(150), 1: pose_with_ankles(150)}
-        tracks = [track_at(3, 0, 0), track_at(1, 0, 0)]
-        assert occlusion_order(tracks, poses) == [1, 3]
+        assert occlusion_order(poses) == [1, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(poses_with_an_ankle_and_tracks())
+    def test_equals_the_track_based_order_while_an_ankle_shows(self, case):
+        tracks, poses = case
+        assert occlusion_order(poses) == track_based_order(tracks, poses)
 
 
 class TestEmbed:

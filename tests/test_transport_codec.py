@@ -14,12 +14,11 @@ from proxycam.transport.model import RepresentationTuple, SyncKey
 SMALL_PNG = encode_png(np.full((8, 8, 3), 77, dtype=np.uint8))
 
 
-def make_tuple(poses=(), order=(), frame_id=0, env=SMALL_PNG):
+def make_tuple(poses=(), frame_id=0, env=SMALL_PNG):
     return RepresentationTuple(
         key=SyncKey(camera_id=0, frame_id=frame_id, timestamp_us=frame_id * 33333),
         env_png=env,
         poses=list(poses),
-        order=list(order),
     )
 
 
@@ -41,13 +40,12 @@ class TestRoundTrip:
     def test_tuple_with_poses_and_order(self):
         t = make_tuple(
             poses=[(3, keypoints(1)), (9, keypoints(2, head=False))],
-            order=[9, 3],
             frame_id=41,
         )
         assert decode(encode(t)) == t
 
     def test_canonical_encoding(self):
-        t = make_tuple(poses=[(1, keypoints(5))], order=[1], frame_id=7)
+        t = make_tuple(poses=[(1, keypoints(5))], frame_id=7)
         assert encode(t) == encode(decode(encode(t)))
 
 
@@ -64,10 +62,8 @@ def tuples(draw):
         (sid, keypoints(draw(st.integers(0, 10_000)), head=draw(st.booleans())))
         for sid in sids
     ]
-    order = draw(st.permutations(sids))
     return make_tuple(
         poses=poses,
-        order=list(order),
         frame_id=draw(st.integers(0, 2**44)),  # timestamp = fid * 33333 must fit u64
     )
 
@@ -118,33 +114,30 @@ class TestRejection:
             decode(packet[:20])
 
     def test_trailing_bytes_rejected(self):
-        # version 2 has no extension sections: extra bytes cannot ride along
+        # version 3 has no extension sections: extra bytes cannot ride along
         packet = encode(make_tuple())
         with pytest.raises(ValidationError, match="unexpected trailing bytes"):
             decode(with_crc(packet[:-4] + b"extra"))
 
-    def test_encode_refuses_order_mismatch(self):
-        t = make_tuple(poses=[(1, keypoints(0))], order=[2])
-        with pytest.raises(ValidationError):
-            encode(t)
 
-    def test_decode_rejects_pose_order_mismatch_as_consistency(self):
-        # corrupt a valid packet's order section id and fix up the CRC
-        t = make_tuple(poses=[(1, keypoints(0))], order=[1])
-        packet = bytearray(encode(t))
-        body = packet[:-4]
-        idx = bytes(body).rfind(struct.pack("<I", 1))  # order entry
-        body[idx : idx + 4] = struct.pack("<I", 2)
-        with pytest.raises(ValidationError, match="permutation"):
-            decode(with_crc(body))
+def version1_layout(packet: bytes) -> bytes:
+    """A packet rewritten as version 1: its version byte set to 1 and a
+    64-dim embedding section (u16 dim, then 64 x f32) before the checksum,
+    CRC recomputed."""
+    body = bytearray(packet[:-4])
+    body[4] = 1
+    body += struct.pack("<H", 64) + np.linspace(0, 1, 64, dtype="<f4").tobytes()
+    return with_crc(body)
 
 
-def version1_layout(packet: bytes, version: int = 1) -> bytes:
-    """A version-2 packet rewritten in the version-1 layout: a 64-dim
-    section (u16 dim, then 64 x f32) before the checksum, CRC recomputed."""
+def version2_layout(packet: bytes, order: list[int], version: int = 2) -> bytes:
+    """A version-3 packet rewritten in the version-2 layout: an order
+    section (u16 count, then u32 subject ids) before the checksum, CRC
+    recomputed."""
     body = bytearray(packet[:-4])
     body[4] = version
-    body += struct.pack("<H", 64) + np.linspace(0, 1, 64, dtype="<f4").tobytes()
+    body += struct.pack("<H", len(order))
+    body += b"".join(struct.pack("<I", sid) for sid in order)
     return with_crc(body)
 
 
@@ -156,21 +149,13 @@ def with_flags(packet: bytes, flags: int) -> bytes:
 
 
 class TestVersion2:
-    def test_packet_length(self):
-        for n in range(3):
-            sids = list(range(10, 10 + n))
-            t = make_tuple(poses=[(sid, keypoints(sid)) for sid in sids], order=sids)
-            assert len(encode(t)) == 26 + 4 + len(SMALL_PNG) + 2 + n * 213 + 2 + 4 * n + 4
+    """What version 2 brought and version 3 keeps: a zero flags byte, and
+    no version-1 packet with its embedding section."""
 
     def test_version1_packet_is_refused(self):
-        packet = encode(make_tuple(poses=[(1, keypoints(0))], order=[1]))
+        packet = encode(make_tuple(poses=[(1, keypoints(0))]))
         with pytest.raises(ValidationError, match="unsupported packet version 1"):
             decode(version1_layout(packet))
-
-    def test_version1_section_under_version2_is_trailing(self):
-        packet = encode(make_tuple(poses=[(1, keypoints(0))], order=[1]))
-        with pytest.raises(ValidationError, match="trailing"):
-            decode(version1_layout(packet, version=2))
 
     def test_cloud_counts_version1_packet_as_malformed(self, tmp_path):
         from proxycam.config import RunConfig
@@ -185,7 +170,7 @@ class TestVersion2:
 
     @pytest.mark.parametrize("flags", [0x01, 0x04, 0x80])
     def test_nonzero_flags_byte_is_refused(self, flags):
-        packet = encode(make_tuple(poses=[(1, keypoints(0))], order=[1]))
+        packet = encode(make_tuple(poses=[(1, keypoints(0))]))
         assert packet[5] == 0
         with pytest.raises(ValidationError, match="flags"):
             decode(with_flags(packet, flags))
@@ -203,10 +188,41 @@ class TestVersion2:
         assert sorted(cloud.reports) == [(0, 0), (0, 2)]
 
 
+class TestVersion3:
+    """Version 3 drops version 2's order section and changes nothing else."""
+
+    def test_packet_length(self):
+        for n in range(3):
+            sids = list(range(10, 10 + n))
+            t = make_tuple(poses=[(sid, keypoints(sid)) for sid in sids])
+            assert len(encode(t)) == 26 + 4 + len(SMALL_PNG) + 2 + n * 213 + 4
+
+    def test_version2_packet_is_refused(self):
+        packet = encode(make_tuple(poses=[(1, keypoints(0))]))
+        with pytest.raises(ValidationError, match="unsupported packet version 2"):
+            decode(version2_layout(packet, [1]))
+
+    def test_version2_order_section_under_version3_is_trailing(self):
+        packet = encode(make_tuple(poses=[(1, keypoints(0))]))
+        with pytest.raises(ValidationError, match="trailing"):
+            decode(version2_layout(packet, [1], version=3))
+
+    def test_cloud_counts_version2_packet_as_malformed(self, tmp_path):
+        from proxycam.config import RunConfig
+        from proxycam.runner import CloudRunner
+
+        cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
+        cloud.feed(version2_layout(encode(make_tuple(frame_id=0)), []))
+        cloud.feed(encode(make_tuple(frame_id=1)))
+        cloud.finish()
+        assert cloud.malformed == 1
+        assert sorted(cloud.reports) == [(0, 1)]
+
+
 class TestSingleByteFuzz:
     def test_every_single_byte_flip_is_detected(self):
         # exhaustive over one reference packet: no flip may decode silently
-        t = make_tuple(poses=[(2, keypoints(11))], order=[2], frame_id=3)
+        t = make_tuple(poses=[(2, keypoints(11))], frame_id=3)
         packet = encode(t)
         undetected = []
         for i in range(len(packet)):

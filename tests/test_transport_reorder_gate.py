@@ -24,7 +24,6 @@ def tup(fid, camera_id=0, env=PNG_16x12, conf=0.5):
         key=SyncKey(camera_id=camera_id, frame_id=fid, timestamp_us=fid * 33333),
         env_png=env,
         poses=[(1, KeypointSet(joints=joints))],
-        order=[1],
     )
 
 
