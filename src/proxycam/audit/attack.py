@@ -36,6 +36,10 @@ MIN_CHANNEL_DISTANCE = 64
 # every enrolment and probe scene: one camera at this size, this long
 WIDTH, HEIGHT = 320, 240
 FRAMES_PER_SCENE = 10
+# the attack passes at accuracy <= chance + ATTACK_MARGIN; its raw-frame
+# control must reach CONTROL_BOUND for the verdict to count
+ATTACK_MARGIN = 0.05
+CONTROL_BOUND = 0.95
 
 _CLOTHING = [
     (48, 48, 48),
@@ -94,11 +98,11 @@ class AttackResult:
 
     @property
     def at_chance(self) -> bool:
-        return self.accuracy <= self.chance + 0.05
+        return self.accuracy <= self.chance + ATTACK_MARGIN
 
     @property
     def control_valid(self) -> bool:
-        return self.control_accuracy >= 0.95
+        return self.control_accuracy >= CONTROL_BOUND
 
 
 def build_gallery(n: int = 8) -> AttackGallery:

@@ -11,12 +11,11 @@ from ..sim.scripts import make_solo_scene
 from ..transport.codec import decode
 # every probe runs at the attack's frame size
 from .attack import HEIGHT, WIDTH, AttackResult, build_gallery, identity_attack
+from .attack import ATTACK_MARGIN, CONTROL_BOUND
 from .independence import IndependenceResult, mask_independence_audit
 from .leakscan import LeakScanResult, pixel_leak_scan
 
 LEAK_BOUND = 0.9
-ATTACK_MARGIN = 0.05
-CONTROL_BOUND = 0.95
 
 
 @dataclass(frozen=True)

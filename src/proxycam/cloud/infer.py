@@ -76,7 +76,7 @@ def infer(window: Sequence[RepresentationTuple]) -> BehaviorReport:
     reports: list[SubjectReport] = []
     for sid, kp in sorted(current.poses, key=lambda p: p[0]):
         history = histories[sid]
-        if all(pose.visible().any() for pose in history):
+        if all(pose.visible.any() for pose in history):
             label, conf = _resolve(history)
             box = keypoint_extent_box(kp)
         else:

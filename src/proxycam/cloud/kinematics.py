@@ -54,7 +54,7 @@ def extract_kinematics(history: Sequence[KeypointSet]) -> KinematicFeatures:
     if not history:
         raise DegeneratePoseError("empty pose history")
     current = history[-1]
-    if not current.visible().any():
+    if not current.visible.any():
         raise DegeneratePoseError("every joint is invisible")
 
     sm, hm = current.shoulder_mid(), current.hip_mid()

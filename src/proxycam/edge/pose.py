@@ -26,17 +26,17 @@ def estimate_pose(
     when requested, drawn from `rng`. Joints pushed outside the box are
     clamped to it and marked invisible.
     """
-    joints = actor.keypoints.joints.astype(np.float64).copy()
+    truth = actor.keypoints
+    points = truth.points.astype(np.float64)
     if noise_sigma > 0.0:
         if rng is None:
             rng = np.random.default_rng(0)
-        joints[:, :2] += rng.normal(0.0, noise_sigma, size=(joints.shape[0], 2))
+        points += rng.normal(0.0, noise_sigma, size=points.shape)
 
-    u, v = joints[:, 0], joints[:, 1]
+    u, v = points[:, 0], points[:, 1]
     outside = (u < box.x) | (u > box.x2) | (v < box.y) | (v > box.y2)
-    joints[outside, 2] = 0.0
-    joints[:, 0] = np.clip(u, box.x, box.x2)
-    joints[:, 1] = np.clip(v, box.y, box.y2)
+    points[:, 0] = np.clip(u, box.x, box.x2)
+    points[:, 1] = np.clip(v, box.y, box.y2)
     return KeypointSet(
-        joints=joints.astype(np.float32), head_yaw=actor.keypoints.head_yaw
+        points=points, visible=truth.visible & ~outside, head_yaw=truth.head_yaw
     )

@@ -4,8 +4,8 @@ This is the one path from a pose to pixels, shared by the edge composite
 and the cloud reconstruction: `render_proxy` draws a subject,
 `occlusion_order` sorts the drawn subjects back to front, and `overlay`
 pastes the proxies onto a frame in that order. All three read only what
-crosses the wire (the joints with their confidences, the head yaw, the
-frame size), so both sides produce the same bytes from the same tuple.
+crosses the wire (the joint points with their visibility, the head yaw,
+the frame size), so both sides produce the same bytes from the same tuple.
 
 A proxy is a capsule per visible bone plus a head disc, drawn with one
 fixed fill and outline for every subject. Nothing about the person except
@@ -55,10 +55,10 @@ def render_proxy(pose: KeypointSet, frame_size: tuple[int, int]) -> SkeletalProx
     two joints are visible or nothing lands inside the frame.
     """
     frame_w, frame_h = frame_size
-    visible = pose.visible()
+    visible = pose.visible
     if int(visible.sum()) < 2:
         raise DegeneratePoseError("proxy needs at least two visible joints")
-    pts = pose.joints[:, :2].astype(np.float64)
+    pts = pose.points.astype(np.float64)
 
     torso = pose.torso_length()
     if torso is None or torso <= 0.0:
@@ -109,10 +109,10 @@ def render_proxy(pose: KeypointSet, frame_size: tuple[int, int]) -> SkeletalProx
 class ProxyReuse:
     """The last proxy of each subject of one stream, with the inputs it came from.
 
-    `render_proxy` reads nothing but the joint bytes (confidences
-    included), the head yaw and the frame size. When all three repeat bit
-    for bit, its output would repeat byte for byte, so the previous proxy
-    is returned instead of drawing it again. Reused rasters are read-only.
+    `render_proxy` reads nothing but the joint points, their visibility,
+    the head yaw and the frame size. When all four repeat bit for bit, its
+    output would repeat byte for byte, so the previous proxy is returned
+    instead of drawing it again. Reused rasters are read-only.
     One entry per subject: `retain` drops the subjects a frame no longer
     carries.
     """
@@ -135,7 +135,8 @@ class ProxyReuse:
         # floats by their bits: equal-comparing values such as 0.0 and
         # -0.0 are not the same input
         key = (
-            pose.joints.tobytes(),
+            pose.points.tobytes(),
+            pose.visible.tobytes(),
             None if pose.head_yaw is None else float(pose.head_yaw).hex(),
             (int(frame_size[0]), int(frame_size[1])),
         )

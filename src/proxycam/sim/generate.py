@@ -83,7 +83,7 @@ def _actor_silhouette(
 ) -> tuple[np.ndarray, np.ndarray, int, int] | None:
     """Rasterize one actor; returns (body_mask, skin_mask, x0, y0) or None
     if the silhouette lies entirely outside the frame."""
-    pts = pose.joints[:, :2].astype(np.float64)
+    pts = pose.points.astype(np.float64)
     limb_r = _LIMB_RADIUS_FRAC * height_px
     head_r = _HEAD_RADIUS_FRAC * height_px
     margin = max(limb_r, head_r) + 2.0
@@ -126,7 +126,7 @@ def generate_scene(
         staged: list[tuple[float, ActorSpec, KeypointSet, float]] = []
         for actor in spec.actors:
             pose, yaw = pose_at(actor, f)
-            ankle_v = float(pose.joints[15:17, 1].mean())
+            ankle_v = float(pose.points[15:17, 1].mean())
             staged.append((ankle_v, actor, pose, yaw))
         # back-to-front: smaller ankle row is farther away
         staged.sort(key=lambda item: (item[0], item[1].actor_id))
@@ -170,13 +170,12 @@ def generate_scene(
 
 def _with_visibility(pose: KeypointSet, w: int, h: int) -> KeypointSet:
     """Clamp out-of-frame joints and mark them invisible."""
-    joints = pose.joints.copy()
-    u, v = joints[:, 0], joints[:, 1]
+    points = pose.points.copy()
+    u, v = points[:, 0], points[:, 1]
     outside = (u < 0) | (u > w - 1) | (v < 0) | (v > h - 1)
-    joints[outside, 2] = 0.0
-    joints[:, 0] = np.clip(u, 0, w - 1)
-    joints[:, 1] = np.clip(v, 0, h - 1)
-    return KeypointSet(joints=joints, head_yaw=pose.head_yaw)
+    points[:, 0] = np.clip(u, 0, w - 1)
+    points[:, 1] = np.clip(v, 0, h - 1)
+    return KeypointSet(points, pose.visible & ~outside, pose.head_yaw)
 
 
 def _mask_rle(mask: np.ndarray) -> list[int]:
@@ -217,7 +216,8 @@ def ground_truth_records(gts: list[GroundTruthFrame]) -> list[dict]:
                         "actor_id": a.actor_id,
                         "box": [a.box.x, a.box.y, a.box.w, a.box.h],
                         "keypoints": [
-                            [float(u), float(v), float(p)] for u, v, p in a.keypoints.joints
+                            [float(u), float(v), 1.0 if seen else 0.0]
+                            for (u, v), seen in zip(a.keypoints.points, a.keypoints.visible)
                         ],
                         "head_yaw": a.head_yaw,
                         "action": a.action,

@@ -158,8 +158,5 @@ def pose_at(actor: ActorSpec, frame_idx: int) -> tuple[KeypointSet, float]:
     else:  # unreachable once the scene spec validated
         raise ValidationError(f"unknown action '{action}'")
 
-    joints = np.concatenate(
-        [pts, np.ones((pts.shape[0], 1), dtype=np.float64)], axis=1
-    ).astype(np.float32)
     yaw = _facing_yaw(actor, frame_idx)
-    return KeypointSet(joints=joints, head_yaw=yaw), yaw
+    return KeypointSet(pts, np.ones(len(pts), dtype=bool), yaw), yaw

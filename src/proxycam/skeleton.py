@@ -1,9 +1,8 @@
 """17-joint skeleton model shared by the simulator, the edge, and the cloud.
 
 Joint order follows the common 17-keypoint convention (nose, eyes, ears,
-shoulders, elbows, wrists, hips, knees, ankles). Every keypoint carries a
-confidence; a confidence of exactly 0 marks the joint invisible and its
-coordinates carry no meaning beyond being clamped in-range.
+shoulders, elbows, wrists, hips, knees, ankles). A joint is visible or not;
+a hidden joint's coordinates carry no meaning beyond being clamped in-range.
 """
 
 from __future__ import annotations
@@ -54,20 +53,21 @@ HEAD_JOINTS = (NOSE, L_EYE, R_EYE, L_EAR, R_EAR)
 class KeypointSet:
     """One subject's joints for one frame.
 
-    joints: (17, 3) float32 array of (u, v, confidence).
+    points: (17, 2) float32 array of (u, v).
+    visible: (17,) bool array, True where the joint was seen.
     head_yaw: radians, or None when head orientation is unknown. Stored at
     float32 precision so a wire round-trip is bit-exact.
     """
 
-    joints: np.ndarray
+    points: np.ndarray
+    visible: np.ndarray
     head_yaw: float | None = None
 
     def __post_init__(self):
-        self.joints = np.asarray(self.joints, dtype=np.float32)
-        if self.joints.shape != (JOINT_COUNT, 3):
-            raise ValidationError(
-                f"keypoints must have shape ({JOINT_COUNT}, 3), got {self.joints.shape}"
-            )
+        self.points = np.asarray(self.points, dtype=np.float32)
+        self.visible = np.asarray(self.visible, dtype=bool)
+        if self.points.shape != (JOINT_COUNT, 2) or self.visible.shape != (JOINT_COUNT,):
+            raise ValidationError(f"keypoints must be {JOINT_COUNT} points and visibility flags")
         if self.head_yaw is not None:
             self.head_yaw = float(np.float32(self.head_yaw))
 
@@ -75,39 +75,33 @@ class KeypointSet:
         if not isinstance(other, KeypointSet):
             return NotImplemented
         return (
-            np.array_equal(self.joints, other.joints)
+            np.array_equal(self.points, other.points)
+            and np.array_equal(self.visible, other.visible)
             and self.head_yaw == other.head_yaw
         )
 
     def validate(self) -> None:
-        """Check that values are finite and confidences lie in [0, 1]."""
-        conf = self.joints[:, 2]
-        if not np.all(np.isfinite(self.joints)):
+        """Check that the points and the head yaw are finite."""
+        if not np.all(np.isfinite(self.points)):
             raise ValidationError("keypoints contain non-finite values")
-        if np.any(conf < 0.0) or np.any(conf > 1.0):
-            raise ValidationError("keypoint confidences must lie in [0, 1]")
         if self.head_yaw is not None and not np.isfinite(self.head_yaw):
             raise ValidationError("head_yaw must be finite")
 
-    def visible(self) -> np.ndarray:
-        """Boolean mask of joints with nonzero confidence."""
-        return self.joints[:, 2] > 0.0
-
     def visible_points(self) -> np.ndarray:
-        return self.joints[self.visible(), :2]
+        return self.points[self.visible]
 
     def is_visible(self, idx: int) -> bool:
-        return bool(self.joints[idx, 2] > 0.0)
+        return bool(self.visible[idx])
 
     def midpoint(self, a: int, b: int) -> np.ndarray | None:
         """Midpoint of two paired joints, using whichever side is visible."""
         va, vb = self.is_visible(a), self.is_visible(b)
         if va and vb:
-            return (self.joints[a, :2] + self.joints[b, :2]) / 2.0
+            return (self.points[a] + self.points[b]) / 2.0
         if va:
-            return self.joints[a, :2].copy()
+            return self.points[a].copy()
         if vb:
-            return self.joints[b, :2].copy()
+            return self.points[b].copy()
         return None
 
     def hip_mid(self) -> np.ndarray | None:

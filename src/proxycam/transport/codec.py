@@ -3,7 +3,7 @@
 Packet layout, all integers little-endian:
 
     magic           4 bytes  'PCV2'
-    version         u8       = 3
+    version         u8       = 4
     flags           u8       reserved, zero; decode refuses others
     camera_id       u32
     frame_id        u64
@@ -12,9 +12,11 @@ Packet layout, all integers little-endian:
                     `encode_png`'s dialect (the codec does not look inside)
     pose section    u16 count, then per subject:
                       subject_id u32
-                      head_present u8
+                      flags u32: bit j (j < 17) set when joint j is
+                        visible, bit 17 set when a head yaw is present;
+                        decode refuses any higher bit
                       head_yaw f32 (zero when absent)
-                      17 x (u f32, v f32, confidence f32)
+                      17 x (u f32, v f32)
     crc32           u32, IEEE, over every preceding byte
 
 Encoding is canonical: equal tuples produce byte-identical packets. The
@@ -38,10 +40,12 @@ from ..skeleton import JOINT_COUNT, KeypointSet
 from .model import RepresentationTuple, SyncKey, validate_tuple
 
 MAGIC = b"PCV2"
-VERSION = 3
+VERSION = 4
 
 _HEADER = struct.Struct("<4sBBIQQ")
-_POSE_HEAD = struct.Struct("<IBf")
+_POSE_HEAD = struct.Struct("<IIf")
+_JOINT_BITS = (1 << np.arange(JOINT_COUNT)).astype(np.uint32)
+_HEAD_BIT = 1 << JOINT_COUNT
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
@@ -58,11 +62,11 @@ def encode(t: RepresentationTuple) -> bytes:
         _U16.pack(len(t.poses)),
     ]
     for sid, kp in t.poses:
-        head_present = kp.head_yaw is not None
-        parts.append(
-            _POSE_HEAD.pack(sid, 1 if head_present else 0, kp.head_yaw or 0.0)
-        )
-        parts.append(kp.joints.astype("<f4").tobytes())
+        flags = int(_JOINT_BITS[kp.visible].sum())
+        if kp.head_yaw is not None:
+            flags |= _HEAD_BIT
+        parts.append(_POSE_HEAD.pack(sid, flags, kp.head_yaw or 0.0))
+        parts.append(kp.points.astype("<f4").tobytes())
     body = b"".join(parts)
     return body + _U32.pack(zlib.crc32(body))
 
@@ -120,19 +124,13 @@ def decode(packet: bytes) -> RepresentationTuple:
     pose_count = reader.u16()
     poses: list[tuple[int, KeypointSet]] = []
     for _ in range(pose_count):
-        sid, head_present, head_yaw = _POSE_HEAD.unpack(reader.take(_POSE_HEAD.size))
-        joints = np.frombuffer(
-            reader.take(JOINT_COUNT * 3 * 4), dtype="<f4"
-        ).reshape(JOINT_COUNT, 3)
-        poses.append(
-            (
-                sid,
-                KeypointSet(
-                    joints=joints.copy(),
-                    head_yaw=float(head_yaw) if head_present else None,
-                ),
-            )
-        )
+        sid, flags, head_yaw = _POSE_HEAD.unpack(reader.take(_POSE_HEAD.size))
+        if flags >> (JOINT_COUNT + 1):
+            raise ValidationError(f"pose flags {flags:#010x} set a reserved bit")
+        points = np.frombuffer(reader.take(JOINT_COUNT * 2 * 4), dtype="<f4")
+        visible = (flags & _JOINT_BITS) != 0
+        yaw = float(head_yaw) if flags & _HEAD_BIT else None
+        poses.append((sid, KeypointSet(points.reshape(JOINT_COUNT, 2).copy(), visible, yaw)))
 
     if not reader.done():
         raise ValidationError(

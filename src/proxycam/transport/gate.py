@@ -2,10 +2,10 @@
 
 The gate enforces the one rule nothing else before the sink does: the
 environment image decodes, in `encode_png`'s dialect, to the negotiated
-stream resolution. Pose confidences need no rule here, because `encode`
-validates every keypoint set before a byte leaves. Semantic leakage (does
-the background still contain a person?) is out of its reach; that is what
-the audit module attacks.
+stream resolution. Poses need no rule here: a joint is visible or not,
+and `encode` refuses non-finite points before a byte leaves. Semantic
+leakage (does the background still contain a person?) is out of its
+reach; that is what the audit module attacks.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """The only payload that ever crosses the edge-cloud link.
 
 A representation tuple binds, under one sync key, the scrubbed background
-image (as PNG bytes) and the per-subject keypoints. There is deliberately
-no field that could carry the raw frame or per-subject appearance, nor one
-the cloud can compute from the others: the back-to-front subject order is
-`proxy.occlusion_order` of the poses, so it is not carried. Version 3 of
-the wire format has no extension sections either.
+image (as PNG bytes) and the per-subject joint points, visibility bits and
+head yaw. There is deliberately no field that could carry the raw frame or
+per-subject appearance, nor one the cloud can compute from the others: the
+back-to-front subject order is `proxy.occlusion_order` of the poses, so it
+is not carried. Version 4 of the wire format has no extension sections
+either.
 """
 
 from __future__ import annotations

@@ -100,12 +100,12 @@ def random_tuple(rng: np.random.Generator) -> RepresentationTuple:
     sids = rng.choice(2**31, size=n, replace=False).tolist() if n else []
     poses = []
     for sid in sids:
-        joints = np.empty((17, 3), dtype=np.float32)
-        joints[:, 0] = rng.uniform(0, 320, 17)
-        joints[:, 1] = rng.uniform(0, 240, 17)
-        joints[:, 2] = rng.uniform(0, 1, 17)
+        points = np.empty((17, 2), dtype=np.float32)
+        points[:, 0] = rng.uniform(0, 320, 17)
+        points[:, 1] = rng.uniform(0, 240, 17)
+        visible = rng.uniform(0, 1, 17) < 0.5
         yaw = float(np.float32(rng.uniform(-3.14, 3.14))) if rng.random() < 0.5 else None
-        poses.append((int(sid), KeypointSet(joints=joints, head_yaw=yaw)))
+        poses.append((int(sid), KeypointSet(points=points, visible=visible, head_yaw=yaw)))
     return RepresentationTuple(
         key=SyncKey(
             camera_id=int(rng.integers(0, 2**32)),

@@ -37,12 +37,12 @@ def foreign_env(t):
     return dataclasses.replace(t, env_png=encode_png(np.zeros((8, 8, 3), dtype=np.uint8)))
 
 
-def out_of_range_confidence(t):
-    """A tuple `encode` must refuse: one joint confidence above 1."""
+def non_finite_point(t):
+    """A tuple `encode` must refuse: one joint point is NaN."""
     sid, kp = t.poses[0]
-    joints = kp.joints.copy()
-    joints[0, 2] = 1.5
-    t.poses[0] = (sid, KeypointSet(joints=joints, head_yaw=kp.head_yaw))
+    points = kp.points.copy()
+    points[0, 0] = np.nan
+    t.poses[0] = (sid, KeypointSet(points, kp.visible, kp.head_yaw))
     return t
 
 
@@ -127,11 +127,9 @@ class TestEdgeCommand:
         assert [(r["event"], r["frame_id"]) for r in records] == [("gate_violation", 0)]
         assert "expected 160x120" in records[0]["error"]
 
-    def test_out_of_range_confidence_is_refused_by_encode(
-        self, tmp_path, scene_file, monkeypatch
-    ):
-        # the gate has no confidence rule; encode validates the tuple first
-        monkeypatch.setattr(runner_module, "build_tuple", at_frame_three(out_of_range_confidence))
+    def test_non_finite_point_is_refused_by_encode(self, tmp_path, scene_file, monkeypatch):
+        # the gate has no pose rule; encode validates the tuple first
+        monkeypatch.setattr(runner_module, "build_tuple", at_frame_three(non_finite_point))
         out = tmp_path / "o"
         rc = main(["edge", "--scene", str(scene_file), "--out", str(out)])
         assert rc == EXIT_VALIDATION

@@ -78,9 +78,8 @@ class TestExtractKinematics:
         assert feats.hip_vy == pytest.approx(5.0)
 
     def test_all_invisible_is_degenerate(self):
-        joints = np.zeros((17, 3), dtype=np.float32)
         with pytest.raises(DegeneratePoseError):
-            extract_kinematics([KeypointSet(joints=joints)])
+            extract_kinematics([invisible_pose()])
 
     def test_empty_history_is_degenerate(self):
         with pytest.raises(DegeneratePoseError):
@@ -245,18 +244,16 @@ def random_pose(rng, like=None):
     """A pose with random joints, or a small jitter of `like`; about one
     joint in ten is invisible."""
     if like is None:
-        joints = np.empty((17, 3), np.float32)
-        joints[:, 0] = rng.uniform(0, 320, 17)
-        joints[:, 1] = rng.uniform(0, 240, 17)
+        points = np.empty((17, 2), np.float32)
+        points[:, 0] = rng.uniform(0, 320, 17)
+        points[:, 1] = rng.uniform(0, 240, 17)
     else:
-        joints = like.joints.copy()
-        joints[:, :2] += rng.normal(0.0, 0.3, (17, 2)).astype(np.float32)
-    joints[:, 2] = np.where(rng.random(17) < 0.1, 0.0, rng.uniform(0.05, 1.0, 17))
-    return KeypointSet(joints=joints)
+        points = like.points + rng.normal(0.0, 0.3, (17, 2)).astype(np.float32)
+    return KeypointSet(points=points, visible=rng.random(17) >= 0.1)
 
 
 def invisible_pose():
-    return KeypointSet(joints=np.zeros((17, 3), np.float32))
+    return KeypointSet(points=np.zeros((17, 2)), visible=np.zeros(17, dtype=bool))
 
 
 def window_of(frames):
@@ -306,9 +303,9 @@ class TestLazyHysteresis:
             histories = histories_of(window)
             for sid, label, _, _ in expected:
                 history = histories[sid]
-                if not history[-1].visible().any():
+                if not history[-1].visible.any():
                     continue
-                if not all(kp.visible().any() for kp in history):
+                if not all(kp.visible.any() for kp in history):
                     early_degenerate += 1
                     continue
                 alone, _ = classify_behavior(extract_kinematics(history), None)
@@ -334,15 +331,15 @@ class TestLazyHysteresis:
         # the same hips with the torso leaning 40 degrees and the knees
         # hidden: no velocity, too upright to be fallen, too leaning to
         # stand, no knees to sit on, so no rule fires
-        leaning = fallen.joints.copy()
-        hip = leaning[[L_HIP, R_HIP], :2].mean(axis=0)
+        points, visible = fallen.points.copy(), fallen.visible.copy()
+        hip = points[[L_HIP, R_HIP]].mean(axis=0)
         torso = 30.0
         lean = np.radians(40.0)
         top = hip + torso * np.array([np.sin(lean), -np.cos(lean)], np.float32)
-        leaning[L_SHOULDER, :2] = top - (5.0, 0.0)
-        leaning[R_SHOULDER, :2] = top + (5.0, 0.0)
-        leaning[[L_KNEE, R_KNEE], 2] = 0.0
-        leaning = KeypointSet(joints=leaning)
+        points[L_SHOULDER] = top - (5.0, 0.0)
+        points[R_SHOULDER] = top + (5.0, 0.0)
+        visible[[L_KNEE, R_KNEE]] = False
+        leaning = KeypointSet(points=points, visible=visible)
         assert classify_behavior(extract_kinematics([fallen, leaning]))[0] == "unknown"
         window = window_of([[(1, fallen)]] + [[(1, leaning)]] * 4)
         expected = replay_labels(window)
@@ -383,6 +380,17 @@ def support(proxies, frame_size):
     return painted.any(axis=2)
 
 
+def overlapping_pair_scene():
+    """Subject 1 walks in front of subject 2, who stands behind it."""
+    near = solo_actor(
+        [(0, 30, "walk")], actor_id="near", trajectory=((0, 140.0, 210.0), (29, 150.0, 210.0))
+    )
+    far = solo_actor(
+        [(0, 30, "stand")], actor_id="far", clothing=(40, 40, 200), trajectory=((0, 160.0, 190.0),)
+    )
+    return scene([near, far], frame_count=30)
+
+
 class TestReconstruct:
     def test_empty_poses_is_fully_transparent(self):
         env = np.random.default_rng(0).integers(0, 256, (48, 64, 3), dtype=np.uint8)
@@ -397,15 +405,18 @@ class TestReconstruct:
         assert out is not env
 
     def test_cloud_render_matches_edge_composite(self, fall_scene):
-        tuples, _ = run_tuples(fall_scene)
-        frames, gts = generate_scene(fall_scene)
-        state = EdgeState(fall_scene.width, fall_scene.height)
-        for i, (frame, gt) in enumerate(zip(frames, gts)):
-            out = process_frame(state, frame, gt)
-            t = tuples[i]
-            proxies = render_proxies(t.poses, (fall_scene.width, fall_scene.height))
-            recon = reconstruct(decode_png(t.env_png), proxies)
-            assert np.array_equal(recon, out.composite)
+        # the pair overlaps and paints subject 2 first, so a cloud that
+        # painted in subject-id order would differ from the composite
+        for spec, order in ((fall_scene, (1,)), (overlapping_pair_scene(), (2, 1))):
+            frames, gts = generate_scene(spec)
+            state = EdgeState(spec.width, spec.height)
+            for i, (frame, gt) in enumerate(zip(frames, gts)):
+                out = process_frame(state, frame, gt)
+                assert out.order == order
+                t = build_tuple(out, 0, i, i * 33333)
+                proxies = render_proxies(t.poses, (spec.width, spec.height))
+                recon = reconstruct(decode_png(t.env_png), proxies)
+                assert np.array_equal(recon, out.composite)
 
     def test_reconstruction_palette_inside_alpha(self, stand_scene):
         tuples, _ = run_tuples(stand_scene)
@@ -450,9 +461,9 @@ class TestReconstruct:
             return pose_at(actor, 0)[0]
 
         near, far = standing_at(160.0, 220.0), standing_at(150.0, 150.0)
-        lone = np.zeros((17, 3), dtype=np.float32)
-        lone[L_ANKLE] = (100.0, 239.0, 1.0)
-        poses = [(1, near), (2, KeypointSet(joints=lone)), (3, far)]
+        lone = KeypointSet(points=np.zeros((17, 2)), visible=np.arange(17) == L_ANKLE)
+        lone.points[L_ANKLE] = (100.0, 239.0)
+        poses = [(1, near), (2, lone), (3, far)]
         proxies = render_proxies(poses, (320, 240))
         expected = [render_proxy(far, (320, 240)), render_proxy(near, (320, 240))]
         assert [p.anchor for p in proxies] == [p.anchor for p in expected]
@@ -527,13 +538,13 @@ class TestUndrawablePose:
         return encode(t)
 
     def test_undrawable_pose_draws_nothing_and_the_stream_goes_on(self, tmp_path):
-        lone = np.zeros((17, 3), dtype=np.float32)
-        lone[0] = (100.0, 100.0, 1.0)  # one visible joint: nothing to draw
+        # one visible joint: nothing to draw
+        lone = KeypointSet(points=np.full((17, 2), 100.0), visible=np.arange(17) == 0)
         normal, _ = pose_at(solo_actor([(0, 2, "stand")]), 0)
         cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
         # frame 1 waits for frame 0, so one accept releases both
         cloud.feed(self.packet(1, normal))
-        cloud.feed(self.packet(0, KeypointSet(joints=lone)))
+        cloud.feed(self.packet(0, lone))
         cloud.finish()
         assert sorted(cloud.reports) == [(0, 0), (0, 1)]
         assert cloud.recon_files == ["cam0_frame0.png", "cam0_frame1.png"]

@@ -37,5 +37,5 @@ class TestCrossingWalkers:
         for i, (frame, gt) in enumerate(zip(frames, gts)):
             out = process_frame(state, frame, gt)
             assert len(out.poses) <= len(gt.actors), f"frame {i}"
-            joints = [pose.joints.tobytes() for _, pose in out.poses]
+            joints = [pose.points.tobytes() for _, pose in out.poses]
             assert len(set(joints)) == len(joints), f"frame {i}"

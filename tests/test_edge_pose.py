@@ -14,7 +14,7 @@ def gt(stand_scene):
 class TestEstimatePose:
     def test_zero_noise_returns_gt_exactly(self, gt):
         kp = estimate_pose(gt.actors[0], gt.actors[0].box)
-        assert np.array_equal(kp.joints, gt.actors[0].keypoints.joints)
+        assert kp == gt.actors[0].keypoints
         assert kp.head_yaw == gt.actors[0].keypoints.head_yaw
 
     def test_seeded_noise_is_reproducible(self, gt):
@@ -25,19 +25,19 @@ class TestEstimatePose:
         b = estimate_pose(
             gt.actors[0], box, noise_sigma=2.0, rng=np.random.default_rng(42)
         )
-        assert np.array_equal(a.joints, b.joints)
+        assert a == b
 
     def test_noise_rms_matches_sigma(self, gt):
         # Monte Carlo oracle: per-axis RMS deviation of sigma=2 noise over
         # 1000 trials must land in [1.8, 2.2]
         box = gt.actors[0].box
         rng = np.random.default_rng(7)
-        clean = gt.actors[0].keypoints.joints[:, :2].astype(np.float64)
+        clean = gt.actors[0].keypoints.points.astype(np.float64)
         sq_sum, count = 0.0, 0
         for _ in range(1000):
             kp = estimate_pose(gt.actors[0], box, noise_sigma=2.0, rng=rng)
-            vis = kp.visible()
-            delta = kp.joints[vis, :2].astype(np.float64) - clean[vis]
+            vis = kp.visible
+            delta = kp.points[vis].astype(np.float64) - clean[vis]
             sq_sum += float((delta**2).sum())
             count += int(delta.size)
         rms = (sq_sum / count) ** 0.5
@@ -48,6 +48,5 @@ class TestEstimatePose:
         # shrink the box so head joints fall outside
         tight = BoundingBox(actor.box.x, actor.box.y + 40, actor.box.w, actor.box.h - 40)
         kp = estimate_pose(actor, tight)
-        head_conf = kp.joints[:5, 2]
-        assert np.all(head_conf == 0.0)
-        assert np.all(kp.joints[:, 1] >= tight.y)
+        assert not kp.visible[:5].any()
+        assert np.all(kp.points[:, 1] >= tight.y)

@@ -72,9 +72,7 @@ class TestRenderProxy:
         assert n == 1
 
     def test_too_few_visible_joints_degenerate(self):
-        joints = np.zeros((17, 3), dtype=np.float32)
-        joints[0] = (100, 100, 1.0)
-        kp = KeypointSet(joints=joints)
+        kp = KeypointSet(points=np.full((17, 2), 100.0), visible=np.arange(17) == 0)
         with pytest.raises(DegeneratePoseError):
             render_proxy(kp, FRAME_SIZE)
 
@@ -98,7 +96,7 @@ class TestProxyReuse:
         reuse, render = ProxyReuse(), CountingRender()
         first = reuse.render(1, kp, FRAME_SIZE, render)
         # an equal pose in a new object is still the same input
-        again = KeypointSet(joints=kp.joints.copy(), head_yaw=kp.head_yaw)
+        again = KeypointSet(kp.points.copy(), kp.visible.copy(), kp.head_yaw)
         second = reuse.render(1, again, FRAME_SIZE, render)
         assert render.calls == 1
         assert second is first
@@ -107,19 +105,19 @@ class TestProxyReuse:
 
     def test_any_changed_input_renders_again(self):
         kp = stand_pose()
-        torsoless = kp.joints.copy()
-        torsoless[[5, 6], 2] = 0.0  # hide the shoulders: torso falls back to the extent
-        moved = kp.joints.copy()
+        torsoless = kp.visible.copy()
+        torsoless[[5, 6]] = False  # hide the shoulders: torso falls back to the extent
+        moved = kp.points.copy()
         moved[9, 0] += 0.25
-        dimmed = kp.joints.copy()
-        dimmed[9, 2] *= 0.5  # confidence only
+        flipped = kp.visible.copy()
+        flipped[9] = False  # visibility only: the points equal the input before
         inputs = [
-            (KeypointSet(torsoless, kp.head_yaw), FRAME_SIZE),
-            (KeypointSet(moved, kp.head_yaw), FRAME_SIZE),
-            (KeypointSet(dimmed, kp.head_yaw), FRAME_SIZE),
-            (KeypointSet(dimmed, None), FRAME_SIZE),
-            (KeypointSet(dimmed, 0.5), FRAME_SIZE),
-            (KeypointSet(dimmed, 0.5), (300, 240)),
+            (KeypointSet(kp.points, torsoless, kp.head_yaw), FRAME_SIZE),
+            (KeypointSet(moved, kp.visible, kp.head_yaw), FRAME_SIZE),
+            (KeypointSet(moved, flipped, kp.head_yaw), FRAME_SIZE),
+            (KeypointSet(moved, flipped, None), FRAME_SIZE),
+            (KeypointSet(moved, flipped, 0.5), FRAME_SIZE),
+            (KeypointSet(moved, flipped, 0.5), (300, 240)),
         ]
         reuse, render = ProxyReuse(), CountingRender()
         reuse.render(1, kp, FRAME_SIZE, render)
@@ -240,13 +238,14 @@ class TestOverlay:
 
 
 def pose_with_ankles(v, visible=True):
-    joints = np.zeros((17, 3), dtype=np.float32)
-    joints[:, 0] = 100.0
-    joints[:, 1] = v - 50.0
-    joints[:, 2] = 1.0
-    joints[15] = (95.0, v, 1.0 if visible else 0.0)
-    joints[16] = (105.0, v, 1.0 if visible else 0.0)
-    return KeypointSet(joints=joints)
+    points = np.zeros((17, 2), dtype=np.float32)
+    points[:, 0] = 100.0
+    points[:, 1] = v - 50.0
+    points[L_ANKLE] = (95.0, v)
+    points[R_ANKLE] = (105.0, v)
+    seen = np.ones(17, dtype=bool)
+    seen[[L_ANKLE, R_ANKLE]] = visible
+    return KeypointSet(points=points, visible=seen)
 
 
 def track_based_order(tracks, poses):
@@ -268,14 +267,13 @@ def track_based_order(tracks, poses):
 def poses_with_an_ankle_and_tracks(draw):
     sids = draw(st.lists(st.integers(0, 50), max_size=6, unique=True))
     rows = st.floats(0.0, 240.0, width=32)
-    confidences = st.sampled_from([0.0, 0.5, 1.0])
     poses, tracks = {}, []
     for sid in sids:
-        joints = np.zeros((17, 3), dtype=np.float32)
-        joints[:, 1] = draw(st.lists(rows, min_size=17, max_size=17))
-        joints[:, 2] = draw(st.lists(confidences, min_size=17, max_size=17))
-        joints[draw(st.sampled_from([L_ANKLE, R_ANKLE])), 2] = 1.0
-        poses[sid] = KeypointSet(joints=joints)
+        points = np.zeros((17, 2), dtype=np.float32)
+        points[:, 1] = draw(st.lists(rows, min_size=17, max_size=17))
+        visible = np.array(draw(st.lists(st.booleans(), min_size=17, max_size=17)))
+        visible[draw(st.sampled_from([L_ANKLE, R_ANKLE]))] = True
+        poses[sid] = KeypointSet(points=points, visible=visible)
         box = BoundingBox(0.0, draw(rows), 30.0, draw(st.floats(1.0, 120.0)))
         velocity = (0.0, draw(st.floats(-5.0, 5.0)))
         tracks.append(Track(subject_id=sid, box=box, velocity=velocity))
@@ -295,7 +293,7 @@ class TestOcclusionOrder:
         # lowest visible joint is a knee at row 170, between the ankles of
         # subject 3 (160) and subject 2 (180)
         hidden = pose_with_ankles(200, visible=False)
-        hidden.joints[L_KNEE] = (98.0, 170.0, 0.5)
+        hidden.points[L_KNEE] = (98.0, 170.0)
         poses = {1: hidden, 2: pose_with_ankles(180), 3: pose_with_ankles(160)}
         assert occlusion_order(poses) == [3, 1, 2]
 

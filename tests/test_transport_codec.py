@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zlib
 
@@ -22,14 +23,19 @@ def make_tuple(poses=(), frame_id=0, env=SMALL_PNG):
     )
 
 
-def keypoints(seed, head=True):
+def keypoints(seed, head=True, visible_bits=None):
+    """Random points and yaw from `seed`; joint j is visible when bit j of
+    `visible_bits` is set, or, without it, with probability 0.8."""
     rng = np.random.default_rng(seed)
-    joints = np.empty((17, 3), dtype=np.float32)
-    joints[:, 0] = rng.uniform(0, 320, 17)
-    joints[:, 1] = rng.uniform(0, 240, 17)
-    joints[:, 2] = rng.uniform(0, 1, 17)
+    points = np.empty((17, 2), dtype=np.float32)
+    points[:, 0] = rng.uniform(0, 320, 17)
+    points[:, 1] = rng.uniform(0, 240, 17)
+    if visible_bits is None:
+        visible = rng.uniform(0, 1, 17) < 0.8
+    else:
+        visible = (visible_bits >> np.arange(17)) & 1 == 1
     yaw = float(np.float32(rng.uniform(-np.pi, np.pi))) if head else None
-    return KeypointSet(joints=joints, head_yaw=yaw)
+    return KeypointSet(points=points, visible=visible, head_yaw=yaw)
 
 
 class TestRoundTrip:
@@ -59,7 +65,14 @@ def tuples(draw):
         st.lists(subject_ids, min_size=n, max_size=n, unique=True)
     )
     poses = [
-        (sid, keypoints(draw(st.integers(0, 10_000)), head=draw(st.booleans())))
+        (
+            sid,
+            keypoints(
+                draw(st.integers(0, 10_000)),
+                head=draw(st.booleans()),
+                visible_bits=draw(st.integers(0, 2**17 - 1)),
+            ),
+        )
         for sid in sids
     ]
     return make_tuple(
@@ -114,7 +127,7 @@ class TestRejection:
             decode(packet[:20])
 
     def test_trailing_bytes_rejected(self):
-        # version 3 has no extension sections: extra bytes cannot ride along
+        # version 4 has no extension sections: extra bytes cannot ride along
         packet = encode(make_tuple())
         with pytest.raises(ValidationError, match="unexpected trailing bytes"):
             decode(with_crc(packet[:-4] + b"extra"))
@@ -131,9 +144,9 @@ def version1_layout(packet: bytes) -> bytes:
 
 
 def version2_layout(packet: bytes, order: list[int], version: int = 2) -> bytes:
-    """A version-3 packet rewritten in the version-2 layout: an order
-    section (u16 count, then u32 subject ids) before the checksum, CRC
-    recomputed."""
+    """A packet with version 2's order section (u16 count, then u32
+    subject ids) put before the checksum and its version byte set to
+    `version`, CRC recomputed."""
     body = bytearray(packet[:-4])
     body[4] = version
     body += struct.pack("<H", len(order))
@@ -149,8 +162,8 @@ def with_flags(packet: bytes, flags: int) -> bytes:
 
 
 class TestVersion2:
-    """What version 2 brought and version 3 keeps: a zero flags byte, and
-    no version-1 packet with its embedding section."""
+    """What version 2 brought and later versions keep: a zero flags byte,
+    and no version-1 packet with its embedding section."""
 
     def test_version1_packet_is_refused(self):
         packet = encode(make_tuple(poses=[(1, keypoints(0))]))
@@ -189,23 +202,17 @@ class TestVersion2:
 
 
 class TestVersion3:
-    """Version 3 drops version 2's order section and changes nothing else."""
-
-    def test_packet_length(self):
-        for n in range(3):
-            sids = list(range(10, 10 + n))
-            t = make_tuple(poses=[(sid, keypoints(sid)) for sid in sids])
-            assert len(encode(t)) == 26 + 4 + len(SMALL_PNG) + 2 + n * 213 + 4
+    """Version 3 dropped version 2's order section, and version 4 keeps it out."""
 
     def test_version2_packet_is_refused(self):
         packet = encode(make_tuple(poses=[(1, keypoints(0))]))
         with pytest.raises(ValidationError, match="unsupported packet version 2"):
             decode(version2_layout(packet, [1]))
 
-    def test_version2_order_section_under_version3_is_trailing(self):
+    def test_version2_order_section_is_trailing(self):
         packet = encode(make_tuple(poses=[(1, keypoints(0))]))
         with pytest.raises(ValidationError, match="trailing"):
-            decode(version2_layout(packet, [1], version=3))
+            decode(version2_layout(packet, [1], version=4))
 
     def test_cloud_counts_version2_packet_as_malformed(self, tmp_path):
         from proxycam.config import RunConfig
@@ -213,6 +220,78 @@ class TestVersion3:
 
         cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
         cloud.feed(version2_layout(encode(make_tuple(frame_id=0)), []))
+        cloud.feed(encode(make_tuple(frame_id=1)))
+        cloud.finish()
+        assert cloud.malformed == 1
+        assert sorted(cloud.reports) == [(0, 1)]
+
+
+def version3_layout(t: RepresentationTuple) -> bytes:
+    """`t` encoded in the version-3 layout: per subject a head_present byte
+    and a (u, v, confidence) float triple per joint, confidence 1.0 for a
+    visible joint and 0.0 for a hidden one."""
+    body = bytearray(encode(dataclasses.replace(t, poses=[]))[:-6])
+    body[4] = 3
+    body += struct.pack("<H", len(t.poses))
+    for sid, kp in t.poses:
+        body += struct.pack("<IBf", sid, kp.head_yaw is not None, kp.head_yaw or 0.0)
+        joints = np.column_stack([kp.points, kp.visible.astype(np.float32)])
+        body += joints.astype("<f4").tobytes()
+    return with_crc(body)
+
+
+def with_pose_flags(packet: bytes, flags: int) -> bytes:
+    """A one-subject packet with its subject's flags word replaced, CRC
+    recomputed."""
+    body = bytearray(packet[:-4])
+    at = len(body) - 17 * 8 - 8  # the flags word follows subject_id
+    body[at : at + 4] = struct.pack("<I", flags)
+    return with_crc(body)
+
+
+class TestVersion4:
+    """Version 4 sends a joint's visibility as one bit: per subject a u32
+    flags word (bit j for joint j, bit 17 for a head yaw), the head yaw,
+    and 17 (u, v) float pairs."""
+
+    def test_packet_length(self):
+        for n in range(3):
+            sids = list(range(10, 10 + n))
+            t = make_tuple(poses=[(sid, keypoints(sid)) for sid in sids])
+            assert len(encode(t)) == 26 + 4 + len(SMALL_PNG) + 2 + n * 148 + 4
+
+    def test_flags_word_layout(self):
+        kp = keypoints(3, visible_bits=(1 << 0) | (1 << 16))
+        packet = encode(make_tuple(poses=[(7, kp)]))
+        pose = packet[-4 - 148 : -4]
+        assert struct.unpack("<IIf", pose[:12]) == (7, 0x30001, kp.head_yaw)
+        assert pose[12:] == kp.points.astype("<f4").tobytes()
+
+    def test_version3_packet_is_refused(self):
+        t = make_tuple(poses=[(1, keypoints(0))])
+        with pytest.raises(ValidationError, match="unsupported packet version 3"):
+            decode(version3_layout(t))
+
+    @pytest.mark.parametrize("bit", [18, 31])
+    def test_reserved_flag_bit_is_refused(self, bit):
+        packet = encode(make_tuple(poses=[(1, keypoints(0))]))
+        assert decode(with_pose_flags(packet, 0x3FFFF)).poses[0][1].visible.all()
+        with pytest.raises(ValidationError, match="reserved bit"):
+            decode(with_pose_flags(packet, 0x3FFFF | (1 << bit)))
+
+    def test_absent_and_zero_yaw_stay_distinct(self):
+        kp = keypoints(0, head=False)
+        t = make_tuple(poses=[(1, kp), (2, KeypointSet(kp.points, kp.visible, 0.0))])
+        decoded = decode(encode(t))
+        assert decoded == t
+        assert [kp.head_yaw for _, kp in decoded.poses] == [None, 0.0]
+
+    def test_cloud_counts_version3_packet_as_malformed(self, tmp_path):
+        from proxycam.config import RunConfig
+        from proxycam.runner import CloudRunner
+
+        cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
+        cloud.feed(version3_layout(make_tuple(poses=[(1, keypoints(0))], frame_id=0)))
         cloud.feed(encode(make_tuple(frame_id=1)))
         cloud.finish()
         assert cloud.malformed == 1
