@@ -9,7 +9,6 @@ proxy support pass through untouched.
 
 from __future__ import annotations
 
-from ..errors import DegeneratePoseError
 from ..proxy import (
     ProxyReuse,
     SkeletalProxy,
@@ -33,18 +32,12 @@ def render_proxies(
     (fewer than two visible joints, or nothing inside the frame) is left
     out, as the edge leaves it out of its composite; the drawn subjects
     come in `occlusion_order` of their poses, the edge's paint order.
-    `reuse` holds the previous proxies of the same stream; it is left
-    holding this frame's.
+    `reuse` holds the previous proxies of the same stream; it draws this
+    frame's new ones in one `render_proxy` call and is left holding them.
     """
     if reuse is None:
         reuse = ProxyReuse()
-    reuse.retain(sid for sid, _ in poses)
-    drawn: dict[int, KeypointSet] = {}
-    proxies: dict[int, SkeletalProxy] = {}
-    for sid, pose in poses:
-        try:
-            proxies[sid] = reuse.render(sid, pose, frame_size, render_proxy)
-        except DegeneratePoseError:
-            continue
-        drawn[sid] = pose
+    poses = dict(poses)
+    proxies = reuse.render(poses, frame_size, render_proxy)
+    drawn = {sid: poses[sid] for sid in proxies}
     return [proxies[sid] for sid in occlusion_order(drawn)]

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegeneratePoseError, StageError, ValidationError
+from ..errors import StageError, ValidationError
 from ..geometry import BoundingBox
-from ..proxy import ProxyReuse, SkeletalProxy, occlusion_order, overlay, render_proxy
+from ..proxy import ProxyReuse, occlusion_order, overlay, render_proxy
 from ..skeleton import KeypointSet
 from ..raster import validate_frame
 from .background import BackgroundModel, erase, update_background
@@ -108,16 +108,9 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
     desensitized = _stage("erase")(erase, frame, joint_mask, state.background)
     _stage("background")(update_background, state.background, frame, joint_mask)
 
-    proxies: dict[int, SkeletalProxy] = {}
-    state.proxies.retain(poses)
-    for sid in sorted(poses):
-        try:
-            proxies[sid] = state.proxies.render(
-                sid, poses[sid], (state.width, state.height), render_proxy
-            )
-        except DegeneratePoseError:
-            # a pose the renderer cannot draw does not go on the wire
-            del poses[sid]
+    proxies = state.proxies.render(poses, (state.width, state.height), render_proxy)
+    # a pose the renderer cannot draw does not go on the wire
+    poses = {sid: pose for sid, pose in poses.items() if sid in proxies}
 
     order = _stage("order")(occlusion_order, poses)
     composite = _stage("overlay")(

@@ -12,8 +12,7 @@ class ValidationError(ProxycamError):
 
 
 class DegeneratePoseError(ProxycamError):
-    """Too few visible joints to render or measure; the renderers skip
-    the subject."""
+    """Too few visible joints to box or measure a pose."""
 
 
 class StageError(ProxycamError):

@@ -1,8 +1,8 @@
 """Appearance-free skeletal proxies: from a wire pose to pixels.
 
 This is the one path from a pose to pixels, shared by the edge composite
-and the cloud reconstruction: `render_proxy` draws a subject,
-`occlusion_order` sorts the drawn subjects back to front, and `overlay`
+and the cloud reconstruction: `render_proxy` draws the subjects of a
+frame, `occlusion_order` sorts the drawn subjects back to front, and `overlay`
 pastes the proxies onto a frame in that order. All three read only what
 crosses the wire (the joint points with their visibility, the head yaw,
 the frame size), so both sides produce the same bytes from the same tuple.
@@ -10,14 +10,17 @@ the frame size), so both sides produce the same bytes from the same tuple.
 A proxy is a capsule per visible bone plus a head disc, drawn with one
 fixed fill and outline for every subject. Nothing about the person except
 geometry enters the raster: two different people in the same pose render
-to the same bytes.
+to the same bytes. `render_proxy` queues the shapes of every subject it
+is given on one `raster.SilhouetteCanvas` and paints them in one flat
+pass; a subject's mask, and so its raster, is the same whichever other
+subjects share the call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .skeleton import BONES, KeypointSet, L_ANKLE, L_EAR, NOSE, R_ANKLE, R_EAR
 
 FILL_COLOR = (180, 180, 180)
 OUTLINE_COLOR = (60, 60, 60)
+_PALETTE = np.array([(0, 0, 0, 0), (*FILL_COLOR, 255), (*OUTLINE_COLOR, 255)], dtype=np.uint8)
 
 _LIMB_WIDTH_FRAC = 0.06        # capsule width as a fraction of torso length
 _TORSO_FALLBACK_FRAC = 0.3     # of keypoint-extent height, if shoulders/hips are hidden
@@ -45,19 +49,53 @@ class SkeletalProxy:
     anchor: tuple[int, int]
 
 
-def render_proxy(pose: KeypointSet, frame_size: tuple[int, int]) -> SkeletalProxy:
-    """Rasterize the proxy for one subject.
+def render_proxy(
+    poses: Mapping[int, KeypointSet], frame_size: tuple[int, int]
+) -> dict[int, SkeletalProxy]:
+    """Rasterize the proxies of many subjects with one painter.
 
-    frame_size is (width, height); the patch is clipped to the frame so the
-    proxy always fits when pasted at its anchor. When the shoulders or hips
-    are hidden, the torso length falls back to a fraction of the height of
-    `keypoint_extent_box(pose)`. Raises DegeneratePoseError when fewer than
-    two joints are visible or nothing lands inside the frame.
+    frame_size is (width, height). Every subject's shapes go to one
+    `SilhouetteCanvas`, whose `paint` evaluates the windows of all of them
+    in one flat pass, so a frame's subjects cost about one call, not one
+    call per bone. Returns the drawable subjects' proxies by subject id; a
+    subject with fewer than two visible joints, or with nothing inside the
+    frame, is left out.
+    """
+    canvas = SilhouetteCanvas()
+    placed = {}
+    for sid, pose in poses.items():
+        patches = _queue_proxy(canvas, pose, frame_size)
+        if patches is not None:
+            placed[sid] = patches
+    masks = canvas.paint()
+    proxies: dict[int, SkeletalProxy] = {}
+    for sid, (x0, y0, body, tick) in placed.items():
+        inside = masks[body]
+        # palette indices: 0 transparent, 1 fill, 2 outline
+        code = inside.astype(np.uint8)
+        code[outline_of(inside)] = 2
+        if tick is not None:
+            code[masks[tick]] = 2
+        proxies[sid] = SkeletalProxy(raster=_PALETTE.take(code, axis=0), anchor=(x0, y0))
+    return proxies
+
+
+def _queue_proxy(
+    canvas: SilhouetteCanvas, pose: KeypointSet, frame_size: tuple[int, int]
+) -> tuple[int, int, int, int | None] | None:
+    """Queue one subject's shapes on `canvas`.
+
+    Returns the anchor (x0, y0), the patch of the body (a capsule per
+    visible bone plus the head disc) and the patch of the yaw tick, or
+    None when the subject cannot be drawn. The patch is clipped to the
+    frame so the proxy always fits when pasted at its anchor. When the
+    shoulders or hips are hidden, the torso length falls back to a
+    fraction of the height of `keypoint_extent_box(pose)`.
     """
     frame_w, frame_h = frame_size
     visible = pose.visible
     if int(visible.sum()) < 2:
-        raise DegeneratePoseError("proxy needs at least two visible joints")
+        return None
     pts = pose.points.astype(np.float64)
 
     torso = pose.torso_length()
@@ -80,30 +118,24 @@ def render_proxy(pose: KeypointSet, frame_size: tuple[int, int]) -> SkeletalProx
     x1 = min(frame_w, int(math.ceil(used[:, 0].max() + margin)))
     y1 = min(frame_h, int(math.ceil(used[:, 1].max() + margin)))
     if x1 <= x0 or y1 <= y0:
-        raise DegeneratePoseError("proxy silhouette lies outside the frame")
+        return None
 
-    canvas = SilhouetteCanvas(x0, y0, x1 - x0, y1 - y0)
+    body = canvas.patch(x0, y0, x1 - x0, y1 - y0)
+    seen, xy = visible.tolist(), pts.tolist()
     for a, b in BONES:
-        if pose.is_visible(a) and pose.is_visible(b):
-            canvas.add_capsule(pts[a], pts[b], limb_r)
+        if seen[a] and seen[b]:
+            canvas.add_capsule(body, xy[a], xy[b], limb_r)
     if head_r > 0.0:
-        canvas.add_disc(pts[NOSE], head_r)
+        canvas.add_disc(body, xy[NOSE], head_r)
 
-    inside = canvas.mask
-    tick = np.zeros_like(inside)
+    tick = None
     if head_r > 0.0 and pose.head_yaw is not None:
         direction = np.array([math.cos(pose.head_yaw), math.sin(pose.head_yaw)])
         tip = pts[NOSE] + direction * (head_r + _TICK_LENGTH)
         base = pts[NOSE] + direction * head_r
-        tick_canvas = SilhouetteCanvas(x0, y0, x1 - x0, y1 - y0)
-        tick_canvas.add_capsule(base, tip, 1.0)
-        tick = tick_canvas.mask
-
-    raster = np.zeros((y1 - y0, x1 - x0, 4), dtype=np.uint8)
-    raster[inside] = (*FILL_COLOR, 255)
-    raster[outline_of(inside)] = (*OUTLINE_COLOR, 255)
-    raster[tick] = (*OUTLINE_COLOR, 255)
-    return SkeletalProxy(raster=raster, anchor=(x0, y0))
+        tick = canvas.patch(x0, y0, x1 - x0, y1 - y0)
+        canvas.add_capsule(tick, base, tip, 1.0)
+    return x0, y0, body, tick
 
 
 class ProxyReuse:
@@ -113,8 +145,8 @@ class ProxyReuse:
     the head yaw and the frame size. When all four repeat bit for bit, its
     output would repeat byte for byte, so the previous proxy is returned
     instead of drawing it again. Reused rasters are read-only.
-    One entry per subject: `retain` drops the subjects a frame no longer
-    carries.
+    One entry per subject drawn in the last frame: a subject the frame no
+    longer carries, or could not draw, is forgotten.
     """
 
     def __init__(self) -> None:
@@ -122,38 +154,41 @@ class ProxyReuse:
 
     def render(
         self,
-        subject_id: int,
-        pose: KeypointSet,
+        poses: Mapping[int, KeypointSet],
         frame_size: tuple[int, int],
-        render: Callable[..., SkeletalProxy],
-    ) -> SkeletalProxy:
-        """The subject's previous proxy if its inputs are unchanged, else
-        `render(pose, frame_size)`, remembered for next time.
+        render: Callable[..., dict[int, SkeletalProxy]],
+    ) -> dict[int, SkeletalProxy]:
+        """One frame's drawable proxies by subject id: the previous proxy of
+        each subject whose inputs are unchanged, and `render(misses,
+        frame_size)` for all the others in one call, remembered for next
+        time. An undrawable subject is left out and tried again next frame.
 
         `render` is the caller's own `render_proxy` binding, so a test can
         put a counting fake in its place."""
-        # floats by their bits: equal-comparing values such as 0.0 and
-        # -0.0 are not the same input
-        key = (
-            pose.points.tobytes(),
-            pose.visible.tobytes(),
-            None if pose.head_yaw is None else float(pose.head_yaw).hex(),
-            (int(frame_size[0]), int(frame_size[1])),
-        )
-        entry = self._entries.get(subject_id)
-        if entry is not None and entry[0] == key:
-            return entry[1]
-        proxy = render(pose, frame_size)
-        proxy.raster.flags.writeable = False
-        self._entries[subject_id] = (key, proxy)
-        return proxy
-
-    def retain(self, subject_ids: Iterable[int]) -> None:
-        """Forget every subject not in `subject_ids`."""
-        keep = set(subject_ids)
-        self._entries = {
-            sid: entry for sid, entry in self._entries.items() if sid in keep
-        }
+        size = (int(frame_size[0]), int(frame_size[1]))
+        keys: dict[int, tuple] = {}
+        proxies: dict[int, SkeletalProxy] = {}
+        misses: dict[int, KeypointSet] = {}
+        for sid, pose in poses.items():
+            # floats by their bits: equal-comparing values such as 0.0 and
+            # -0.0 are not the same input
+            keys[sid] = key = (
+                pose.points.tobytes(),
+                pose.visible.tobytes(),
+                None if pose.head_yaw is None else float(pose.head_yaw).hex(),
+                size,
+            )
+            entry = self._entries.get(sid)
+            if entry is not None and entry[0] == key:
+                proxies[sid] = entry[1]
+            else:
+                misses[sid] = pose
+        if misses:
+            for sid, proxy in render(misses, frame_size).items():
+                proxy.raster.flags.writeable = False
+                proxies[sid] = proxy
+        self._entries = {sid: (keys[sid], proxy) for sid, proxy in proxies.items()}
+        return proxies
 
 
 def keypoint_extent_box(pose: KeypointSet) -> BoundingBox:

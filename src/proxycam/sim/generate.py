@@ -78,11 +78,12 @@ def render_background(spec: SceneSpec) -> np.ndarray:
     return out
 
 
-def _actor_silhouette(
-    pose: KeypointSet, height_px: int, frame_w: int, frame_h: int
-) -> tuple[np.ndarray, np.ndarray, int, int] | None:
-    """Rasterize one actor; returns (body_mask, skin_mask, x0, y0) or None
-    if the silhouette lies entirely outside the frame."""
+def _draw_actor(
+    canvas: SilhouetteCanvas, pose: KeypointSet, height_px: int, frame_w: int, frame_h: int
+) -> tuple[int, int, int, int] | None:
+    """Queue one actor's shapes on `canvas`; returns (body patch, skin
+    patch, x0, y0) or None if the silhouette lies entirely outside the
+    frame."""
     pts = pose.points.astype(np.float64)
     limb_r = _LIMB_RADIUS_FRAC * height_px
     head_r = _HEAD_RADIUS_FRAC * height_px
@@ -97,13 +98,13 @@ def _actor_silhouette(
     if x1 <= x0 or y1 <= y0:
         return None
 
-    body = SilhouetteCanvas(x0, y0, x1 - x0, y1 - y0)
-    skin = SilhouetteCanvas(x0, y0, x1 - x0, y1 - y0)
+    body = canvas.patch(x0, y0, x1 - x0, y1 - y0)
+    skin = canvas.patch(x0, y0, x1 - x0, y1 - y0)
+    xy = pts.tolist()
     for i, (a, b) in enumerate(BONES):
-        canvas = skin if i in _FACE_BONES else body
-        canvas.add_capsule(pts[a], pts[b], limb_r)
-    skin.add_disc(pts[NOSE], head_r)
-    return body.mask, skin.mask, x0, y0
+        canvas.add_capsule(skin if i in _FACE_BONES else body, xy[a], xy[b], limb_r)
+    canvas.add_disc(skin, xy[NOSE], head_r)
+    return body, skin, x0, y0
 
 
 def generate_scene(
@@ -131,22 +132,32 @@ def generate_scene(
         # back-to-front: smaller ankle row is farther away
         staged.sort(key=lambda item: (item[0], item[1].actor_id))
 
+        # every actor of the frame in one painter pass
+        silhouettes = SilhouetteCanvas()
+        placed = [
+            (actor, pose, yaw, _draw_actor(silhouettes, pose, actor.height_px, w, h))
+            for _, actor, pose, yaw in staged
+        ]
+        masks = silhouettes.paint()
+
         truths: list[ActorTruth] = []
-        for _, actor, pose, yaw in staged:
-            parts = _actor_silhouette(pose, actor.height_px, w, h)
+        for actor, pose, yaw, parts in placed:
             if parts is None:
                 continue
-            body, skin, x0, y0 = parts
+            body_patch, skin_patch, x0, y0 = parts
+            body, skin = masks[body_patch], masks[skin_patch]
             region = canvas[y0 : y0 + body.shape[0], x0 : x0 + body.shape[1]]
             region[body] = actor.clothing
             region[skin] = actor.skin
 
+            silhouette = body | skin
             mask = np.zeros((h, w), dtype=bool)
-            mask[y0 : y0 + body.shape[0], x0 : x0 + body.shape[1]] = body | skin
-            ys, xs = np.nonzero(mask)
+            mask[y0 : y0 + body.shape[0], x0 : x0 + body.shape[1]] = silhouette
+            # the box from the patch: its pixels are the only set ones
+            ys, xs = np.nonzero(silhouette)
             box = BoundingBox(
-                float(xs.min()),
-                float(ys.min()),
+                float(x0 + xs.min()),
+                float(y0 + ys.min()),
                 float(xs.max() - xs.min() + 1),
                 float(ys.max() - ys.min() + 1),
             )

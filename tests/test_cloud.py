@@ -465,7 +465,8 @@ class TestReconstruct:
         lone.points[L_ANKLE] = (100.0, 239.0)
         poses = [(1, near), (2, lone), (3, far)]
         proxies = render_proxies(poses, (320, 240))
-        expected = [render_proxy(far, (320, 240)), render_proxy(near, (320, 240))]
+        drawn = render_proxy({3: far, 1: near}, (320, 240))
+        expected = [drawn[3], drawn[1]]
         assert [p.anchor for p in proxies] == [p.anchor for p in expected]
         for got, want in zip(proxies, expected):
             assert np.array_equal(got.raster, want.raster)
@@ -551,7 +552,8 @@ class TestUndrawablePose:
         env = np.full((240, 320, 3), 90, np.uint8)
         recons = [decode_png((tmp_path / name).read_bytes()) for name in cloud.recon_files]
         assert np.array_equal(recons[0], env)
-        assert np.array_equal(recons[1], reconstruct(env, [render_proxy(normal, self.FRAME)]))
+        normal_proxy = render_proxy({1: normal}, self.FRAME)[1]
+        assert np.array_equal(recons[1], reconstruct(env, [normal_proxy]))
 
 
 class SteppingClock:

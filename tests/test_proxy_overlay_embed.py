@@ -1,10 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxycam.edge.compose import embed
 from proxycam.edge.track import Track
-from proxycam.errors import DegeneratePoseError
 from proxycam.geometry import BoundingBox
 from proxycam.pngio import decode_png
 from proxycam.proxy import (
@@ -33,18 +31,23 @@ def stand_pose(x=110.0, clothing=(200, 40, 40)):
     return gts[0].actors[0].keypoints
 
 
+def draw(pose, frame_size=FRAME_SIZE):
+    """One subject's proxy, drawn alone."""
+    return render_proxy({1: pose}, frame_size)[1]
+
+
 class TestRenderProxy:
     def test_standing_silhouette_is_tall(self):
         kp = stand_pose()
-        proxy = render_proxy(kp, FRAME_SIZE)
+        proxy = draw(kp)
         ys, xs = np.nonzero(proxy.raster[:, :, 3])
         ratio = (ys.max() - ys.min() + 1) / (xs.max() - xs.min() + 1)
         assert ratio > 2.0
 
     def test_deterministic(self):
         kp = stand_pose()
-        a = render_proxy(kp, FRAME_SIZE)
-        b = render_proxy(kp, FRAME_SIZE)
+        a = draw(kp)
+        b = draw(kp)
         assert np.array_equal(a.raster, b.raster)
         assert a.anchor == b.anchor
 
@@ -52,13 +55,13 @@ class TestRenderProxy:
         kp_red = stand_pose(clothing=(200, 40, 40))
         kp_blue = stand_pose(clothing=(40, 60, 200))
         assert kp_red == kp_blue  # same pose regardless of appearance
-        a = render_proxy(kp_red, FRAME_SIZE)
-        b = render_proxy(kp_blue, FRAME_SIZE)
+        a = draw(kp_red)
+        b = draw(kp_blue)
         assert np.array_equal(a.raster, b.raster)
 
     def test_palette_is_fill_and_outline_only(self):
         kp = stand_pose()
-        proxy = render_proxy(kp, FRAME_SIZE)
+        proxy = draw(kp)
         opaque = proxy.raster[proxy.raster[:, :, 3] > 0][:, :3]
         colors = {tuple(c) for c in np.unique(opaque, axis=0)}
         assert colors == {FILL_COLOR, OUTLINE_COLOR}
@@ -67,23 +70,71 @@ class TestRenderProxy:
         from scipy import ndimage
 
         kp = stand_pose()
-        proxy = render_proxy(kp, FRAME_SIZE)
+        proxy = draw(kp)
         _, n = ndimage.label(proxy.raster[:, :, 3] > 0, structure=np.ones((3, 3)))
         assert n == 1
 
     def test_too_few_visible_joints_degenerate(self):
         kp = KeypointSet(points=np.full((17, 2), 100.0), visible=np.arange(17) == 0)
-        with pytest.raises(DegeneratePoseError):
-            render_proxy(kp, FRAME_SIZE)
+        assert render_proxy({1: kp}, FRAME_SIZE) == {}
+
+
+def crowd_poses():
+    """One frame of eight subjects of different sizes and actions, side by
+    side and overlapping, one of them without a head yaw."""
+    actors = [
+        solo_actor(
+            [(0, 2, action)],
+            actor_id=f"a{i}",
+            clothing=(40 + 20 * i, 40, 40),
+            height_px=60 + 12 * i,
+            trajectory=((0, 20.0 + 40.0 * i, 90.0 + 18.0 * i),),
+        )
+        for i, action in enumerate(["stand", "walk", "sit", "fall"] * 2)
+    ]
+    _, gts = generate_scene(scene(actors, frame_count=2))
+    poses = {}
+    for i, actor in enumerate(gts[0].actors):
+        kp = actor.keypoints
+        poses[10 + i] = KeypointSet(kp.points, kp.visible, None if i == 3 else 0.4 * i - 1.0)
+    return poses
+
+
+class TestProxyBatch:
+    def test_one_call_draws_each_subject_as_drawn_alone(self):
+        poses = crowd_poses()
+        assert len(poses) == 8
+        together = render_proxy(poses, FRAME_SIZE)
+        assert sorted(together) == sorted(poses)
+        for sid, pose in poses.items():
+            assert same_proxy(together[sid], draw(pose))
+
+    def test_undrawable_poses_are_left_out_and_the_rest_unaffected(self):
+        poses = crowd_poses()
+        lone = KeypointSet(points=np.full((17, 2), 100.0), visible=np.arange(17) == 0)
+        off_frame = KeypointSet(
+            points=poses[10].points - np.float32(500.0), visible=poses[10].visible
+        )
+        mixed = {10: poses[10], 1: lone, 11: poses[11], 2: off_frame, 12: poses[12]}
+        together = render_proxy(mixed, FRAME_SIZE)
+        assert sorted(together) == [10, 11, 12]
+        for sid in (10, 11, 12):
+            assert same_proxy(together[sid], draw(poses[sid]))
 
 
 class CountingRender:
-    def __init__(self):
-        self.calls = 0
+    """`render_proxy` that records the subjects of each call."""
 
-    def __call__(self, *args):
-        self.calls += 1
-        return render_proxy(*args)
+    def __init__(self):
+        self.batches = []
+
+    @property
+    def calls(self):
+        return len(self.batches)
+
+    def __call__(self, poses, frame_size):
+        self.batches.append(sorted(poses))
+        return render_proxy(poses, frame_size)
 
 
 def same_proxy(a, b):
@@ -94,13 +145,13 @@ class TestProxyReuse:
     def test_unchanged_inputs_reuse_the_fresh_raster(self):
         kp = stand_pose()
         reuse, render = ProxyReuse(), CountingRender()
-        first = reuse.render(1, kp, FRAME_SIZE, render)
+        first = reuse.render({1: kp}, FRAME_SIZE, render)[1]
         # an equal pose in a new object is still the same input
         again = KeypointSet(kp.points.copy(), kp.visible.copy(), kp.head_yaw)
-        second = reuse.render(1, again, FRAME_SIZE, render)
+        second = reuse.render({1: again}, FRAME_SIZE, render)[1]
         assert render.calls == 1
         assert second is first
-        assert same_proxy(second, render_proxy(kp, FRAME_SIZE))
+        assert same_proxy(second, draw(kp))
         assert not second.raster.flags.writeable
 
     def test_any_changed_input_renders_again(self):
@@ -120,33 +171,60 @@ class TestProxyReuse:
             (KeypointSet(moved, flipped, 0.5), (300, 240)),
         ]
         reuse, render = ProxyReuse(), CountingRender()
-        reuse.render(1, kp, FRAME_SIZE, render)
-        for n, args in enumerate(inputs, start=2):
-            proxy = reuse.render(1, *args, render)
+        reuse.render({1: kp}, FRAME_SIZE, render)
+        for n, (pose, size) in enumerate(inputs, start=2):
+            proxy = reuse.render({1: pose}, size, render)[1]
             assert render.calls == n
-            assert same_proxy(proxy, render_proxy(*args))
+            assert same_proxy(proxy, draw(pose, size))
 
     def test_departed_subjects_are_dropped(self):
         kp = stand_pose()
         other = stand_pose(x=220.0)
         reuse, render = ProxyReuse(), CountingRender()
-        reuse.render(1, kp, FRAME_SIZE, render)
-        reuse.render(2, other, FRAME_SIZE, render)
-        reuse.retain([2])
-        reuse.render(2, other, FRAME_SIZE, render)
-        assert render.calls == 2
-        reuse.render(1, kp, FRAME_SIZE, render)
-        assert render.calls == 3
+        reuse.render({1: kp, 2: other}, FRAME_SIZE, render)
+        reuse.render({2: other}, FRAME_SIZE, render)
+        assert render.batches == [[1, 2]]
+        reuse.render({1: kp, 2: other}, FRAME_SIZE, render)
+        assert render.batches == [[1, 2], [1]]
 
     def test_subjects_do_not_share_entries(self):
         kp = stand_pose()
         other = stand_pose(x=220.0)
         reuse, render = ProxyReuse(), CountingRender()
-        a = reuse.render(1, kp, FRAME_SIZE, render)
-        b = reuse.render(2, other, FRAME_SIZE, render)
+        drawn = reuse.render({1: kp, 2: other}, FRAME_SIZE, render)
+        assert render.calls == 1
+        assert same_proxy(drawn[1], draw(kp))
+        assert same_proxy(drawn[2], draw(other))
+
+    def test_misses_reach_the_renderer_in_one_call_and_hits_are_not_redrawn(self):
+        poses = crowd_poses()
+        reuse, render = ProxyReuse(), CountingRender()
+        first = reuse.render(poses, FRAME_SIZE, render)
+        assert render.batches == [sorted(poses)]
+        # two subjects move; the other six hold still
+        moved = dict(poses)
+        for sid in (11, 14):
+            kp = poses[sid]
+            moved[sid] = KeypointSet(kp.points + np.float32(1.5), kp.visible, kp.head_yaw)
+        second = reuse.render(moved, FRAME_SIZE, render)
+        assert render.batches == [sorted(poses), [11, 14]]
+        for sid, pose in moved.items():
+            if sid in (11, 14):
+                assert same_proxy(second[sid], draw(pose))
+            else:
+                assert second[sid] is first[sid]
+        reuse.render(moved, FRAME_SIZE, render)
         assert render.calls == 2
-        assert same_proxy(a, render_proxy(kp, FRAME_SIZE))
-        assert same_proxy(b, render_proxy(other, FRAME_SIZE))
+
+    def test_an_undrawable_miss_is_not_kept_and_is_tried_again(self):
+        kp = stand_pose()
+        lone = KeypointSet(points=np.full((17, 2), 100.0), visible=np.arange(17) == 0)
+        reuse, render = ProxyReuse(), CountingRender()
+        for frame in range(3):
+            drawn = reuse.render({1: lone, 2: kp}, FRAME_SIZE, render)
+            assert sorted(drawn) == [2]
+        # subject 2 is drawn once; subject 1 goes to the renderer every frame
+        assert render.batches == [[1, 2], [1], [1]]
 
 
 class TestCloudProxyReuse:

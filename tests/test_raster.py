@@ -59,61 +59,123 @@ def patches(draw):
 
 @st.composite
 def shapes(draw):
-    kind = draw(st.sampled_from(["capsule", "point-capsule", "disc"]))
+    kind = draw(st.sampled_from(["capsule", "point-capsule", "zero-length-capsule", "disc"]))
     a = draw(point)
     if kind == "disc":
         return ("disc", a, draw(radius))
     if kind == "point-capsule":
         return ("capsule", a, a, draw(radius))
+    if kind == "zero-length-capsule":
+        # distinct ends whose squared length underflows to 0: the test
+        # falls back to the distance from `a`, as for a point
+        a = (draw(st.sampled_from([0.0, -0.0])), a[1])
+        return ("capsule", a, (a[0] + 1e-170, a[1]), draw(radius))
     # segments that are short, pixel-aligned or long all occur
     b = draw(st.one_of(point, st.tuples(st.just(a[0]), coord), st.tuples(coord, st.just(a[1]))))
     return ("capsule", a, b, draw(radius))
 
 
+def reference(patch, drawn):
+    x0, y0, width, height = patch
+    expected = np.zeros((height, width), dtype=bool)
+    for shape in drawn:
+        if shape[0] == "disc":
+            _, center, r = shape
+            expected |= full_field_disc(x0, y0, width, height, np.array(center), r)
+        else:
+            _, a, b, r = shape
+            expected |= full_field_capsule(x0, y0, width, height, np.array(a), np.array(b), r)
+    return expected
+
+
+def paint(patch_list, tagged):
+    """One canvas, one `paint`: each shape goes to the patch it is tagged with."""
+    canvas = SilhouetteCanvas()
+    ids = [canvas.patch(*patch) for patch in patch_list]
+    for index, shape in tagged:
+        if shape[0] == "disc":
+            canvas.add_disc(ids[index], np.array(shape[1]), shape[2])
+        else:
+            canvas.add_capsule(ids[index], np.array(shape[1]), np.array(shape[2]), shape[3])
+    return canvas.paint()
+
+
+def paint_one(patch, *drawn):
+    return paint([patch], [(0, shape) for shape in drawn])[0]
+
+
+@st.composite
+def patches_and_tagged_shapes(draw):
+    patch_list = draw(st.lists(patches(), min_size=1, max_size=4))
+    tagged = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(patch_list) - 1), shapes()), min_size=1, max_size=10
+        )
+    )
+    return patch_list, tagged
+
+
 class TestSilhouetteCanvas:
     @settings(max_examples=400, deadline=None)
-    @given(patches(), st.lists(shapes(), min_size=1, max_size=6))
-    def test_equals_full_field_reference(self, patch, drawn):
-        x0, y0, width, height = patch
-        canvas = SilhouetteCanvas(x0, y0, width, height)
-        expected = np.zeros((height, width), dtype=bool)
-        for shape in drawn:
-            if shape[0] == "disc":
-                _, center, r = shape
-                canvas.add_disc(np.array(center), r)
-                expected |= full_field_disc(x0, y0, width, height, np.array(center), r)
-            else:
-                _, a, b, r = shape
-                canvas.add_capsule(np.array(a), np.array(b), r)
-                expected |= full_field_capsule(
-                    x0, y0, width, height, np.array(a), np.array(b), r
-                )
-        assert np.array_equal(canvas.mask, expected)
+    @given(patches_and_tagged_shapes())
+    def test_equals_full_field_reference(self, case):
+        # several patches in one pass: a wrong flat offset would paint a
+        # shape into a neighbouring patch, or a neighbouring window's row
+        patch_list, tagged = case
+        masks = paint(patch_list, tagged)
+        assert len(masks) == len(patch_list)
+        for index, (patch, mask) in enumerate(zip(patch_list, masks)):
+            own = [shape for tag, shape in tagged if tag == index]
+            assert np.array_equal(mask, reference(patch, own)), index
+
+    def test_shapes_past_one_pass_equal_the_reference(self):
+        # more window pixels than one pass holds: the shapes are split
+        # over several passes, each patch still gets exactly its own shapes
+        rng = np.random.default_rng(3)
+        patch_list = [(0, 0, 320, 240), (40, 30, 200, 150), (250, 10, 70, 230)]
+        tagged = []
+        for _ in range(60):
+            a, b = rng.uniform(-20.0, 340.0, 2), rng.uniform(-20.0, 340.0, 2)
+            tagged.append((int(rng.integers(3)), ("capsule", tuple(a), tuple(b), rng.uniform(0.5, 12.0))))
+            tagged.append((int(rng.integers(3)), ("disc", tuple(a), rng.uniform(0.5, 20.0))))
+        masks = paint(patch_list, tagged)
+        for index, (patch, mask) in enumerate(zip(patch_list, masks)):
+            own = [shape for tag, shape in tagged if tag == index]
+            assert np.array_equal(mask, reference(patch, own)), index
+
+    def test_empty_canvas_paints_empty_patches(self):
+        assert SilhouetteCanvas().paint() == []
+        canvas = SilhouetteCanvas()
+        canvas.patch(5, 5, 3, 2)
+        (mask,) = canvas.paint()
+        assert mask.shape == (2, 3) and not mask.any()
 
     def test_shapes_wholly_outside_paint_nothing(self):
-        canvas = SilhouetteCanvas(100, 100, 40, 40)
-        canvas.add_capsule(np.array([0.0, 0.0]), np.array([50.0, 20.0]), 5.0)
-        canvas.add_disc(np.array([300.0, 300.0]), 30.0)
-        assert not canvas.mask.any()
+        mask = paint_one(
+            (100, 100, 40, 40),
+            ("capsule", (0.0, 0.0), (50.0, 20.0), 5.0),
+            ("disc", (300.0, 300.0), 30.0),
+        )
+        assert not mask.any()
 
     def test_shape_just_beyond_its_radius_stays_out(self):
         # pixel centre (10.5, 10.5) sits exactly at distance 3 from the disc
-        canvas = SilhouetteCanvas(0, 0, 20, 20)
-        canvas.add_disc(np.array([10.5, 13.5]), 3.0)
-        assert canvas.mask[10, 10]
-        canvas = SilhouetteCanvas(0, 0, 20, 20)
-        canvas.add_disc(np.array([10.5, 13.5]), math.nextafter(3.0, 0.0))
-        assert not canvas.mask[10, 10]
+        assert paint_one((0, 0, 20, 20), ("disc", (10.5, 13.5), 3.0))[10, 10]
+        beyond = paint_one((0, 0, 20, 20), ("disc", (10.5, 13.5), math.nextafter(3.0, 0.0)))
+        assert not beyond[10, 10]
 
     def test_non_finite_shapes_paint_nothing(self):
-        canvas = SilhouetteCanvas(0, 0, 20, 20)
-        canvas.add_capsule(np.array([5.0, np.nan]), np.array([10.0, 10.0]), 3.0)
-        canvas.add_capsule(np.array([np.inf, 5.0]), np.array([10.0, 10.0]), 3.0)
-        canvas.add_disc(np.array([np.nan, 5.0]), 3.0)
-        canvas.add_disc(np.array([5.0, 5.0]), float("nan"))
-        assert not canvas.mask.any()
+        mask = paint_one(
+            (0, 0, 20, 20),
+            ("capsule", (5.0, np.nan), (10.0, 10.0), 3.0),
+            ("capsule", (10.0, 10.0), (5.0, np.nan), 3.0),
+            ("capsule", (np.inf, 5.0), (10.0, 10.0), 3.0),
+            ("disc", (np.nan, 5.0), 3.0),
+            ("disc", (5.0, 5.0), float("nan")),
+            ("disc", (5.0, 5.0), math.inf * 0.0),
+        )
+        assert not mask.any()
 
     def test_infinite_radius_fills_the_patch(self):
-        canvas = SilhouetteCanvas(10, 10, 8, 6)
-        canvas.add_capsule(np.array([0.0, 0.0]), np.array([1.0, 1.0]), math.inf)
-        assert canvas.mask.all()
+        mask = paint_one((10, 10, 8, 6), ("capsule", (0.0, 0.0), (1.0, 1.0), math.inf))
+        assert mask.all()
