@@ -1,9 +1,9 @@
-"""Per-frame edge pipeline: detect, track, pose, scrub, overlay.
+"""Per-frame edge pipeline: detect, track, pose, scrub.
 
 One EdgeState per camera stream; frames must be fed in order because both
 the tracker and the background model are temporal. The output carries
-everything the transport tuple needs plus the edge-side composite and its
-back-to-front paint order, and never the raw frame.
+what the transport tuple needs and never the raw frame. The edge draws no
+proxy; `EdgeOutput.composite` is drawn only for a caller that reads it.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ import numpy as np
 
 from ..errors import StageError, ValidationError
 from ..geometry import BoundingBox
-from ..proxy import ProxyReuse, occlusion_order, overlay, render_proxy
+from .. import proxy
 from ..skeleton import KeypointSet
 from ..raster import validate_frame
 from .background import BackgroundModel, erase, update_background
-# unused here; perfbench/trace.py wraps the name proxycam.edge.pipeline.embed
+# unused here; perfbench/trace.py wraps the names
+# proxycam.edge.pipeline.{render_proxy, occlusion_order, overlay, embed}
+from ..proxy import occlusion_order, overlay, render_proxy
 from .compose import embed
 from .pose import estimate_pose
 from .track import TrackerState, track_step
@@ -38,23 +40,28 @@ class EdgeState:
     tracker: TrackerState = field(init=False)
     background: BackgroundModel = field(init=False)
     rng: np.random.Generator = field(init=False)
-    proxies: ProxyReuse = field(init=False)
 
     def __post_init__(self):
         self.tracker = TrackerState()
         self.background = BackgroundModel.create(self.width, self.height)
         self.rng = np.random.default_rng(self.seed)
-        self.proxies = ProxyReuse()
 
 
 @dataclass(frozen=True)
 class EdgeOutput:
-    """Everything extracted from one frame. The raw frame is not here."""
+    """Everything extracted from one frame: the scrubbed image and the
+    drawable poses by subject id. The raw frame is not here."""
 
     desensitized: np.ndarray
     poses: tuple[tuple[int, KeypointSet], ...]
-    order: tuple[int, ...]  # the composite's paint order; not on the wire
-    composite: np.ndarray
+
+    @property
+    def composite(self) -> np.ndarray:
+        """The scrubbed image with the proxies pasted on, drawn on each
+        access by the cloud's two calls on these pre-wire values, through
+        `proxy`: perfbench/trace.py times this module's names as frame work."""
+        height, width = self.desensitized.shape[:2]
+        return proxy.overlay(self.desensitized, proxy.render_proxies(self.poses, (width, height)))
 
 
 def _stage(name: str):
@@ -108,18 +115,7 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
     desensitized = _stage("erase")(erase, frame, joint_mask, state.background)
     _stage("background")(update_background, state.background, frame, joint_mask)
 
-    proxies = state.proxies.render(poses, (state.width, state.height), render_proxy)
     # a pose the renderer cannot draw does not go on the wire
-    poses = {sid: pose for sid, pose in poses.items() if sid in proxies}
-
-    order = _stage("order")(occlusion_order, poses)
-    composite = _stage("overlay")(
-        overlay, desensitized, [proxies[sid] for sid in order]
-    )
-
-    return EdgeOutput(
-        desensitized=desensitized,
-        poses=tuple((sid, poses[sid]) for sid in sorted(poses)),
-        order=tuple(order),
-        composite=composite,
-    )
+    size = (state.width, state.height)
+    drawable = [sid for sid in sorted(poses) if proxy.is_drawable(poses[sid], size)]
+    return EdgeOutput(desensitized, tuple((sid, poses[sid]) for sid in drawable))

@@ -11,10 +11,6 @@ class ValidationError(ProxycamError):
     """
 
 
-class DegeneratePoseError(ProxycamError):
-    """Too few visible joints to box or measure a pose."""
-
-
 class StageError(ProxycamError):
     """Failure inside the per-frame edge pipeline; its message names the
     stage on the CLI's `error:` line."""

@@ -1,11 +1,12 @@
 """Appearance-free skeletal proxies: from a wire pose to pixels.
 
-This is the one path from a pose to pixels, shared by the edge composite
-and the cloud reconstruction: `render_proxy` draws the subjects of a
-frame, `occlusion_order` sorts the drawn subjects back to front, and `overlay`
-pastes the proxies onto a frame in that order. All three read only what
-crosses the wire (the joint points with their visibility, the head yaw,
-the frame size), so both sides produce the same bytes from the same tuple.
+This is the one path from a pose to pixels, shared by the cloud
+reconstruction and the edge composite: `render_proxies` draws a frame's
+subjects (`render_proxy`) in `occlusion_order`, back to front, and
+`overlay` pastes them onto a frame. All of them read only what crosses
+the wire (the joint points with their visibility, the head yaw, the frame
+size), so both sides produce the same bytes from the same tuple. The edge
+draws nothing: `is_drawable` reads the renderer's own layout rule.
 
 A proxy is a capsule per visible bone plus a head disc, drawn with one
 fixed fill and outline for every subject. Nothing about the person except
@@ -20,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePoseError
+from .errors import ValidationError
 from .geometry import BoundingBox
 from .raster import SilhouetteCanvas, outline_of, paste_rgba, validate_frame
 from .skeleton import BONES, KeypointSet, L_ANKLE, L_EAR, NOSE, R_ANKLE, R_EAR
@@ -58,15 +59,14 @@ def render_proxy(
     `SilhouetteCanvas`, whose `paint` evaluates the windows of all of them
     in one flat pass, so a frame's subjects cost about one call, not one
     call per bone. Returns the drawable subjects' proxies by subject id; a
-    subject with fewer than two visible joints, or with nothing inside the
-    frame, is left out.
+    subject that `is_drawable` refuses is left out.
     """
     canvas = SilhouetteCanvas()
     placed = {}
     for sid, pose in poses.items():
-        patches = _queue_proxy(canvas, pose, frame_size)
-        if patches is not None:
-            placed[sid] = patches
+        layout = _layout(pose, frame_size)
+        if layout is not None:
+            placed[sid] = _queue_proxy(canvas, pose, layout)
     masks = canvas.paint()
     proxies: dict[int, SkeletalProxy] = {}
     for sid, (x0, y0, body, tick) in placed.items():
@@ -80,17 +80,18 @@ def render_proxy(
     return proxies
 
 
-def _queue_proxy(
-    canvas: SilhouetteCanvas, pose: KeypointSet, frame_size: tuple[int, int]
-) -> tuple[int, int, int, int | None] | None:
-    """Queue one subject's shapes on `canvas`.
+def is_drawable(pose: KeypointSet, frame_size: tuple[int, int]) -> bool:
+    """Whether `render_proxy` draws `pose`: it has at least two visible
+    joints and a patch of non-zero size inside the frame."""
+    return _layout(pose, frame_size) is not None
 
-    Returns the anchor (x0, y0), the patch of the body (a capsule per
-    visible bone plus the head disc) and the patch of the yaw tick, or
-    None when the subject cannot be drawn. The patch is clipped to the
-    frame so the proxy always fits when pasted at its anchor. When the
-    shoulders or hips are hidden, the torso length falls back to a
-    fraction of the height of `keypoint_extent_box(pose)`.
+
+def _layout(pose: KeypointSet, frame_size: tuple[int, int]) -> tuple | None:
+    """The patch (x0, y0, x1, y1), clipped to the frame so the proxy fits
+    when pasted at its anchor, and the limb and head radii of one subject;
+    None when it cannot be drawn. When the shoulders or hips are hidden,
+    the torso length falls back to a fraction of the height of
+    `keypoint_extent_box(pose)`.
     """
     frame_w, frame_h = frame_size
     visible = pose.visible
@@ -119,9 +120,19 @@ def _queue_proxy(
     y1 = min(frame_h, int(math.ceil(used[:, 1].max() + margin)))
     if x1 <= x0 or y1 <= y0:
         return None
+    return x0, y0, x1, y1, limb_r, head_r
 
+
+def _queue_proxy(
+    canvas: SilhouetteCanvas, pose: KeypointSet, layout: tuple
+) -> tuple[int, int, int, int | None]:
+    """Queue one subject's shapes on `canvas` at its `_layout`. Returns
+    the anchor (x0, y0), the patch of the body (a capsule per visible bone
+    plus the head disc) and the patch of the yaw tick, or None."""
+    x0, y0, x1, y1, limb_r, head_r = layout
+    pts = pose.points.astype(np.float64)
     body = canvas.patch(x0, y0, x1 - x0, y1 - y0)
-    seen, xy = visible.tolist(), pts.tolist()
+    seen, xy = pose.visible.tolist(), pts.tolist()
     for a, b in BONES:
         if seen[a] and seen[b]:
             canvas.add_capsule(body, xy[a], xy[b], limb_r)
@@ -139,7 +150,7 @@ def _queue_proxy(
 
 
 class ProxyReuse:
-    """The last proxy of each subject of one stream, with the inputs it came from.
+    """The last proxy of each subject of one cloud camera, with the inputs it came from.
 
     `render_proxy` reads nothing but the joint points, their visibility,
     the head yaw and the frame size. When all four repeat bit for bit, its
@@ -199,7 +210,7 @@ def keypoint_extent_box(pose: KeypointSet) -> BoundingBox:
     """
     vis = pose.visible_points()
     if vis.shape[0] == 0:
-        raise DegeneratePoseError("no visible joints to box")
+        raise ValidationError("no visible joints to box")
     x0, y0 = vis.min(axis=0)
     x1, y1 = vis.max(axis=0)
     box = BoundingBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
@@ -227,11 +238,29 @@ def occlusion_order(poses: Mapping[int, KeypointSet]) -> list[int]:
     return [sid for _, sid in keyed]
 
 
+def render_proxies(
+    poses: Iterable[tuple[int, KeypointSet]],
+    frame_size: tuple[int, int],
+    reuse: ProxyReuse | None = None,
+) -> list[SkeletalProxy]:
+    """The drawable subjects' proxies in `occlusion_order`, for `overlay`.
+
+    frame_size is (width, height). `reuse` holds the previous proxies of
+    the same camera; it draws this frame's new ones in one `render_proxy`
+    call and is left holding them.
+    """
+    if reuse is None:
+        reuse = ProxyReuse()
+    poses = dict(poses)
+    drawn = reuse.render(poses, frame_size, render_proxy)
+    return [drawn[sid] for sid in occlusion_order({sid: poses[sid] for sid in drawn})]
+
+
 def overlay(frame: np.ndarray, proxies: Sequence[SkeletalProxy]) -> np.ndarray:
     """Paste proxies, given back to front, onto a copy of the frame.
 
-    This is the one compositor: the edge composite and the cloud
-    reconstruction are both made by it. Pixels outside every proxy's
+    This is the one compositor: the cloud reconstruction and the edge
+    composite are both made by it. Pixels outside every proxy's
     opaque support are returned untouched.
     """
     out = validate_frame(frame).copy()

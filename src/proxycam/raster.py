@@ -10,8 +10,6 @@ by a single `paint` over all of their shapes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ValidationError

@@ -74,8 +74,9 @@ def run_edge(
     """Drive the edge over a scene, gate every tuple, emit packets.
 
     The gate refusing a tuple aborts the run with GateViolationError.
-    Returns run stats (and the per-frame EdgeOutput list when
-    `collect_outputs`, for in-process consumers that want composites).
+    Returns run stats, and the per-frame EdgeOutput list when
+    `collect_outputs`, for in-process consumers that compare composites:
+    an output draws its composite when read, outside this loop.
     """
     frames, gts = pregenerated if pregenerated is not None else generate_scene(scene)
     state = EdgeState(scene.width, scene.height, params=config.edge, seed=config.seed)

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator
 from ..errors import ValidationError
 
 _LEN = struct.Struct("<I")
+_RECV_CHUNK = 1 << 16  # most bytes asked of one socket read
 
 CONNECT_RETRIES = 3
 CONNECT_BACKOFF_MS = (100, 200, 400)
@@ -61,10 +62,12 @@ def send_packet(sock: socket.socket, packet: bytes) -> None:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+    # reads of at most _RECV_CHUNK: a length prefix that claims more than
+    # arrives costs only the bytes that do
     chunks = []
     got = 0
     while got < n:
-        chunk = sock.recv(n - got)
+        chunk = sock.recv(min(n - got, _RECV_CHUNK))
         if not chunk:
             return None
         chunks.append(chunk)

@@ -24,6 +24,7 @@ from proxycam.errors import ValidationError
 from proxycam.geometry import iou
 from proxycam.metrics import BehaviorMetrics, evaluate_behavior
 from proxycam.pngio import decode_png, encode_png
+from proxycam.proxy import occlusion_order
 from proxycam.runner import build_tuple, run_e2e
 from proxycam.sim.generate import generate_scene
 from proxycam.sim.scripts import make_behavior_scene, make_crossing_scene
@@ -249,7 +250,8 @@ class TestCriterion6TrackingStability:
         invalid_orders = 0
         for frame, gt in zip(frames, gts):
             output = process_frame(state, frame, gt)
-            if sorted(output.order) != sorted(sid for sid, _ in output.poses):
+            order = occlusion_order(dict(output.poses))
+            if sorted(order) != sorted(sid for sid, _ in output.poses):
                 invalid_orders += 1
         report(
             6,

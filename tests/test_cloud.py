@@ -1,11 +1,13 @@
 import dataclasses
 import importlib
+import math
 import struct
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proxycam.cloud.classify import FALL_VY_FRAC, classify_behavior
 from proxycam.cloud.infer import infer
@@ -13,10 +15,17 @@ from proxycam.cloud.kinematics import KinematicFeatures, extract_kinematics
 from proxycam.cloud.reconstruct import reconstruct, render_proxies
 from proxycam.config import RunConfig
 from proxycam.edge.pipeline import EdgeParams, EdgeState, process_frame
-from proxycam.errors import DegeneratePoseError, ValidationError
+from proxycam.errors import ValidationError
 from proxycam.geometry import BoundingBox
 from proxycam.pngio import decode_png
-from proxycam.proxy import FILL_COLOR, OUTLINE_COLOR, keypoint_extent_box, render_proxy
+from proxycam.proxy import (
+    FILL_COLOR,
+    OUTLINE_COLOR,
+    is_drawable,
+    keypoint_extent_box,
+    occlusion_order,
+    render_proxy,
+)
 from proxycam.runner import CloudRunner, build_tuple, run_e2e
 from proxycam.sim.generate import generate_scene
 from proxycam.sim.kinematics import pose_at
@@ -78,11 +87,11 @@ class TestExtractKinematics:
         assert feats.hip_vy == pytest.approx(5.0)
 
     def test_all_invisible_is_degenerate(self):
-        with pytest.raises(DegeneratePoseError):
+        with pytest.raises(ValidationError):
             extract_kinematics([invisible_pose()])
 
     def test_empty_history_is_degenerate(self):
-        with pytest.raises(DegeneratePoseError):
+        with pytest.raises(ValidationError):
             extract_kinematics([])
 
 
@@ -233,7 +242,7 @@ def replay_labels(window):
                 label, conf = classify_behavior(features, prev)
                 prev = label
             box = keypoint_extent_box(kp)
-        except DegeneratePoseError:
+        except ValidationError:
             label, conf = "unknown", 0.5
             box = BoundingBox(0.0, 0.0, 0.0, 0.0)
         out.append((sid, label, conf, box))
@@ -412,7 +421,7 @@ class TestReconstruct:
             state = EdgeState(spec.width, spec.height)
             for i, (frame, gt) in enumerate(zip(frames, gts)):
                 out = process_frame(state, frame, gt)
-                assert out.order == order
+                assert tuple(occlusion_order(dict(out.poses))) == order
                 t = build_tuple(out, 0, i, i * 33333)
                 proxies = render_proxies(t.poses, (spec.width, spec.height))
                 recon = reconstruct(decode_png(t.env_png), proxies)
@@ -523,7 +532,29 @@ class TestRenderEquivalence:
             assert np.array_equal(recon, out.composite), i
         hidden = [sid for sid, kp in out.poses if kp.midpoint(L_ANKLE, R_ANKLE) is None]
         assert hidden == [3]
-        assert out.order == (1, 3, 2)
+        assert occlusion_order(dict(out.poses)) == [1, 3, 2]
+
+
+def ankles_at(x, y=20.0):
+    """Both ankles visible at one point, every other joint hidden: the
+    proxy's margin is 0.75 + 2 + 2 = 4.75 px around that point."""
+    points = np.zeros((17, 2), np.float32)
+    points[[L_ANKLE, R_ANKLE]] = (x, y)
+    return KeypointSet(points=points, visible=np.isin(np.arange(17), [L_ANKLE, R_ANKLE]))
+
+
+@st.composite
+def undrawable_or_not(draw):
+    """A pose near or past the edges of a small frame: few visible joints
+    are common, and so are patches clipped to nothing."""
+    width, height = draw(st.integers(8, 64)), draw(st.integers(8, 48))
+    xs = st.floats(-30.0, width + 30.0, width=32)
+    ys = st.floats(-30.0, height + 30.0, width=32)
+    points = np.array([(draw(xs), draw(ys)) for _ in range(17)], np.float32)
+    shown = draw(st.sets(st.integers(0, 16), max_size=17))
+    visible = np.isin(np.arange(17), sorted(shown))
+    yaw = draw(st.none() | st.floats(-math.pi, math.pi))
+    return KeypointSet(points=points, visible=visible, head_yaw=yaw), (width, height)
 
 
 class TestUndrawablePose:
@@ -554,6 +585,26 @@ class TestUndrawablePose:
         assert np.array_equal(recons[0], env)
         normal_proxy = render_proxy({1: normal}, self.FRAME)[1]
         assert np.array_equal(recons[1], reconstruct(env, [normal_proxy]))
+
+    def test_clip_box_of_zero_width_at_the_frame_edge_is_undrawable(self):
+        # a quarter pixel inward, the patch is one pixel wide and drawn
+        size = (64, 48)
+        for x, drawable in ((64 + 4.75, False), (64 + 4.5, True), (-4.75, False), (-4.5, True)):
+            assert is_drawable(ankles_at(x), size) is drawable, x
+            assert (1 in render_proxy({1: ankles_at(x)}, size)) is drawable, x
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=undrawable_or_not())
+    @example(case=(ankles_at(64 + 4.75), (64, 48)))  # zero width at the right edge
+    @example(case=(ankles_at(-4.75), (64, 48)))  # zero width at the left edge
+    @example(case=(ankles_at(200.0, 300.0), (64, 48)))  # entirely off the frame
+    @example(
+        # one visible joint, inside the frame
+        case=(KeypointSet(np.full((17, 2), 20.0, np.float32), np.arange(17) == 0), (64, 48))
+    )
+    def test_edge_verdict_equals_the_renderer_verdict(self, case):
+        pose, size = case
+        assert is_drawable(pose, size) == (1 in render_proxy({1: pose}, size))
 
 
 class SteppingClock:

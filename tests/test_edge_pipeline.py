@@ -5,6 +5,8 @@ from proxycam.config import RunConfig
 from proxycam.edge.pipeline import EdgeState, process_frame
 from proxycam.errors import StageError
 from proxycam.pngio import decode_png
+from proxycam.proxy import occlusion_order
+from proxycam.raster import SilhouetteCanvas
 from proxycam.runner import run_edge
 from proxycam.sim.generate import generate_scene
 from proxycam.transport.codec import decode
@@ -25,7 +27,7 @@ class TestProcessFrame:
         out = outputs[0]
         assert np.array_equal(out.desensitized, frames[0])
         assert out.poses == ()
-        assert out.order == ()
+        assert occlusion_order(dict(out.poses)) == []
 
     def test_single_actor_leaves_no_appearance_pixels(self, fall_scene):
         frames, gts, outputs = run_scene(fall_scene)
@@ -57,7 +59,7 @@ class TestProcessFrame:
         _, _, outputs = run_scene(scene(actors, frame_count=10))
         out = outputs[-1]
         assert len(out.poses) == 3
-        assert sorted(out.order) == sorted(sid for sid, _ in out.poses)
+        assert sorted(occlusion_order(dict(out.poses))) == sorted(sid for sid, _ in out.poses)
 
     def test_raw_frame_never_in_output(self, stand_scene):
         frames, _, outputs = run_scene(stand_scene)
@@ -122,6 +124,35 @@ class TestProcessFrame:
             d[:, :-1] |= dilated[:, 1:]
             dilated = d
         assert not np.any(diff & ~dilated)
+
+
+class TestEdgeDrawsNothing:
+    def test_frames_run_without_the_painter_and_the_composite_needs_it(self, monkeypatch):
+        actors = [
+            solo_actor(
+                [(0, 6, "walk")],
+                actor_id="a",
+                trajectory=((0, 60.0, 180.0), (5, 80.0, 180.0)),
+            ),
+            solo_actor(
+                [(0, 6, "stand")],
+                actor_id="b",
+                clothing=(40, 200, 60),
+                trajectory=((0, 200.0, 210.0),),
+            ),
+        ]
+        spec = scene(actors, frame_count=6)
+        frames, gts = generate_scene(spec)  # the simulator paints its actors
+
+        def no_painting(canvas):
+            raise AssertionError("the edge painted")
+
+        monkeypatch.setattr(SilhouetteCanvas, "paint", no_painting)
+        state = EdgeState(spec.width, spec.height)
+        outputs = [process_frame(state, f, gt) for f, gt in zip(frames, gts)]
+        assert [len(out.poses) for out in outputs] == [2] * len(frames)
+        with pytest.raises(AssertionError, match="the edge painted"):
+            outputs[-1].composite
 
 
 class TestErasureIndependenceProperty:

@@ -12,6 +12,7 @@ from proxycam.proxy import (
     SkeletalProxy,
     occlusion_order,
     overlay,
+    render_proxies,
     render_proxy,
 )
 from proxycam.sim.generate import generate_scene
@@ -241,23 +242,18 @@ class TestCloudProxyReuse:
     def test_cameras_with_the_same_subject_ids_keep_their_own_entries(
         self, tmp_path, monkeypatch
     ):
-        from importlib import import_module
-
+        import proxycam.proxy as proxy_module
         from proxycam.config import RunConfig
         from proxycam.runner import CloudRunner
 
-        # the package re-exports a function under the module's name
-        reconstruct_module = import_module("proxycam.cloud.reconstruct")
         poses = {0: stand_pose(), 1: stand_pose(x=220.0)}
         env = np.full((FRAME_SIZE[1], FRAME_SIZE[0], 3), 90, np.uint8)
         expected = {
-            camera: reconstruct_module.reconstruct(
-                env, reconstruct_module.render_proxies([(1, pose)], FRAME_SIZE)
-            )
+            camera: overlay(env, render_proxies([(1, pose)], FRAME_SIZE))
             for camera, pose in poses.items()
         }
         render = CountingRender()
-        monkeypatch.setattr(reconstruct_module, "render_proxy", render)
+        monkeypatch.setattr(proxy_module, "render_proxy", render)
         cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
         for frame_id in range(4):
             for camera, pose in poses.items():

@@ -316,3 +316,27 @@ class TestSingleByteFuzz:
             else:  # flip produced an identical tuple: impossible for xor 0xFF
                 undetected.append(i)
         assert undetected == []
+
+
+class TestSocketFraming:
+    def test_false_length_prefix_costs_only_the_bytes_that_arrive(self):
+        import socket
+        import tracemalloc
+
+        from proxycam.transport.replay import recv_packet
+
+        sender, receiver = socket.socketpair()
+        try:
+            # 14 bytes: a prefix that claims 100,000,000 bytes, then 10 of them
+            sender.sendall(struct.pack("<I", 100_000_000) + b"x" * 10)
+            sender.close()
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValidationError, match="peer closed mid-packet"):
+                    recv_packet(receiver)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            receiver.close()
+        assert peak < 1 << 20
