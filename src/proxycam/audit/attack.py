@@ -36,6 +36,8 @@ MIN_CHANNEL_DISTANCE = 64
 # every enrolment and probe scene: one camera at this size, this long
 WIDTH, HEIGHT = 320, 240
 FRAMES_PER_SCENE = 10
+# every gallery actor has this body height, so geometry cannot tell them apart
+ACTOR_HEIGHT_PX = 120
 # the attack passes at accuracy <= chance + ATTACK_MARGIN; its raw-frame
 # control must reach CONTROL_BOUND for the verdict to count
 ATTACK_MARGIN = 0.05
@@ -73,7 +75,6 @@ class GalleryActor:
 @dataclass(frozen=True)
 class AttackGallery:
     actors: tuple[GalleryActor, ...]
-    height_px: int = 120
 
     def validate(self) -> None:
         if len(self.actors) < 2:
@@ -200,7 +201,7 @@ def identity_attack(
                 width=WIDTH,
                 height=HEIGHT,
                 frame_count=FRAMES_PER_SCENE,
-                height_px=gallery.height_px,
+                height_px=ACTOR_HEIGHT_PX,
             )
             t, raw, gt = _run_scene(scene)
             wire_bank.append((actor.actor_id, _wire_features(t, WIDTH, HEIGHT)))
@@ -218,7 +219,7 @@ def identity_attack(
             width=WIDTH,
             height=HEIGHT,
             frame_count=FRAMES_PER_SCENE,
-            height_px=gallery.height_px,
+            height_px=ACTOR_HEIGHT_PX,
         )
         t, raw, gt = _run_scene(scene)
         if _nearest(_wire_features(t, WIDTH, HEIGHT), wire_bank) == actor.actor_id:

@@ -18,6 +18,7 @@ import argparse
 import json
 import socket
 import sys
+from contextlib import ExitStack, closing
 from pathlib import Path
 
 from .audit.report import run_full_audit
@@ -25,13 +26,7 @@ from .config import RunConfig, config_from_dict, read_config
 from .errors import GateViolationError, ProxycamError, ValidationError
 from .runner import CloudRunner, JsonlLog, run_e2e, run_edge, run_sim, _write_summary
 from .sim.spec import load_scene_spec
-from .transport.replay import (
-    PacketWriter,
-    connect_with_retry,
-    read_packets,
-    recv_packet,
-    send_packet,
-)
+from .transport.replay import PacketWriter, connect_with_retry, iter_packets
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -86,56 +81,33 @@ def cmd_edge(args) -> int:
     scene = load_scene_spec(config.scene)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    log = JsonlLog(out / "edge_log.jsonl")
+    files = ["edge_log.jsonl"]
 
-    sock = None
-    try:
+    with ExitStack() as stack:
+        log = stack.enter_context(closing(JsonlLog(out / "edge_log.jsonl")))
         if config.transport.connect:
             try:
                 sock = connect_with_retry(_parse_address(config.transport.connect))
             except ConnectionError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_IO
-            stats = run_edge(config, scene, lambda p: send_packet(sock, p), log=log)
+            write = stack.enter_context(sock).sendall
         else:
-            packets_path = out / "packets.bin"
-            with open(packets_path, "wb") as fh:
-                writer = PacketWriter(fh)
-                stats = run_edge(config, scene, writer.send, log=log)
-        _write_summary(
-            out,
-            {
-                "command": "edge",
-                "scene": str(config.scene),
-                "frames": stats["frames"],
-                "packets": stats["packets"],
-                "files": ["edge_log.jsonl"]
-                + ([] if config.transport.connect else ["packets.bin"]),
-            },
-        )
-    finally:
-        log.close()
-        if sock is not None:
-            sock.close()
-    print(f"emitted {stats['packets']} packets")
-    return EXIT_OK
-
-
-def _cloud_finish(config: RunConfig, cloud: CloudRunner, out: Path, source: str) -> None:
-    cloud.finish()
-    cloud.write_reports(out / "reports.jsonl")
+            write = stack.enter_context(open(out / "packets.bin", "wb")).write
+            files.append("packets.bin")
+        stats = run_edge(config, scene, PacketWriter(write).send, log=log)
     _write_summary(
         out,
         {
-            "command": "cloud",
-            "source": source,
-            "reports": len(cloud.reports),
-            "malformed_packets": cloud.malformed,
-            "gap_events": cloud.gap_frame_ids(),
-            "files": ["reports.jsonl", "cloud_log.jsonl"]
-            + [f"recon/{name}" for name in cloud.recon_files],
+            "command": "edge",
+            "scene": str(config.scene),
+            "frames": stats["frames"],
+            "packets": stats["packets"],
+            "files": files,
         },
     )
+    print(f"emitted {stats['packets']} packets")
+    return EXIT_OK
 
 
 def cmd_cloud(args) -> int:
@@ -147,32 +119,40 @@ def cmd_cloud(args) -> int:
     out = Path(config.out_dir)
     recon_dir = out / "recon"
     recon_dir.mkdir(parents=True, exist_ok=True)
-    log = JsonlLog(out / "cloud_log.jsonl")
-    cloud = CloudRunner(config=config, out_dir=recon_dir, log=log)
+    source = config.transport.listen or config.transport.replay
 
     try:
-        if config.transport.listen:
-            host, port = _parse_address(config.transport.listen)
-            with socket.create_server((host, port)) as server:
+        with ExitStack() as stack:
+            log = stack.enter_context(closing(JsonlLog(out / "cloud_log.jsonl")))
+            cloud = CloudRunner(config=config, out_dir=recon_dir, log=log)
+            if config.transport.listen:
+                server = stack.enter_context(
+                    socket.create_server(_parse_address(config.transport.listen))
+                )
                 conn, _ = server.accept()
-                with conn:
-                    while True:
-                        packet = recv_packet(conn)
-                        if packet is None:
-                            break
-                        cloud.feed(packet)
-            source = config.transport.listen
-        else:
-            for packet in read_packets(config.transport.replay):
+                read = stack.enter_context(conn).recv
+            else:
+                read = stack.enter_context(open(config.transport.replay, "rb")).read
+            for packet in iter_packets(read):
                 cloud.feed(packet)
-            source = config.transport.replay
-        _cloud_finish(config, cloud, out, source)
+            cloud.finish()
+        cloud.write_reports(out / "reports.jsonl")
+        _write_summary(
+            out,
+            {
+                "command": "cloud",
+                "source": source,
+                "reports": len(cloud.reports),
+                "malformed_packets": cloud.malformed,
+                "gap_events": cloud.gap_frame_ids(),
+                "files": ["reports.jsonl", "cloud_log.jsonl"]
+                + [f"recon/{name}" for name in cloud.recon_files],
+            },
+        )
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        log.close()
-    print(f"processed {cloud.released} tuples ({cloud.malformed} malformed skipped)")
+    print(f"processed {len(cloud.reports)} tuples ({cloud.malformed} malformed skipped)")
     return EXIT_OK
 
 

@@ -26,7 +26,6 @@ class Track:
     subject_id: int
     box: BoundingBox
     velocity: tuple[float, float] = (0.0, 0.0)
-    age: int = 1
     misses: int = 0
     # index of the box this track took this frame; None while it coasts
     detection: int | None = None
@@ -77,14 +76,12 @@ def track_step(state: TrackerState, boxes: list[BoundingBox]) -> list[Track]:
         )
         track.box = box
         track.detection = j
-        track.age += 1
         track.misses = 0
 
     for i, track in enumerate(tracks):
         if i not in matched_t:
             track.box = predicted[i]
             track.detection = None
-            track.age += 1
             track.misses += 1
 
     for j, box in enumerate(boxes):

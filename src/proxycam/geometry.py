@@ -23,10 +23,6 @@ class BoundingBox:
         return self.y + self.h
 
     @property
-    def bottom(self) -> float:
-        return self.y + self.h
-
-    @property
     def center(self) -> tuple[float, float]:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 

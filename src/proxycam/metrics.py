@@ -1,6 +1,6 @@
 """Label-quality metrics against simulator ground truth.
 
-Scoring uses a transition tolerance: frames within `tolerance` of any
+Scoring uses a transition tolerance: frames within `TRANSITION_TOLERANCE` of any
 scripted phase boundary (including the scene start, which doubles as
 pipeline warm-up) are excluded, since a classifier necessarily lags a
 kinematic transition by a few frames. Predicted `falling` and `fallen`
@@ -80,15 +80,14 @@ def _boundaries(spec: SceneSpec) -> dict[str, list[int]]:
     }
 
 
-def _eligible(frame: int, boundaries: list[int], tolerance: int) -> bool:
-    return all(abs(frame - b) > tolerance for b in boundaries)
+def _eligible(frame: int, boundaries: list[int]) -> bool:
+    return all(abs(frame - b) > TRANSITION_TOLERANCE for b in boundaries)
 
 
 def evaluate_behavior(
     spec: SceneSpec,
     gts: list[GroundTruthFrame],
     reports: dict[int, BehaviorReport],
-    tolerance: int = TRANSITION_TOLERANCE,
 ) -> BehaviorMetrics:
     """Score per-frame labels against the scene script.
 
@@ -102,7 +101,7 @@ def evaluate_behavior(
         report = reports.get(gt.frame_idx)
         subjects = list(report.subjects) if report else []
         for actor in gt.actors:
-            if not _eligible(gt.frame_idx, bounds[actor.actor_id], tolerance):
+            if not _eligible(gt.frame_idx, bounds[actor.actor_id]):
                 continue
             best_label = None
             best_overlap = 0.0

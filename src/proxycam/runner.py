@@ -30,7 +30,7 @@ from .sim.spec import SceneSpec, load_scene_spec
 from .transport.codec import decode, encode
 from .transport.gate import privacy_gate
 from .transport.model import RepresentationTuple, SyncKey
-from .transport.reorder import DuplicateEvent, GapEvent, ReorderBuffer
+from .transport.reorder import GapEvent, ReorderBuffer
 
 
 def us_per_frame(fps: float) -> int:
@@ -109,6 +109,18 @@ def run_edge(
 
 
 @dataclass
+class _Camera:
+    """What the cloud holds for one camera: its reorder buffer, its
+    inference window, its proxy reuse and, once its first env image
+    decodes, the size that image pinned."""
+
+    buffer: ReorderBuffer = field(default_factory=ReorderBuffer)
+    window: deque = field(default_factory=lambda: deque(maxlen=INFER_WINDOW))
+    proxies: ProxyReuse = field(default_factory=ProxyReuse)
+    size: tuple[int, int] | None = None
+
+
+@dataclass
 class CloudRunner:
     """Decode, order, infer, and reconstruct a packet stream.
 
@@ -124,17 +136,17 @@ class CloudRunner:
 
     config: RunConfig
     out_dir: Path
-    log: JsonlLog | None = None
+    log: JsonlLog = field(default_factory=lambda: JsonlLog(None))
 
     reports: dict[tuple[int, int], BehaviorReport] = field(default_factory=dict, init=False)
-    recon_files: list[str] = field(default_factory=list, init=False)
     events: list = field(default_factory=list, init=False)
     malformed: int = field(default=0, init=False)
-    released: int = field(default=0, init=False)
-    _buffers: dict[int, ReorderBuffer] = field(default_factory=dict, init=False)
-    _windows: dict[int, deque] = field(default_factory=dict, init=False)
-    _proxies: dict[int, ProxyReuse] = field(default_factory=dict, init=False)
-    _sizes: dict[int, tuple[int, int]] = field(default_factory=dict, init=False)
+    _cameras: dict[int, _Camera] = field(default_factory=dict, init=False)
+
+    @property
+    def recon_files(self) -> list[str]:
+        """The reconstructions written, in release order: one per report."""
+        return [f"cam{cam}_frame{fid}.png" for cam, fid in self.reports]
 
     def feed(self, packet: bytes) -> None:
         try:
@@ -142,60 +154,42 @@ class CloudRunner:
         except ValidationError as exc:
             self._note_malformed(exc)
             return
-        cam = t.key.camera_id
-        buffer = self._buffers.get(cam)
-        if buffer is None:
-            buffer = ReorderBuffer()
-            self._buffers[cam] = buffer
-            self._windows[cam] = deque(maxlen=INFER_WINDOW)
-            self._proxies[cam] = ProxyReuse()
-        released, events = buffer.accept(t)
-        self._note_events(events)
-        for ready in released:
-            self._process(ready)
+        camera = self._cameras.get(t.key.camera_id)
+        if camera is None:
+            camera = self._cameras[t.key.camera_id] = _Camera()
+        self._release(camera, *camera.buffer.accept(t))
 
     def finish(self) -> None:
-        for cam, buffer in self._buffers.items():
-            released, events = buffer.flush()
-            self._note_events(events)
-            for ready in released:
-                self._process(ready)
+        for camera in self._cameras.values():
+            self._release(camera, *camera.buffer.flush())
 
-    def _note_events(self, events) -> None:
+    def _release(self, camera: _Camera, released: list, events: list) -> None:
         self.events.extend(events)
-        if self.log:
-            for event in events:
-                if isinstance(event, GapEvent):
-                    self.log.write("gap", camera_id=event.camera_id, frame_id=event.frame_id)
-                elif isinstance(event, DuplicateEvent):
-                    self.log.write(
-                        "duplicate", camera_id=event.camera_id, frame_id=event.frame_id
-                    )
+        for event in events:
+            kind = "gap" if isinstance(event, GapEvent) else "duplicate"
+            self.log.write(kind, camera_id=event.camera_id, frame_id=event.frame_id)
+        for t in released:
+            self._process(camera, t)
 
     def _note_malformed(self, exc: Exception, **key) -> None:
         self.malformed += 1
-        if self.log:
-            self.log.write("malformed", **key, error=str(exc))
+        self.log.write("malformed", **key, error=str(exc))
 
-    def _process(self, t: RepresentationTuple) -> None:
+    def _process(self, camera: _Camera, t: RepresentationTuple) -> None:
         cam, fid = t.key.camera_id, t.key.frame_id
         try:
-            env = decode_png(t.env_png, self._sizes.get(cam))
+            env = decode_png(t.env_png, camera.size)
         except ValidationError as exc:
             self._note_malformed(exc, camera_id=cam, frame_id=fid)
             return
-        window = self._windows[cam]
-        window.append(t)
-        report = infer(list(window))
-        self.reports[(cam, fid)] = report
-        self.released += 1
+        camera.window.append(t)
+        self.reports[(cam, fid)] = infer(list(camera.window))
 
-        size = self._sizes.setdefault(cam, (env.shape[1], env.shape[0]))
-        proxies = render_proxies(t.poses, size, self._proxies[cam])
+        if camera.size is None:
+            camera.size = (env.shape[1], env.shape[0])
+        proxies = render_proxies(t.poses, camera.size, camera.proxies)
         scene = reconstruct(env, proxies)
-        name = f"cam{cam}_frame{fid}.png"
-        (self.out_dir / name).write_bytes(encode_png(scene))
-        self.recon_files.append(name)
+        (self.out_dir / f"cam{cam}_frame{fid}.png").write_bytes(encode_png(scene))
 
     def gap_frame_ids(self) -> list[int]:
         """The frame ids declared dropped, as `summary.json` lists them."""

@@ -78,20 +78,17 @@ class ReorderBuffer:
         """Stream end: declare every remaining hole and release the rest."""
         released: list[RepresentationTuple] = []
         events: list[Event] = []
-        while self._pending:
-            if self._next in self._pending:
-                released.append(self._pending.pop(self._next))
-            else:
-                events.append(GapEvent(self.camera_id, self._next))
-            self._next += 1
+        self._drain(released, events, ended=True)
         return released, events
 
-    def _drain(self, released: list, events: list) -> None:
+    def _drain(self, released: list, events: list, ended: bool = False) -> None:
+        """Release in frame order. A hole is declared dropped once it is
+        overtaken: a frame `GAP_FRAMES` or more beyond it has arrived, or
+        the stream has `ended`."""
         while self._pending:
             if self._next in self._pending:
                 released.append(self._pending.pop(self._next))
-            elif self._max_seen >= self._next + GAP_FRAMES:
-                # overtaken: something far enough ahead is waiting behind this hole
+            elif ended or self._max_seen >= self._next + GAP_FRAMES:
                 events.append(GapEvent(self.camera_id, self._next))
             else:
                 return

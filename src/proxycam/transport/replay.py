@@ -1,7 +1,10 @@
-"""Packet transports: length-prefixed record files and stream sockets.
+"""Packet framing: one reader and one writer for files and stream sockets.
 
-Both carry the same framing: a u32 little-endian byte count followed by
-the packet bytes. The codec itself is transport-agnostic.
+A record is a u32 little-endian byte count followed by the packet bytes.
+`iter_packets` reads records through any `read(n)` callable (a file's
+`read` or a socket's `recv`), and `PacketWriter` writes them through any
+`write` callable (a file's `write` or a socket's `sendall`). The codec
+itself is transport-agnostic.
 """
 
 from __future__ import annotations
@@ -10,12 +13,12 @@ import socket
 import struct
 import time
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..errors import ValidationError
 
 _LEN = struct.Struct("<I")
-_RECV_CHUNK = 1 << 16  # most bytes asked of one socket read
+_READ_CHUNK = 1 << 16  # most bytes asked of one read
 
 CONNECT_RETRIES = 3
 CONNECT_BACKOFF_MS = (100, 200, 400)
@@ -23,7 +26,7 @@ CONNECT_BACKOFF_MS = (100, 200, 400)
 
 def write_packets(path: str | Path, packets: Iterable[bytes]) -> int:
     with open(path, "wb") as fh:
-        writer = PacketWriter(fh)
+        writer = PacketWriter(fh.write)
         for packet in packets:
             writer.send(packet)
     return writer.count
@@ -31,60 +34,52 @@ def write_packets(path: str | Path, packets: Iterable[bytes]) -> int:
 
 def read_packets(path: str | Path) -> Iterator[bytes]:
     with open(path, "rb") as fh:
-        while True:
-            header = fh.read(_LEN.size)
-            if not header:
-                return
-            if len(header) < _LEN.size:
-                raise ValidationError("replay file ends inside a record header")
-            (length,) = _LEN.unpack(header)
-            packet = fh.read(length)
-            if len(packet) < length:
-                raise ValidationError("replay file ends inside a record body")
-            yield packet
+        yield from iter_packets(fh.read)
 
 
 class PacketWriter:
-    """Append packets to an open file object with record framing."""
+    """Frame packets into a `write` callable, one call per record."""
 
-    def __init__(self, fh):
-        self._fh = fh
+    def __init__(self, write: Callable[[bytes], object]):
+        self._write = write
         self.count = 0
 
     def send(self, packet: bytes) -> None:
-        self._fh.write(_LEN.pack(len(packet)))
-        self._fh.write(packet)
+        self._write(_LEN.pack(len(packet)) + packet)
         self.count += 1
 
 
-def send_packet(sock: socket.socket, packet: bytes) -> None:
-    sock.sendall(_LEN.pack(len(packet)) + packet)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    # reads of at most _RECV_CHUNK: a length prefix that claims more than
+def _read_upto(read: Callable[[int], bytes], n: int) -> bytes:
+    # reads of at most _READ_CHUNK: a length prefix that claims more than
     # arrives costs only the bytes that do
     chunks = []
     got = 0
     while got < n:
-        chunk = sock.recv(min(n - got, _RECV_CHUNK))
+        chunk = read(min(n - got, _READ_CHUNK))
         if not chunk:
-            return None
+            break
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
 
 
-def recv_packet(sock: socket.socket) -> bytes | None:
-    """One framed packet, or None on a clean end of stream."""
-    header = _recv_exact(sock, _LEN.size)
-    if header is None:
-        return None
-    (length,) = _LEN.unpack(header)
-    packet = _recv_exact(sock, length)
-    if packet is None:
-        raise ValidationError("peer closed mid-packet")
-    return packet
+def iter_packets(read: Callable[[int], bytes]) -> Iterator[bytes]:
+    """Each framed packet, until the stream ends between two records.
+
+    A stream that ends inside a record, header or body, raises
+    ValidationError.
+    """
+    while True:
+        header = _read_upto(read, _LEN.size)
+        if not header:
+            return
+        if len(header) == _LEN.size:
+            (length,) = _LEN.unpack(header)
+            packet = _read_upto(read, length)
+            if len(packet) == length:
+                yield packet
+                continue
+        raise ValidationError("packet stream ends inside a record")
 
 
 def connect_with_retry(address: tuple[str, int]) -> socket.socket:

@@ -226,6 +226,18 @@ class TestSocketTransport:
         assert results.get("cloud") == EXIT_OK
         assert len((cloud_out / "reports.jsonl").read_text().splitlines()) == 12
 
+        # the socket path gives the replay path's outputs byte for byte
+        edge_out, replay_out = tmp_path / "edge", tmp_path / "replay"
+        assert main(["edge", "--scene", str(scene_file), "--out", str(edge_out)]) == EXIT_OK
+        assert main(
+            ["cloud", "--replay", str(edge_out / "packets.bin"), "--out", str(replay_out)]
+        ) == EXIT_OK
+        assert (cloud_out / "reports.jsonl").read_bytes() == (replay_out / "reports.jsonl").read_bytes()
+        recon = sorted(p.name for p in (cloud_out / "recon").iterdir())
+        assert recon == sorted(p.name for p in (replay_out / "recon").iterdir())
+        for name in recon:
+            assert (cloud_out / "recon" / name).read_bytes() == (replay_out / "recon" / name).read_bytes()
+
 
 class TestE2ECommand:
     def test_stand_only_scene_scores_full_accuracy(self, tmp_path, scene_file):

@@ -332,7 +332,7 @@ def track_based_order(tracks, poses):
         if ankle is not None:
             depth = float(ankle[1])
         else:
-            depth = by_id[sid].predicted_box().bottom
+            depth = by_id[sid].predicted_box().y2
         keyed.append((depth, sid))
     return [sid for _, sid in sorted(keyed)]
 

@@ -318,25 +318,79 @@ class TestSingleByteFuzz:
         assert undetected == []
 
 
+# 14 bytes: a length prefix that claims 100,000,000 bytes, then 10 of them
+FALSE_PREFIX = struct.pack("<I", 100_000_000) + b"x" * 10
+
+
+def packets_before_the_cut(packets) -> list[bytes]:
+    """The packets yielded before the stream's truncation error, which
+    must come."""
+    got = []
+    with pytest.raises(ValidationError, match="packet stream ends inside a record"):
+        for packet in packets:
+            got.append(packet)
+    return got
+
+
+def peak_bytes(fn) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestSocketFraming:
     def test_false_length_prefix_costs_only_the_bytes_that_arrive(self):
         import socket
-        import tracemalloc
 
-        from proxycam.transport.replay import recv_packet
+        from proxycam.transport.replay import iter_packets
 
         sender, receiver = socket.socketpair()
         try:
-            # 14 bytes: a prefix that claims 100,000,000 bytes, then 10 of them
-            sender.sendall(struct.pack("<I", 100_000_000) + b"x" * 10)
+            sender.sendall(FALSE_PREFIX)
             sender.close()
-            tracemalloc.start()
-            try:
-                with pytest.raises(ValidationError, match="peer closed mid-packet"):
-                    recv_packet(receiver)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            peak = peak_bytes(lambda: packets_before_the_cut(iter_packets(receiver.recv)))
         finally:
             receiver.close()
         assert peak < 1 << 20
+
+
+class TestPacketFraming:
+    """Files and sockets share one framing, so one byte stream gets one
+    verdict from either."""
+
+    def test_replay_file_with_a_false_length_prefix_costs_only_its_bytes(self, tmp_path):
+        from proxycam.transport.replay import read_packets
+
+        path = tmp_path / "false_prefix.bin"
+        path.write_bytes(FALSE_PREFIX)
+        peak = peak_bytes(lambda: packets_before_the_cut(read_packets(path)))
+        assert peak < 1 << 20
+
+    def test_stream_cut_inside_a_record_header_is_refused_by_socket_and_file(self, tmp_path):
+        import socket
+
+        from proxycam.transport.replay import PacketWriter, iter_packets, read_packets
+
+        records = []
+        writer = PacketWriter(records.append)
+        writer.send(b"first")
+        writer.send(b"second")
+        stream = b"".join(records)[: 4 + len(b"first") + 2]  # 2 bytes into the second header
+
+        sender, receiver = socket.socketpair()
+        try:
+            sender.sendall(stream)
+            sender.close()
+            assert packets_before_the_cut(iter_packets(receiver.recv)) == [b"first"]
+        finally:
+            receiver.close()
+
+        path = tmp_path / "cut.bin"
+        path.write_bytes(stream)
+        assert packets_before_the_cut(read_packets(path)) == [b"first"]
