@@ -103,6 +103,7 @@ def cmd_edge(args) -> int:
             "scene": str(config.scene),
             "frames": stats["frames"],
             "packets": stats["packets"],
+            "env_png_reused": stats["env_png_reused"],
             "files": files,
         },
     )
@@ -144,6 +145,7 @@ def cmd_cloud(args) -> int:
                 "source": source,
                 "reports": len(cloud.reports),
                 "malformed_packets": cloud.malformed,
+                "reconstructions_reused": cloud.reconstructions_reused,
                 "gap_events": cloud.gap_frame_ids(),
                 "files": ["reports.jsonl", "cloud_log.jsonl"]
                 + [f"recon/{name}" for name in cloud.recon_files],

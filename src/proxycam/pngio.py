@@ -1,7 +1,10 @@
 """PNG codec for the one dialect the pipeline writes.
 
 `encode_png` writes (H, W, 3) uint8 as 8-bit RGB, filter 0 on every row,
-one IDAT at a fixed zlib level, so equal pixels give equal bytes.
+one IDAT at a fixed zlib level, so equal pixels give equal bytes. Callers
+rely on that to encode each distinct image once: the edge reuses the
+bytes of a scrubbed image equal to the one before (`runner.EnvPngMemo`),
+and the cloud those of a reconstruction whose inputs repeat.
 `decode_png` reads that layout alone (signature, 13-byte IHDR, one IDAT,
 empty IEND, nothing after; every CRC checked) and refuses any other PNG.
 Given the expected (width, height), it refuses any other IHDR size before

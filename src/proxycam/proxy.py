@@ -149,13 +149,22 @@ def _queue_proxy(
     return x0, y0, body, tick
 
 
+def pose_key(pose: KeypointSet) -> tuple:
+    """The bit-exact identity of all that `render_proxy` reads of a pose:
+    the joint points and visibility by their bytes, the head yaw by
+    `float.hex`. Equal-comparing floats such as 0.0 and -0.0 are not the
+    same input, so their keys differ."""
+    yaw = None if pose.head_yaw is None else float(pose.head_yaw).hex()
+    return pose.points.tobytes(), pose.visible.tobytes(), yaw
+
+
 class ProxyReuse:
     """The last proxy of each subject of one cloud camera, with the inputs it came from.
 
-    `render_proxy` reads nothing but the joint points, their visibility,
-    the head yaw and the frame size. When all four repeat bit for bit, its
-    output would repeat byte for byte, so the previous proxy is returned
-    instead of drawing it again. Reused rasters are read-only.
+    `render_proxy` reads nothing but a pose's `pose_key` and the frame
+    size. When both repeat, its output would repeat byte for byte, so the
+    previous proxy is returned instead of drawing it again. Reused rasters
+    are read-only.
     One entry per subject drawn in the last frame: a subject the frame no
     longer carries, or could not draw, is forgotten.
     """
@@ -181,14 +190,7 @@ class ProxyReuse:
         proxies: dict[int, SkeletalProxy] = {}
         misses: dict[int, KeypointSet] = {}
         for sid, pose in poses.items():
-            # floats by their bits: equal-comparing values such as 0.0 and
-            # -0.0 are not the same input
-            keys[sid] = key = (
-                pose.points.tobytes(),
-                pose.visible.tobytes(),
-                None if pose.head_yaw is None else float(pose.head_yaw).hex(),
-                size,
-            )
+            keys[sid] = key = (pose_key(pose), size)
             entry = self._entries.get(sid)
             if entry is not None and entry[0] == key:
                 proxies[sid] = entry[1]

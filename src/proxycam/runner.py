@@ -24,7 +24,7 @@ from .edge.pipeline import EdgeOutput, EdgeState, process_frame
 from .errors import GateViolationError, ValidationError
 from .metrics import evaluate_behavior
 from .pngio import decode_png, encode_png
-from .proxy import ProxyReuse
+from .proxy import ProxyReuse, pose_key
 from .sim.generate import generate_scene, write_ground_truth_jsonl
 from .sim.spec import SceneSpec, load_scene_spec
 from .transport.codec import decode, encode
@@ -38,13 +38,42 @@ def us_per_frame(fps: float) -> int:
 
 
 def build_tuple(
-    output: EdgeOutput, camera_id: int, frame_id: int, timestamp_us: int
+    output: EdgeOutput,
+    camera_id: int,
+    frame_id: int,
+    timestamp_us: int,
+    encode_env: Callable[[np.ndarray], bytes] | None = None,
 ) -> RepresentationTuple:
+    """The tuple of one edge output. `encode_env` turns the scrubbed image
+    into PNG bytes: a stream's `EnvPngMemo`, or `encode_png` by default."""
     return RepresentationTuple(
         key=SyncKey(camera_id=camera_id, frame_id=frame_id, timestamp_us=timestamp_us),
-        env_png=encode_png(output.desensitized),
+        env_png=(encode_env or encode_png)(output.desensitized),
         poses=list(output.poses),
     )
+
+
+class EnvPngMemo:
+    """`encode_png` for one stream's scrubbed images, run once per distinct image.
+
+    `encode_png` is canonical, so an image whose pixels equal the last one
+    encoded takes that image's bytes; `hit` says whether the last call
+    did. The memo compares against its own copy of that image, so writing
+    into a caller's array later cannot change a later packet.
+    """
+
+    def __init__(self) -> None:
+        self._image: np.ndarray | None = None
+        self._png = b""
+        self.hit = False
+
+    def __call__(self, image: np.ndarray) -> bytes:
+        last = self._image
+        self.hit = last is not None and image.dtype == last.dtype and np.array_equal(image, last)
+        if not self.hit:
+            self._png = encode_png(image)
+            self._image = image.copy()
+        return self._png
 
 
 class JsonlLog:
@@ -73,8 +102,12 @@ def run_edge(
 ) -> dict:
     """Drive the edge over a scene, gate every tuple, emit packets.
 
-    The gate refusing a tuple aborts the run with GateViolationError.
-    Returns run stats, and the per-frame EdgeOutput list when
+    A scrubbed image equal to the previous frame's takes that frame's PNG
+    bytes (`EnvPngMemo`) instead of a second encode; every packet still
+    carries its whole image, and the gate still decodes every tuple. The
+    gate refusing a tuple aborts the run with GateViolationError.
+    Returns run stats, among them `env_png_reused`, the frames that took
+    the previous bytes, and the per-frame EdgeOutput list when
     `collect_outputs`, for in-process consumers that compare composites:
     an output draws its composite when read, outside this loop.
     """
@@ -84,11 +117,12 @@ def run_edge(
     log = log or JsonlLog(None)
 
     outputs: list[EdgeOutput] = []
-    packets = 0
+    packets = reused = 0
+    env_png = EnvPngMemo()
     for frame_id, (frame, gt) in enumerate(zip(frames, gts)):
         t0 = time.perf_counter()
         output = process_frame(state, frame, gt)
-        t = build_tuple(output, config.camera_id, frame_id, frame_id * period)
+        t = build_tuple(output, config.camera_id, frame_id, frame_id * period, env_png)
         try:
             privacy_gate(t, (scene.width, scene.height))
         except GateViolationError as exc:
@@ -96,6 +130,7 @@ def run_edge(
             raise
         sink(encode(t))
         packets += 1
+        reused += env_png.hit
         if collect_outputs:
             outputs.append(output)
         log.write(
@@ -103,21 +138,30 @@ def run_edge(
             camera_id=config.camera_id,
             frame_id=frame_id,
             subjects=len(output.poses),
+            env_reused=env_png.hit,
             ms=(time.perf_counter() - t0) * 1000.0,
         )
-    return {"frames": len(frames), "packets": packets, "outputs": outputs}
+    return {"frames": len(frames), "packets": packets, "env_png_reused": reused, "outputs": outputs}
 
 
 @dataclass
 class _Camera:
     """What the cloud holds for one camera: its reorder buffer, its
-    inference window, its proxy reuse and, once its first env image
-    decodes, the size that image pinned."""
+    inference window, its proxy reuse, the `_frame_key` and reconstruction
+    PNG of the last frame it drew, and, once its first env image decodes,
+    the size that image pinned."""
 
     buffer: ReorderBuffer = field(default_factory=ReorderBuffer)
     window: deque = field(default_factory=lambda: deque(maxlen=INFER_WINDOW))
     proxies: ProxyReuse = field(default_factory=ProxyReuse)
+    drawn: tuple[tuple, bytes] | None = None
     size: tuple[int, int] | None = None
+
+
+def _frame_key(t: RepresentationTuple) -> tuple:
+    """All that a frame's reconstruction is a function of: the env bytes,
+    which also fix the pinned size, and each pose by its `pose_key`."""
+    return t.env_png, tuple((sid, pose_key(pose)) for sid, pose in t.poses)
 
 
 @dataclass
@@ -130,8 +174,12 @@ class CloudRunner:
     and the other frames go on as before. A camera's first decodable env
     image, in release order, pins its size; a later image of any other
     size is malformed too, refused before it is inflated. Every
-    reconstruction is written to `out_dir` as a PNG; the rest of the
-    fields are the run's state, which callers read but do not set.
+    reconstruction is written to `out_dir` as a PNG. A released frame
+    whose env bytes and poses equal, bit for bit, those of its camera's
+    last drawn frame takes that frame's PNG bytes with no decode, draw or
+    encode, and is counted in `reconstructions_reused`; it still enters
+    the inference window and gets its report. The rest of the fields are
+    the run's state, which callers read but do not set.
     """
 
     config: RunConfig
@@ -141,6 +189,7 @@ class CloudRunner:
     reports: dict[tuple[int, int], BehaviorReport] = field(default_factory=dict, init=False)
     events: list = field(default_factory=list, init=False)
     malformed: int = field(default=0, init=False)
+    reconstructions_reused: int = field(default=0, init=False)
     _cameras: dict[int, _Camera] = field(default_factory=dict, init=False)
 
     @property
@@ -177,19 +226,25 @@ class CloudRunner:
 
     def _process(self, camera: _Camera, t: RepresentationTuple) -> None:
         cam, fid = t.key.camera_id, t.key.frame_id
-        try:
-            env = decode_png(t.env_png, camera.size)
-        except ValidationError as exc:
-            self._note_malformed(exc, camera_id=cam, frame_id=fid)
-            return
+        key = _frame_key(t)
+        repeat = camera.drawn is not None and camera.drawn[0] == key
+        if not repeat:
+            try:
+                env = decode_png(t.env_png, camera.size)
+            except ValidationError as exc:
+                self._note_malformed(exc, camera_id=cam, frame_id=fid)
+                return
         camera.window.append(t)
         self.reports[(cam, fid)] = infer(list(camera.window))
 
-        if camera.size is None:
-            camera.size = (env.shape[1], env.shape[0])
-        proxies = render_proxies(t.poses, camera.size, camera.proxies)
-        scene = reconstruct(env, proxies)
-        (self.out_dir / f"cam{cam}_frame{fid}.png").write_bytes(encode_png(scene))
+        if repeat:
+            self.reconstructions_reused += 1
+        else:
+            if camera.size is None:
+                camera.size = (env.shape[1], env.shape[0])
+            proxies = render_proxies(t.poses, camera.size, camera.proxies)
+            camera.drawn = (key, encode_png(reconstruct(env, proxies)))
+        (self.out_dir / f"cam{cam}_frame{fid}.png").write_bytes(camera.drawn[1])
 
     def gap_frame_ids(self) -> list[int]:
         """The frame ids declared dropped, as `summary.json` lists them."""
@@ -311,7 +366,9 @@ def run_e2e(config: RunConfig) -> dict:
         "packets": edge_stats["packets"],
         "packet_bytes": packet_bytes,
         "packets_sha256": packet_digest.hexdigest(),
+        "env_png_reused": edge_stats["env_png_reused"],
         "reports": len(cloud.reports),
+        "reconstructions_reused": cloud.reconstructions_reused,
         "gap_events": cloud.gap_frame_ids(),
         "render_mismatches": mismatches,
         "metrics": metrics.to_dict(),

@@ -12,6 +12,7 @@ from proxycam.proxy import (
     SkeletalProxy,
     occlusion_order,
     overlay,
+    pose_key,
     render_proxies,
     render_proxy,
 )
@@ -177,6 +178,27 @@ class TestProxyReuse:
             proxy = reuse.render({1: pose}, size, render)[1]
             assert render.calls == n
             assert same_proxy(proxy, draw(pose, size))
+
+    def test_pose_key_tells_apart_what_equal_comparison_does_not(self):
+        kp = stand_pose()
+        same = KeypointSet(kp.points.copy(), kp.visible.copy(), kp.head_yaw)
+        assert pose_key(same) == pose_key(kp)
+        flipped = kp.visible.copy()
+        flipped[9] = not flipped[9]
+        plus = KeypointSet(kp.points, kp.visible, 0.0)
+        minus = KeypointSet(kp.points, kp.visible, -0.0)
+        assert plus.head_yaw == minus.head_yaw
+        keys = [
+            pose_key(plus),
+            pose_key(minus),
+            pose_key(KeypointSet(kp.points, kp.visible, None)),
+            pose_key(KeypointSet(kp.points, flipped, 0.0)),
+        ]
+        assert len(set(keys)) == len(keys)
+        reuse, render = ProxyReuse(), CountingRender()
+        reuse.render({1: plus}, FRAME_SIZE, render)
+        reuse.render({1: minus}, FRAME_SIZE, render)
+        assert render.calls == 2
 
     def test_departed_subjects_are_dropped(self):
         kp = stand_pose()
