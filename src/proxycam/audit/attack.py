@@ -22,6 +22,7 @@ from ..errors import ValidationError
 # encode_png is unused here; perfbench/trace.py wraps the name
 # proxycam.audit.attack.encode_png
 from ..pngio import decode_png, encode_png
+from ..proxy import support
 from ..raster import grid_pool, luminance
 from ..runner import build_tuple, us_per_frame
 from ..sim.generate import generate_scene
@@ -142,8 +143,7 @@ def _wire_features(t: RepresentationTuple, width: int, height: int) -> np.ndarra
     env_stats = grid_pool(luminance(env), 8, 8).ravel() / 255.0
     proxies = render_proxies(t.poses, (width, height))
     embedding = embed(reconstruct(env, proxies)).astype(np.float64)
-    # both proxy colours are non-zero, so painted pixels are the proxy support
-    painted = reconstruct(np.zeros((height, width, 3), np.uint8), proxies).any(axis=2)
+    painted = support(proxies, (width, height))
     occupancy = grid_pool(painted * 255.0, 8, 8).ravel() / 255.0
     return np.concatenate([embedding, env_stats, occupancy])
 

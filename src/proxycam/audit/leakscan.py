@@ -22,6 +22,8 @@ from ..transport.model import RepresentationTuple
 
 PATCH = 8
 _VAR_EPS = 1e-12
+# run lengths that double up to PATCH: runs of 1, 2 and 4 give runs of 8
+_DOUBLINGS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,23 @@ def _patch_stats(values: np.ndarray, ys: np.ndarray, xs: np.ndarray):
     return centered, var
 
 
+def _inside_patches(mask: np.ndarray) -> np.ndarray:
+    """Whether the 8x8 patch at each corner (y, x) lies inside the mask.
+
+    The same (H-7, W-7) array as `sliding_window_view(mask, (8, 8)).all(axis=(2, 3))`,
+    found separably: a patch is inside when each of its rows holds an 8-long
+    run of mask pixels. A run of 2n is two runs of n that start n apart, so
+    three shifted ANDs along x, then three along y, find the runs of 8. A
+    mask shorter or narrower than a patch gives an empty array.
+    """
+    runs = mask.astype(bool, copy=False)
+    for n in _DOUBLINGS:
+        runs = runs[:, :-n] & runs[:, n:]
+    for n in _DOUBLINGS:
+        runs = runs[:-n] & runs[n:]
+    return runs
+
+
 def pixel_leak_scan(
     t: RepresentationTuple, raw: np.ndarray, gt_mask: np.ndarray
 ) -> LeakScanResult:
@@ -54,15 +73,18 @@ def pixel_leak_scan(
     if gt_mask.shape != raw.shape[:2]:
         raise ValidationError("gt_mask does not match the frame size")
 
-    inside = sliding_window_view(gt_mask.astype(bool), (PATCH, PATCH)).all(axis=(2, 3))
     # only the patches inside the mask are scored; nonzero keeps them in
     # row-major order, so the first of equal peaks is the one reported
-    ys, xs = np.nonzero(inside)
+    ys, xs = np.nonzero(_inside_patches(gt_mask))
     if ys.size == 0:
         return LeakScanResult(max_correlation=0.0, location=None, patches_scanned=0)
 
-    env_c, env_var = _patch_stats(luminance(env), ys, xs)
-    raw_c, raw_var = _patch_stats(luminance(raw), ys, xs)
+    # luma is per pixel, so on the crop the scored patches cover it gives
+    # the same floats as on the whole frame
+    y0, x0 = ys[0], xs.min()
+    crop = np.s_[y0 : ys[-1] + PATCH, x0 : xs.max() + PATCH]
+    env_c, env_var = _patch_stats(luminance(env[crop]), ys - y0, xs - x0)
+    raw_c, raw_var = _patch_stats(luminance(raw[crop]), ys - y0, xs - x0)
     cov = (env_c * raw_c).mean(axis=1)
     denom = np.sqrt(env_var * raw_var)
     corr = np.where(denom > _VAR_EPS, cov / np.maximum(denom, _VAR_EPS), 0.0)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import BoundingBox
-from .raster import SilhouetteCanvas, outline_of, paste_rgba, validate_frame
+from .raster import SilhouetteCanvas, mark_opaque, outline_of, paste_rgba, validate_frame
 from .skeleton import BONES, KeypointSet, L_ANKLE, L_EAR, NOSE, R_ANKLE, R_EAR
 
 FILL_COLOR = (180, 180, 180)
@@ -269,3 +269,13 @@ def overlay(frame: np.ndarray, proxies: Sequence[SkeletalProxy]) -> np.ndarray:
     for proxy in proxies:
         paste_rgba(out, proxy.raster, proxy.anchor[0], proxy.anchor[1])
     return out
+
+
+def support(proxies: Sequence[SkeletalProxy], frame_size: tuple[int, int]) -> np.ndarray:
+    """The (H, W) boolean mask of the pixels `overlay` paints: the union of
+    the proxies' opaque support. frame_size is (width, height)."""
+    width, height = frame_size
+    mask = np.zeros((height, width), bool)
+    for proxy in proxies:
+        mark_opaque(mask, proxy.raster, proxy.anchor[0], proxy.anchor[1])
+    return mask

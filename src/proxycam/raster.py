@@ -175,23 +175,39 @@ def outline_of(mask: np.ndarray) -> np.ndarray:
     return mask & ~erode4(mask)
 
 
-def paste_rgba(dst: np.ndarray, patch: np.ndarray, x0: int, y0: int) -> None:
-    """Paint the opaque pixels of an RGBA patch onto an RGB frame in place.
-
-    Alpha is binary by construction (0 or 255); opaque pixels overwrite.
-    """
+def _placed(patch: np.ndarray, shape: tuple, x0: int, y0: int):
+    """The part of a patch put at (x0, y0) that lies on a frame of `shape`,
+    and the frame's (rows, cols) slices under it; None if none of it does."""
     h, w = patch.shape[:2]
-    H, W = dst.shape[:2]
+    H, W = shape[:2]
     sy0, sx0 = max(0, -y0), max(0, -x0)
     dy0, dx0 = max(0, y0), max(0, x0)
     hh = min(h - sy0, H - dy0)
     ww = min(w - sx0, W - dx0)
     if hh <= 0 or ww <= 0:
+        return None
+    return patch[sy0 : sy0 + hh, sx0 : sx0 + ww], (slice(dy0, dy0 + hh), slice(dx0, dx0 + ww))
+
+
+def paste_rgba(dst: np.ndarray, patch: np.ndarray, x0: int, y0: int) -> None:
+    """Paint the opaque pixels of an RGBA patch onto an RGB frame in place.
+
+    Alpha is binary by construction (0 or 255); opaque pixels overwrite.
+    """
+    placed = _placed(patch, dst.shape, x0, y0)
+    if placed is None:
         return
-    sub = patch[sy0 : sy0 + hh, sx0 : sx0 + ww]
+    sub, region = placed
     opaque = sub[:, :, 3] > 0
-    region = dst[dy0 : dy0 + hh, dx0 : dx0 + ww]
-    region[opaque] = sub[:, :, :3][opaque]
+    dst[region][opaque] = sub[:, :, :3][opaque]
+
+
+def mark_opaque(mask: np.ndarray, patch: np.ndarray, x0: int, y0: int) -> None:
+    """Set, in a boolean (H, W) mask, the pixels `paste_rgba` would paint."""
+    placed = _placed(patch, mask.shape, x0, y0)
+    if placed is not None:
+        sub, region = placed
+        mask[region] |= sub[:, :, 3] > 0
 
 
 def luminance(frame: np.ndarray) -> np.ndarray:

@@ -65,7 +65,8 @@ def encode(t: RepresentationTuple) -> bytes:
         flags = int(_JOINT_BITS[kp.visible].sum())
         if kp.head_yaw is not None:
             flags |= _HEAD_BIT
-        parts.append(_POSE_HEAD.pack(sid, flags, kp.head_yaw or 0.0))
+        # not `or 0.0`, which would send a yaw of -0.0 as +0.0
+        parts.append(_POSE_HEAD.pack(sid, flags, 0.0 if kp.head_yaw is None else kp.head_yaw))
         parts.append(kp.points.astype("<f4").tobytes())
     body = b"".join(parts)
     return body + _U32.pack(zlib.crc32(body))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxycam.audit.attack import (
     AttackGallery,
@@ -9,7 +10,7 @@ from proxycam.audit.attack import (
     identity_attack,
 )
 from proxycam.audit.independence import mask_independence_audit, random_mask
-from proxycam.audit.leakscan import pixel_leak_scan
+from proxycam.audit.leakscan import LeakScanResult, _inside_patches, pixel_leak_scan
 from proxycam.edge.background import erase
 from proxycam.edge.compose import embed
 from proxycam.edge.pipeline import EdgeState, process_frame
@@ -63,7 +64,6 @@ def full_image_leak_scan(env, raw, mask):
     the image, then the peak over the patches lying inside the mask."""
     from numpy.lib.stride_tricks import sliding_window_view
 
-    from proxycam.audit.leakscan import LeakScanResult
     from proxycam.raster import luminance
 
     def stats(values):
@@ -161,6 +161,68 @@ class TestLeakScan:
             result = pixel_leak_scan(self._tuple_with_env(env, trial), raw, mask)
             expected = full_image_leak_scan(env, raw, mask)
             assert result == expected, f"trial {trial}"
+
+        # masks that reach the right and bottom borders, strips thinner than
+        # a patch, exactly one patch, and a uint8 0/1 mask
+        borders = np.zeros((240, 320), bool)
+        borders[:, 301:] = True
+        borders[229:, :] = True
+        strips = np.zeros((240, 320), bool)
+        strips[40:47, 10:300] = True
+        strips[10:230, 100:107] = True
+        strips[120:200, 200:207] = True
+        strips[190:197, 150:310] = True
+        one_patch = np.zeros((240, 320), bool)
+        one_patch[100:108, 41:49] = True
+        as_uint8 = np.zeros((240, 320), np.uint8)
+        as_uint8[30:90, 17:130] = 1
+        as_uint8[60:75, 40:45] = 0
+        cases = {
+            "borders": borders, "strips": strips, "one patch": one_patch, "uint8": as_uint8
+        }
+        for trial, (name, mask) in enumerate(cases.items()):
+            raw = rng.integers(0, 256, (240, 320, 3), dtype=np.uint8)
+            env = raw.copy()
+            scrub = (rng.random((240, 320)) < 0.5) & (mask > 0)
+            env[scrub] = rng.integers(0, 256, (int(scrub.sum()), 3))
+            result = pixel_leak_scan(self._tuple_with_env(env, trial), raw, mask)
+            assert result == full_image_leak_scan(env, raw, mask), name
+        assert pixel_leak_scan(self._tuple_with_env(env), raw, strips).patches_scanned == 0
+        assert pixel_leak_scan(self._tuple_with_env(env), raw, one_patch).patches_scanned == 1
+
+    @pytest.mark.parametrize("height, width", [(6, 40), (40, 6), (7, 7), (1, 1)])
+    def test_frame_smaller_than_a_patch_scores_no_patch(self, height, width):
+        raw = np.random.default_rng(4).integers(0, 256, (height, width, 3), dtype=np.uint8)
+        mask = np.ones((height, width), bool)
+        result = pixel_leak_scan(self._tuple_with_env(raw.copy()), raw, mask)
+        assert result == LeakScanResult(max_correlation=0.0, location=None, patches_scanned=0)
+
+
+@st.composite
+def patchy_masks(draw):
+    """Small masks made of rectangles with a few holes punched in them;
+    some are smaller than a patch on one side."""
+    h, w = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    mask = np.zeros((h, w), bool)
+    cell = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
+    rect = st.tuples(cell, st.integers(1, 20), st.integers(1, 20))
+    for (y, x), dy, dx in draw(st.lists(rect, max_size=4)):
+        mask[y : y + dy, x : x + dx] = True
+    for y, x in draw(st.lists(cell, max_size=6)):
+        mask[y, x] = False
+    return mask
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(patchy_masks())
+def test_run_test_equals_the_window_reduction(mask):
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    inside = _inside_patches(mask)
+    h, w = mask.shape
+    assert inside.shape == (max(h - 7, 0), max(w - 7, 0))
+    if inside.size:
+        assert np.array_equal(inside, sliding_window_view(mask, (8, 8)).all(axis=(2, 3)))
 
 
 class TestIdentityAttack:

@@ -15,6 +15,7 @@ from proxycam.proxy import (
     pose_key,
     render_proxies,
     render_proxy,
+    support,
 )
 from proxycam.sim.generate import generate_scene
 from proxycam.skeleton import L_ANKLE, L_KNEE, R_ANKLE, KeypointSet
@@ -331,6 +332,36 @@ class TestOverlay:
         assert not out[:50].any()
         assert np.all(out[50:, :10] == (10, 20, 30))
         assert not out[50:, 10:].any()
+
+
+class TestSupport:
+    """`support` is the mask the attack once found by painting the proxies
+    onto a black frame and keeping the non-zero pixels; both proxy colours
+    are non-zero, so the two must agree."""
+
+    @staticmethod
+    def painted(proxies, frame_size):
+        width, height = frame_size
+        return overlay(np.zeros((height, width, 3), np.uint8), proxies).any(axis=2)
+
+    def test_equals_the_painted_pixels_of_a_crowd(self):
+        poses = crowd_poses()
+        proxies = render_proxies(poses.items(), FRAME_SIZE)
+        mask = support(proxies, FRAME_SIZE)
+        assert mask.dtype == bool and mask.shape == (240, 320)
+        assert mask.any()
+        assert np.array_equal(mask, self.painted(proxies, FRAME_SIZE))
+
+    def test_equals_the_painted_pixels_past_the_frame_edges(self):
+        # proxies over each edge and corner, one wholly outside, and a patch
+        # with transparent pixels
+        corners = [(-10, 50), (70, -5), (-15, -15), (75, 55), (200, 10)]
+        proxies = [square_proxy(1, x0, y0) for x0, y0 in corners]
+        holed = square_proxy(2, 30, 20)
+        holed.raster[::2, ::3, 3] = 0
+        proxies.append(holed)
+        assert np.array_equal(support(proxies, (80, 60)), self.painted(proxies, (80, 60)))
+        assert not support([], (80, 60)).any()
 
 
 def pose_with_ankles(v, visible=True):

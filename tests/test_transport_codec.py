@@ -286,6 +286,17 @@ class TestVersion4:
         assert decoded == t
         assert [kp.head_yaw for _, kp in decoded.poses] == [None, 0.0]
 
+    def test_negative_zero_yaw_keeps_its_sign(self):
+        # -0.0 == 0.0, so a tuple comparison cannot tell them apart; the
+        # cloud's reuse memo keys a pose by its bits, which must match the edge's
+        from proxycam.proxy import pose_key
+
+        kp = keypoints(0, head=False)
+        poses = [(sid, KeypointSet(kp.points, kp.visible, yaw)) for sid, yaw in ((1, -0.0), (2, 0.0))]
+        decoded = decode(encode(make_tuple(poses=poses))).poses
+        assert [pose_key(kp) for _, kp in decoded] == [pose_key(kp) for _, kp in poses]
+        assert [np.copysign(1.0, kp.head_yaw) for _, kp in decoded] == [-1.0, 1.0]
+
     def test_cloud_counts_version3_packet_as_malformed(self, tmp_path):
         from proxycam.config import RunConfig
         from proxycam.runner import CloudRunner
