@@ -48,13 +48,11 @@ def _resolve_config(args) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    transport = dict(data.get("transport", {}) or {})
-    for key in ("connect", "listen", "replay"):
-        value = getattr(args, key, None)
-        if value:
-            transport[key] = value
-    if transport:
-        data["transport"] = transport
+    flags = {key: getattr(args, key, None) for key in ("connect", "listen", "replay")}
+    flags = {key: value for key, value in flags.items() if value}
+    transport = data.get("transport")
+    if flags and (transport is None or isinstance(transport, dict)):
+        data["transport"] = {**(transport or {}), **flags}
     return config_from_dict(data)
 
 
@@ -146,6 +144,8 @@ def cmd_cloud(args) -> int:
                 "reports": len(cloud.reports),
                 "malformed_packets": cloud.malformed,
                 "reconstructions_reused": cloud.reconstructions_reused,
+                "proxies_drawn": cloud.proxies_drawn,
+                "proxies_reused": cloud.proxies_reused,
                 "gap_events": cloud.gap_frame_ids(),
                 "files": ["reports.jsonl", "cloud_log.jsonl"]
                 + [f"recon/{name}" for name in cloud.recon_files],

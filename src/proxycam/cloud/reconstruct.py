@@ -4,7 +4,9 @@ The cloud takes the path from pose to pixels (`proxy.py`) as it is: the
 renderer and the back-to-front order read only wire fields, and
 `reconstruct` is `proxy.overlay`, so a reconstruction is byte-equal to the
 edge composite of the same tuple. Environment pixels outside the proxy
-support pass through untouched.
+support pass through untouched. A cloud camera passes `render_proxies`
+the proxies of its last drawn frame whose poses repeat (`runner._Drawn`),
+and only the others are drawn.
 """
 
 from __future__ import annotations

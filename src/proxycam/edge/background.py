@@ -57,17 +57,16 @@ def update_background(
     model: BackgroundModel,
     frame: np.ndarray,
     joint_mask: np.ndarray,
-    alpha: float = EMA_ALPHA,
 ) -> BackgroundModel:
     """Blend unmasked pixels into the running estimate; skip masked ones.
 
     The update runs in place over the whole frame: every estimate becomes
-    `(1 - alpha) * accum + alpha * frame` in float64, then the estimates
-    under the mask, saved beforehand, are written back, so masked pixels
-    never reach the model. A pixel's first unmasked observation seeds the
-    estimate directly. Each unmasked pixel takes the same float64 steps
-    as the formula applied to it alone. Returns the same (mutated) model
-    for chaining.
+    `(1 - EMA_ALPHA) * accum + EMA_ALPHA * frame` in float64, then the
+    estimates under the mask, saved beforehand, are written back, so
+    masked pixels never reach the model. A pixel's first unmasked
+    observation seeds the estimate directly. Each unmasked pixel takes the
+    same float64 steps as the formula applied to it alone. Returns the
+    same (mutated) model for chaining.
     """
     frame = validate_frame(frame)
     joint_mask = validate_mask(joint_mask, frame, "joint_mask")
@@ -75,13 +74,12 @@ def update_background(
         raise ValidationError(
             f"model shape {model.shape} does not match frame {frame.shape[:2]}"
         )
-    alpha = float(alpha)
     accum = model.accum.reshape(-1, 3)
     masked = np.flatnonzero(joint_mask)
     held = accum[masked]
     first = np.flatnonzero(~(joint_mask | model.seen))
-    model.accum *= 1.0 - alpha
-    model.accum += np.multiply(frame, alpha, dtype=np.float64)
+    model.accum *= 1.0 - EMA_ALPHA
+    model.accum += np.multiply(frame, EMA_ALPHA, dtype=np.float64)
     accum[first] = frame.reshape(-1, 3)[first]
     accum[masked] = held
     model.seen |= ~joint_mask

@@ -4,7 +4,8 @@
 one IDAT at a fixed zlib level, so equal pixels give equal bytes. Callers
 rely on that to encode each distinct image once: the edge reuses the
 bytes of a scrubbed image equal to the one before (`runner.EnvPngMemo`),
-and the cloud those of a reconstruction whose inputs repeat.
+and a cloud camera those of its last drawn frame (`runner._Drawn`) for a
+frame whose env bytes and poses repeat it.
 `decode_png` reads that layout alone (signature, 13-byte IHDR, one IDAT,
 empty IEND, nothing after; every CRC checked) and refuses any other PNG.
 Given the expected (width, height), it refuses any other IHDR size before

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -158,52 +158,6 @@ def pose_key(pose: KeypointSet) -> tuple:
     return pose.points.tobytes(), pose.visible.tobytes(), yaw
 
 
-class ProxyReuse:
-    """The last proxy of each subject of one cloud camera, with the inputs it came from.
-
-    `render_proxy` reads nothing but a pose's `pose_key` and the frame
-    size. When both repeat, its output would repeat byte for byte, so the
-    previous proxy is returned instead of drawing it again. Reused rasters
-    are read-only.
-    One entry per subject drawn in the last frame: a subject the frame no
-    longer carries, or could not draw, is forgotten.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[int, tuple[tuple, SkeletalProxy]] = {}
-
-    def render(
-        self,
-        poses: Mapping[int, KeypointSet],
-        frame_size: tuple[int, int],
-        render: Callable[..., dict[int, SkeletalProxy]],
-    ) -> dict[int, SkeletalProxy]:
-        """One frame's drawable proxies by subject id: the previous proxy of
-        each subject whose inputs are unchanged, and `render(misses,
-        frame_size)` for all the others in one call, remembered for next
-        time. An undrawable subject is left out and tried again next frame.
-
-        `render` is the caller's own `render_proxy` binding, so a test can
-        put a counting fake in its place."""
-        size = (int(frame_size[0]), int(frame_size[1]))
-        keys: dict[int, tuple] = {}
-        proxies: dict[int, SkeletalProxy] = {}
-        misses: dict[int, KeypointSet] = {}
-        for sid, pose in poses.items():
-            keys[sid] = key = (pose_key(pose), size)
-            entry = self._entries.get(sid)
-            if entry is not None and entry[0] == key:
-                proxies[sid] = entry[1]
-            else:
-                misses[sid] = pose
-        if misses:
-            for sid, proxy in render(misses, frame_size).items():
-                proxy.raster.flags.writeable = False
-                proxies[sid] = proxy
-        self._entries = {sid: (keys[sid], proxy) for sid, proxy in proxies.items()}
-        return proxies
-
-
 def keypoint_extent_box(pose: KeypointSet) -> BoundingBox:
     """Box around the visible joints, grown by a relative margin.
 
@@ -243,18 +197,21 @@ def occlusion_order(poses: Mapping[int, KeypointSet]) -> list[int]:
 def render_proxies(
     poses: Iterable[tuple[int, KeypointSet]],
     frame_size: tuple[int, int],
-    reuse: ProxyReuse | None = None,
+    drawn: dict[int, SkeletalProxy] | None = None,
 ) -> list[SkeletalProxy]:
     """The drawable subjects' proxies in `occlusion_order`, for `overlay`.
 
-    frame_size is (width, height). `reuse` holds the previous proxies of
-    the same camera; it draws this frame's new ones in one `render_proxy`
-    call and is left holding them.
+    frame_size is (width, height). `drawn` holds proxies already drawn for
+    some of these subjects; the others go to one `render_proxy` call, and
+    their rasters are marked read-only and added to `drawn`.
     """
-    if reuse is None:
-        reuse = ProxyReuse()
     poses = dict(poses)
-    drawn = reuse.render(poses, frame_size, render_proxy)
+    drawn = {} if drawn is None else drawn
+    misses = {sid: pose for sid, pose in poses.items() if sid not in drawn}
+    if misses:
+        for sid, proxy in render_proxy(misses, frame_size).items():
+            proxy.raster.flags.writeable = False
+            drawn[sid] = proxy
     return [drawn[sid] for sid in occlusion_order({sid: poses[sid] for sid in drawn})]
 
 

@@ -24,7 +24,7 @@ from .edge.pipeline import EdgeOutput, EdgeState, process_frame
 from .errors import GateViolationError, ValidationError
 from .metrics import evaluate_behavior
 from .pngio import decode_png, encode_png
-from .proxy import ProxyReuse, pose_key
+from .proxy import SkeletalProxy, pose_key
 from .sim.generate import generate_scene, write_ground_truth_jsonl
 from .sim.spec import SceneSpec, load_scene_spec
 from .transport.codec import decode, encode
@@ -145,23 +145,28 @@ def run_edge(
 
 
 @dataclass
+class _Drawn:
+    """The last frame a camera drew: the env bytes and each pose's
+    `pose_key` by subject id (all that its reconstruction reads, since the
+    camera's size is pinned), the drawable subjects' proxies, and the
+    reconstruction PNG. The empty record's env bytes, None, match no frame."""
+
+    env_png: bytes | None = None
+    keys: dict[int, tuple] = field(default_factory=dict)
+    proxies: dict[int, SkeletalProxy] = field(default_factory=dict)
+    png: bytes = b""
+
+
+@dataclass
 class _Camera:
     """What the cloud holds for one camera: its reorder buffer, its
-    inference window, its proxy reuse, the `_frame_key` and reconstruction
-    PNG of the last frame it drew, and, once its first env image decodes,
-    the size that image pinned."""
+    inference window, the last frame it drew, and, once its first env
+    image decodes, the size that image pinned."""
 
     buffer: ReorderBuffer = field(default_factory=ReorderBuffer)
     window: deque = field(default_factory=lambda: deque(maxlen=INFER_WINDOW))
-    proxies: ProxyReuse = field(default_factory=ProxyReuse)
-    drawn: tuple[tuple, bytes] | None = None
+    drawn: _Drawn = field(default_factory=_Drawn)
     size: tuple[int, int] | None = None
-
-
-def _frame_key(t: RepresentationTuple) -> tuple:
-    """All that a frame's reconstruction is a function of: the env bytes,
-    which also fix the pinned size, and each pose by its `pose_key`."""
-    return t.env_png, tuple((sid, pose_key(pose)) for sid, pose in t.poses)
 
 
 @dataclass
@@ -174,12 +179,16 @@ class CloudRunner:
     and the other frames go on as before. A camera's first decodable env
     image, in release order, pins its size; a later image of any other
     size is malformed too, refused before it is inflated. Every
-    reconstruction is written to `out_dir` as a PNG. A released frame
-    whose env bytes and poses equal, bit for bit, those of its camera's
-    last drawn frame takes that frame's PNG bytes with no decode, draw or
-    encode, and is counted in `reconstructions_reused`; it still enters
-    the inference window and gets its report. The rest of the fields are
-    the run's state, which callers read but do not set.
+    reconstruction is written to `out_dir` as a PNG.
+
+    Each camera keeps one record of the last frame it drew (`_Drawn`). A
+    released frame whose env bytes and poses equal, bit for bit, the
+    record's takes its PNG bytes with no decode, draw or encode, and is
+    counted in `reconstructions_reused`; it still enters the inference
+    window and gets its report. Any other frame keeps the record's proxy
+    of each subject whose pose repeats (`proxies_reused`) and draws the
+    rest in one `render_proxy` call (`proxies_drawn`). The rest of the
+    fields are the run's state, which callers read but do not set.
     """
 
     config: RunConfig
@@ -190,6 +199,8 @@ class CloudRunner:
     events: list = field(default_factory=list, init=False)
     malformed: int = field(default=0, init=False)
     reconstructions_reused: int = field(default=0, init=False)
+    proxies_drawn: int = field(default=0, init=False)
+    proxies_reused: int = field(default=0, init=False)
     _cameras: dict[int, _Camera] = field(default_factory=dict, init=False)
 
     @property
@@ -226,8 +237,9 @@ class CloudRunner:
 
     def _process(self, camera: _Camera, t: RepresentationTuple) -> None:
         cam, fid = t.key.camera_id, t.key.frame_id
-        key = _frame_key(t)
-        repeat = camera.drawn is not None and camera.drawn[0] == key
+        keys = {sid: pose_key(pose) for sid, pose in t.poses}
+        last = camera.drawn
+        repeat = last.env_png == t.env_png and last.keys == keys
         if not repeat:
             try:
                 env = decode_png(t.env_png, camera.size)
@@ -242,9 +254,12 @@ class CloudRunner:
         else:
             if camera.size is None:
                 camera.size = (env.shape[1], env.shape[0])
-            proxies = render_proxies(t.poses, camera.size, camera.proxies)
-            camera.drawn = (key, encode_png(reconstruct(env, proxies)))
-        (self.out_dir / f"cam{cam}_frame{fid}.png").write_bytes(camera.drawn[1])
+            kept = {s: p for s, p in last.proxies.items() if keys.get(s) == last.keys[s]}
+            self.proxies_reused += len(kept)
+            self.proxies_drawn += len(keys) - len(kept)
+            proxies = render_proxies(t.poses, camera.size, kept)
+            camera.drawn = _Drawn(t.env_png, keys, kept, encode_png(reconstruct(env, proxies)))
+        (self.out_dir / f"cam{cam}_frame{fid}.png").write_bytes(camera.drawn.png)
 
     def gap_frame_ids(self) -> list[int]:
         """The frame ids declared dropped, as `summary.json` lists them."""
@@ -369,6 +384,8 @@ def run_e2e(config: RunConfig) -> dict:
         "env_png_reused": edge_stats["env_png_reused"],
         "reports": len(cloud.reports),
         "reconstructions_reused": cloud.reconstructions_reused,
+        "proxies_drawn": cloud.proxies_drawn,
+        "proxies_reused": cloud.proxies_reused,
         "gap_events": cloud.gap_frame_ids(),
         "render_mismatches": mismatches,
         "metrics": metrics.to_dict(),

@@ -35,24 +35,11 @@ class SyncKey:
             raise ValidationError("timestamp_us must fit in u64")
 
 
-@dataclass(eq=False)
+@dataclass
 class RepresentationTuple:
     key: SyncKey
     env_png: bytes
     poses: list[tuple[int, KeypointSet]]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RepresentationTuple):
-            return NotImplemented
-        return (
-            self.key == other.key
-            and self.env_png == other.env_png
-            and len(self.poses) == len(other.poses)
-            and all(
-                a_sid == b_sid and a_kp == b_kp
-                for (a_sid, a_kp), (b_sid, b_kp) in zip(self.poses, other.poses)
-            )
-        )
 
 
 def validate_tuple(t: RepresentationTuple) -> None:

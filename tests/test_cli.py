@@ -377,6 +377,45 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "mistyped",
+        [
+            {"fps": "30"},
+            {"fps": True},
+            {"fps": float("nan")},
+            {"camera_id": "0"},
+            {"camera_id": -1},
+            {"camera_id": 2**32},
+            {"edge": {"noise_sigma": "2"}},
+            {"edge": {"noise_sigma": True}},
+            {"seed": "x"},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"transport": {"connect": 5}},
+            {"transport": ["connect"]},
+            {"edge": 2.0},
+            {"out_dir": ["x"]},
+        ],
+    )
+    def test_a_mistyped_config_value_is_a_validation_error(
+        self, tmp_path, capsys, scene_file, mistyped
+    ):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"out_dir": str(tmp_path / "x"), **mistyped}))
+        rc = main(["edge", "--scene", str(scene_file), "--config", str(config)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_a_transport_flag_keeps_a_mistyped_section_refused(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"transport": "127.0.0.1:7700"}))
+        rc = main(["cloud", "--replay", str(tmp_path / "packets.bin"), "--config", str(config),
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("text", ['{"scene": ', "[1, 2]", '"scene.json"'])
     def test_config_that_is_not_a_json_object(self, tmp_path, capsys, text):
         config = tmp_path / "bad.json"

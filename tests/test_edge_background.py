@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import proxycam.edge.background as background_module
 from proxycam.edge.background import (
     EMA_ALPHA,
     NEVER_SEEN_FILL,
@@ -119,9 +120,10 @@ class TestUpdateBackground:
         update_background(model, frame, np.zeros((60, 80), bool))
         assert np.array_equal(model.accum, frame.astype(np.float64))
 
-    def test_equals_boolean_mask_formula(self):
+    def test_equals_boolean_mask_formula(self, monkeypatch):
         # update_background works in place over the whole frame; it must
-        # give the bits of the boolean-mask formula it replaces
+        # give the bits of the boolean-mask formula it replaces, at the
+        # module's EMA_ALPHA and at other rates put in its place
         def reference(model, frame, mask, alpha):
             observe = ~mask
             first = observe & ~model.seen
@@ -149,7 +151,8 @@ class TestUpdateBackground:
                     rng.random((h, w)) < rng.uniform(0.0, 1.0),
                 ][(trial + step) % 3]
                 alpha = [0.0, 1.0, float(rng.random()), EMA_ALPHA][(trial + 2 * step) % 4]
-                assert update_background(model, frame, mask, alpha) is model
+                monkeypatch.setattr(background_module, "EMA_ALPHA", alpha)
+                assert update_background(model, frame, mask) is model
                 reference(ref, frame, mask, alpha)
                 assert model.accum.tobytes() == ref.accum.tobytes(), (trial, step)
                 assert np.array_equal(model.seen, ref.seen), (trial, step)
@@ -172,18 +175,19 @@ class TestUpdateBackground:
             assert model_a.accum.tobytes() == model_b.accum.tobytes(), step
             assert np.array_equal(model_a.seen, model_b.seen), step
 
-    def test_model_storage_is_normalised(self):
+    def test_model_storage_is_normalised(self, monkeypatch):
         # the update writes through a flat view of accum, so the model keeps
         # it C-contiguous float64 whatever it is built from
+        monkeypatch.setattr(background_module, "EMA_ALPHA", 0.5)
         rng = np.random.default_rng(7)
         accum = np.asfortranarray(rng.uniform(0.0, 255.0, (6, 9, 3)).astype(np.float32))
         model = BackgroundModel(accum=accum, seen=np.zeros((9, 6), bool).T)
         assert model.accum.dtype == np.float64 and model.accum.flags.c_contiguous
         assert model.seen.flags.c_contiguous
         frame = rng.integers(0, 256, (6, 9, 3), dtype=np.uint8)
-        update_background(model, frame, np.zeros((6, 9), bool), 0.5)
+        update_background(model, frame, np.zeros((6, 9), bool))
         assert np.array_equal(model.accum, frame.astype(np.float64))  # all first-seen
-        update_background(model, flat(0, h=6, w=9), np.zeros((6, 9), bool), 0.5)
+        update_background(model, flat(0, h=6, w=9), np.zeros((6, 9), bool))
         assert np.array_equal(model.accum, 0.5 * frame.astype(np.float64))
 
     def test_malformed_model_rejected(self):

@@ -1,14 +1,16 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import proxycam.proxy as proxy_module
+import proxycam.runner as runner_module
+from proxycam.config import RunConfig
 from proxycam.edge.compose import embed
 from proxycam.edge.track import Track
 from proxycam.geometry import BoundingBox
-from proxycam.pngio import decode_png
+from proxycam.pngio import decode_png, encode_png
 from proxycam.proxy import (
     FILL_COLOR,
     OUTLINE_COLOR,
-    ProxyReuse,
     SkeletalProxy,
     occlusion_order,
     overlay,
@@ -17,8 +19,11 @@ from proxycam.proxy import (
     render_proxy,
     support,
 )
+from proxycam.runner import CloudRunner
 from proxycam.sim.generate import generate_scene
 from proxycam.skeleton import L_ANKLE, L_KNEE, R_ANKLE, KeypointSet
+from proxycam.transport.codec import encode
+from proxycam.transport.model import RepresentationTuple, SyncKey
 
 from conftest import scene, solo_actor
 
@@ -126,10 +131,11 @@ class TestProxyBatch:
 
 
 class CountingRender:
-    """`render_proxy` that records the subjects of each call."""
+    """`render_proxy` that records the subjects and the result of each call."""
 
     def __init__(self):
         self.batches = []
+        self.results = []
 
     @property
     def calls(self):
@@ -137,27 +143,78 @@ class CountingRender:
 
     def __call__(self, poses, frame_size):
         self.batches.append(sorted(poses))
-        return render_proxy(poses, frame_size)
+        self.results.append(render_proxy(poses, frame_size))
+        return self.results[-1]
 
 
 def same_proxy(a, b):
     return np.array_equal(a.raster, b.raster) and a.anchor == b.anchor
 
 
-class TestProxyReuse:
-    def test_unchanged_inputs_reuse_the_fresh_raster(self):
-        kp = stand_pose()
-        reuse, render = ProxyReuse(), CountingRender()
-        first = reuse.render({1: kp}, FRAME_SIZE, render)[1]
-        # an equal pose in a new object is still the same input
-        again = KeypointSet(kp.points.copy(), kp.visible.copy(), kp.head_yaw)
-        second = reuse.render({1: again}, FRAME_SIZE, render)[1]
-        assert render.calls == 1
-        assert second is first
-        assert same_proxy(second, draw(kp))
-        assert not second.raster.flags.writeable
+def shade(frame_id):
+    """The flat env image of a `ReuseCloud` frame: a new shade each frame."""
+    return np.full((FRAME_SIZE[1], FRAME_SIZE[0], 3), 90 + frame_id, np.uint8)
 
-    def test_any_changed_input_renders_again(self):
+
+class ReuseCloud:
+    """A `CloudRunner` camera fed packets, with a counting fake on
+    `proxy.render_proxy`. Each frame's env image differs from the one
+    before unless the caller repeats it, so a frame is drawn rather than
+    taken whole from the last one. `pasted` holds the env image and the
+    proxies that each drawn frame's `reconstruct` received."""
+
+    def __init__(self, tmp_path, monkeypatch):
+        self.render = CountingRender()
+        monkeypatch.setattr(proxy_module, "render_proxy", self.render)
+        monkeypatch.setattr(runner_module, "reconstruct", self._reconstruct)
+        self.pasted = []
+        self.sent = []
+        self.dir = tmp_path
+        self.runner = CloudRunner(config=RunConfig(), out_dir=tmp_path)
+
+    def _reconstruct(self, env, proxies):
+        self.pasted.append((env, proxies))
+        return overlay(env, proxies)
+
+    def feed(self, poses, env_of=None):
+        """Release one frame of `poses`; its env image is that of frame
+        `env_of`, by default its own."""
+        fid = len(self.sent)
+        env = shade(fid if env_of is None else env_of)
+        key = SyncKey(camera_id=0, frame_id=fid, timestamp_us=fid * 33_333)
+        self.runner.feed(encode(RepresentationTuple(key, encode_png(env), list(poses.items()))))
+        self.sent.append((env, dict(poses)))
+
+    def assert_drawn_afresh(self):
+        """Every reconstruction equals the frame drawn alone, with no reuse."""
+        for fid, (env, poses) in enumerate(self.sent):
+            drawn = render_proxy(poses, FRAME_SIZE)
+            order = occlusion_order({sid: poses[sid] for sid in drawn})
+            recon = decode_png((self.dir / f"cam0_frame{fid}.png").read_bytes())
+            assert np.array_equal(recon, overlay(env, [drawn[sid] for sid in order])), fid
+
+
+class TestProxyReuse:
+    """A cloud camera keeps the proxy of each subject whose pose repeats
+    bit for bit from the last frame it drew, and draws the rest."""
+
+    def test_unchanged_inputs_reuse_the_fresh_raster(self, tmp_path, monkeypatch):
+        kp = stand_pose()
+        cloud = ReuseCloud(tmp_path, monkeypatch)
+        cloud.feed({1: kp})
+        # an equal pose in a new object is still the same input
+        cloud.feed({1: KeypointSet(kp.points.copy(), kp.visible.copy(), kp.head_yaw)})
+        assert cloud.render.calls == 1
+        first = cloud.render.results[0][1]
+        env, pasted = cloud.pasted[1]
+        assert len(pasted) == 1 and pasted[0] is first
+        assert np.array_equal(env, shade(1))
+        assert same_proxy(first, draw(kp))
+        assert not first.raster.flags.writeable
+        assert (cloud.runner.proxies_drawn, cloud.runner.proxies_reused) == (1, 1)
+        cloud.assert_drawn_afresh()
+
+    def test_any_changed_input_renders_again(self, tmp_path, monkeypatch):
         kp = stand_pose()
         torsoless = kp.visible.copy()
         torsoless[[5, 6]] = False  # hide the shoulders: torso falls back to the extent
@@ -166,21 +223,22 @@ class TestProxyReuse:
         flipped = kp.visible.copy()
         flipped[9] = False  # visibility only: the points equal the input before
         inputs = [
-            (KeypointSet(kp.points, torsoless, kp.head_yaw), FRAME_SIZE),
-            (KeypointSet(moved, kp.visible, kp.head_yaw), FRAME_SIZE),
-            (KeypointSet(moved, flipped, kp.head_yaw), FRAME_SIZE),
-            (KeypointSet(moved, flipped, None), FRAME_SIZE),
-            (KeypointSet(moved, flipped, 0.5), FRAME_SIZE),
-            (KeypointSet(moved, flipped, 0.5), (300, 240)),
+            KeypointSet(kp.points, torsoless, kp.head_yaw),
+            KeypointSet(moved, kp.visible, kp.head_yaw),
+            KeypointSet(moved, flipped, kp.head_yaw),
+            KeypointSet(moved, flipped, None),
+            KeypointSet(moved, flipped, 0.5),
         ]
-        reuse, render = ProxyReuse(), CountingRender()
-        reuse.render({1: kp}, FRAME_SIZE, render)
-        for n, (pose, size) in enumerate(inputs, start=2):
-            proxy = reuse.render({1: pose}, size, render)[1]
-            assert render.calls == n
-            assert same_proxy(proxy, draw(pose, size))
+        cloud = ReuseCloud(tmp_path, monkeypatch)
+        cloud.feed({1: kp})
+        for n, pose in enumerate(inputs, start=2):
+            cloud.feed({1: pose})
+            assert cloud.render.calls == n
+            assert same_proxy(cloud.render.results[-1][1], draw(pose))
+        assert cloud.runner.proxies_reused == 0
+        cloud.assert_drawn_afresh()
 
-    def test_pose_key_tells_apart_what_equal_comparison_does_not(self):
+    def test_pose_key_tells_apart_what_equal_comparison_does_not(self, tmp_path, monkeypatch):
         kp = stand_pose()
         same = KeypointSet(kp.points.copy(), kp.visible.copy(), kp.head_yaw)
         assert pose_key(same) == pose_key(kp)
@@ -196,59 +254,89 @@ class TestProxyReuse:
             pose_key(KeypointSet(kp.points, flipped, 0.0)),
         ]
         assert len(set(keys)) == len(keys)
-        reuse, render = ProxyReuse(), CountingRender()
-        reuse.render({1: plus}, FRAME_SIZE, render)
-        reuse.render({1: minus}, FRAME_SIZE, render)
-        assert render.calls == 2
+        cloud = ReuseCloud(tmp_path, monkeypatch)
+        cloud.feed({1: plus})
+        cloud.feed({1: minus})
+        assert cloud.render.calls == 2
+        cloud.assert_drawn_afresh()
 
-    def test_departed_subjects_are_dropped(self):
+    def test_departed_subjects_are_dropped(self, tmp_path, monkeypatch):
         kp = stand_pose()
         other = stand_pose(x=220.0)
-        reuse, render = ProxyReuse(), CountingRender()
-        reuse.render({1: kp, 2: other}, FRAME_SIZE, render)
-        reuse.render({2: other}, FRAME_SIZE, render)
-        assert render.batches == [[1, 2]]
-        reuse.render({1: kp, 2: other}, FRAME_SIZE, render)
-        assert render.batches == [[1, 2], [1]]
+        cloud = ReuseCloud(tmp_path, monkeypatch)
+        cloud.feed({1: kp, 2: other})
+        cloud.feed({2: other})
+        assert cloud.render.batches == [[1, 2]]
+        cloud.feed({1: kp, 2: other})
+        assert cloud.render.batches == [[1, 2], [1]]
+        cloud.assert_drawn_afresh()
 
-    def test_subjects_do_not_share_entries(self):
+    def test_subjects_do_not_share_entries(self, tmp_path, monkeypatch):
         kp = stand_pose()
         other = stand_pose(x=220.0)
-        reuse, render = ProxyReuse(), CountingRender()
-        drawn = reuse.render({1: kp, 2: other}, FRAME_SIZE, render)
-        assert render.calls == 1
-        assert same_proxy(drawn[1], draw(kp))
-        assert same_proxy(drawn[2], draw(other))
+        cloud = ReuseCloud(tmp_path, monkeypatch)
+        cloud.feed({1: kp, 2: other})
+        cloud.feed({1: other, 2: kp})  # the same poses, swapped between subjects
+        assert cloud.render.batches == [[1, 2], [1, 2]]
+        first, second = cloud.render.results
+        assert same_proxy(first[1], draw(kp)) and same_proxy(first[2], draw(other))
+        assert same_proxy(second[1], draw(other)) and same_proxy(second[2], draw(kp))
+        cloud.assert_drawn_afresh()
 
-    def test_misses_reach_the_renderer_in_one_call_and_hits_are_not_redrawn(self):
+    def test_misses_reach_the_renderer_in_one_call_and_hits_are_not_redrawn(
+        self, tmp_path, monkeypatch
+    ):
         poses = crowd_poses()
-        reuse, render = ProxyReuse(), CountingRender()
-        first = reuse.render(poses, FRAME_SIZE, render)
-        assert render.batches == [sorted(poses)]
+        cloud = ReuseCloud(tmp_path, monkeypatch)
+        cloud.feed(poses)
+        assert cloud.render.batches == [sorted(poses)]
         # two subjects move; the other six hold still
         moved = dict(poses)
         for sid in (11, 14):
             kp = poses[sid]
             moved[sid] = KeypointSet(kp.points + np.float32(1.5), kp.visible, kp.head_yaw)
-        second = reuse.render(moved, FRAME_SIZE, render)
-        assert render.batches == [sorted(poses), [11, 14]]
-        for sid, pose in moved.items():
-            if sid in (11, 14):
-                assert same_proxy(second[sid], draw(pose))
-            else:
-                assert second[sid] is first[sid]
-        reuse.render(moved, FRAME_SIZE, render)
-        assert render.calls == 2
+        cloud.feed(moved)
+        assert cloud.render.batches == [sorted(poses), [11, 14]]
+        first = cloud.render.results[0]
+        _, pasted = cloud.pasted[1]
+        assert len(pasted) == len(poses)
+        for sid in poses:
+            if sid not in (11, 14):
+                assert any(proxy is first[sid] for proxy in pasted)
+        cloud.feed(moved)
+        assert cloud.render.calls == 2
+        assert (cloud.runner.proxies_drawn, cloud.runner.proxies_reused) == (8 + 2, 6 + 8)
+        cloud.assert_drawn_afresh()
 
-    def test_an_undrawable_miss_is_not_kept_and_is_tried_again(self):
+    def test_an_undrawable_miss_is_not_kept_and_is_tried_again(self, tmp_path, monkeypatch):
         kp = stand_pose()
         lone = KeypointSet(points=np.full((17, 2), 100.0), visible=np.arange(17) == 0)
-        reuse, render = ProxyReuse(), CountingRender()
-        for frame in range(3):
-            drawn = reuse.render({1: lone, 2: kp}, FRAME_SIZE, render)
-            assert sorted(drawn) == [2]
-        # subject 2 is drawn once; subject 1 goes to the renderer every frame
-        assert render.batches == [[1, 2], [1], [1]]
+        cloud = ReuseCloud(tmp_path, monkeypatch)
+        for _ in range(3):
+            cloud.feed({1: lone, 2: kp})
+        # subject 2 is drawn once; subject 1 goes to the renderer every drawn frame
+        assert cloud.render.batches == [[1, 2], [1], [1]]
+        assert [len(pasted) for _, pasted in cloud.pasted] == [1, 1, 1]
+        assert (cloud.runner.proxies_drawn, cloud.runner.proxies_reused) == (4, 2)
+        cloud.assert_drawn_afresh()
+
+    def test_new_env_bytes_under_repeated_poses_are_decoded_and_draw_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        poses = crowd_poses()
+        cloud = ReuseCloud(tmp_path, monkeypatch)
+        cloud.feed(poses)
+        cloud.feed(poses)  # a new env image, every pose as before
+        assert cloud.render.calls == 1
+        assert len(cloud.pasted) == 2
+        env, pasted = cloud.pasted[1]
+        assert np.array_equal(env, shade(1))
+        assert [id(p) for p in pasted] == [id(p) for p in cloud.pasted[0][1]]
+        cloud.feed(poses, env_of=1)  # env bytes and poses repeat: the frame is taken whole
+        assert len(cloud.pasted) == 2
+        assert cloud.runner.reconstructions_reused == 1
+        assert (cloud.runner.proxies_drawn, cloud.runner.proxies_reused) == (8, 8)
+        cloud.assert_drawn_afresh()
 
 
 class TestCloudProxyReuse:
