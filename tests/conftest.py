@@ -1,10 +1,17 @@
+import json
 import struct
+import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import proxycam.runner
+from proxycam.cli import main
 from proxycam.sim.spec import ActorSpec, BackgroundSpec, SceneSpec
+
+DEMO = Path(__file__).resolve().parent.parent / "scenes" / "demo.json"
 
 GRAY = BackgroundSpec(kind="flat", colors=((96, 96, 96),))
 
@@ -95,3 +102,34 @@ def inflate_bomb_png(width=320, height=240):
     idat = b"".join(inflater.compress(bytes(1 << 20)) for _ in range(50)) + inflater.flush()
     ihdr = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
     return PNG_SIGNATURE + png_chunk(b"IHDR", ihdr) + png_chunk(b"IDAT", idat) + png_chunk(b"IEND", b"")
+
+
+def run_demo_e2e(out: Path, config: dict | None = None) -> list[bytes]:
+    """`proxycam e2e` on scenes/demo.json at seed 7 into `out / "run"`,
+    with `config` as its --config file; returns the packets its edge sent."""
+    out.mkdir(parents=True, exist_ok=True)
+    argv = ["e2e", "--scene", str(DEMO), "--out", str(out / "run"), "--seed", "7"]
+    if config:
+        (out / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(out / "config.json")]
+    packets = []
+    real_encode = proxycam.runner.encode
+
+    def encode(t):
+        packets.append(real_encode(t))
+        return packets[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proxycam.runner, "encode", encode)
+        assert main(argv) == 0
+    return packets
+
+
+@pytest.fixture(scope="session")
+def demo_e2e(tmp_path_factory):
+    """The noise-free demo run, made once for the tests that read it:
+    its output directory, its packets and its wall time in seconds."""
+    out = tmp_path_factory.mktemp("demo_e2e")
+    started = time.perf_counter()
+    packets = run_demo_e2e(out)
+    return out / "run", packets, time.perf_counter() - started

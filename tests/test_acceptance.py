@@ -16,6 +16,7 @@ import numpy as np
 from proxycam.audit.attack import build_gallery, identity_attack
 from proxycam.audit.independence import mask_independence_audit
 from proxycam.cli import main
+from proxycam.config import RunConfig
 from proxycam.cloud.infer import infer
 from proxycam.cloud.reconstruct import reconstruct, render_proxies
 from proxycam.edge.pipeline import EdgeState, detect, process_frame
@@ -33,6 +34,8 @@ from proxycam.skeleton import KeypointSet
 from proxycam.transport.codec import decode, encode
 from proxycam.transport.model import RepresentationTuple, SyncKey
 from proxycam.transport.replay import read_packets, write_packets
+
+from conftest import DEMO
 
 CALIBRATION_SEEDS = range(1000, 1020)
 EVALUATION_SEEDS = range(5000, 5020)
@@ -314,28 +317,23 @@ class TestCriterion7ReorderAndGaps:
 
 
 class TestCriterion8Determinism:
-    def test_e2e_reproducible_and_fast(self, tmp_path):
-        scene = three_actor_scene()
-        scene_path = tmp_path / "scene.json"
-        save_scene_spec(scene, scene_path)
-
-        summaries = []
-        elapsed = []
-        for run in ("a", "b"):
-            out = tmp_path / run
-            started = time.perf_counter()
-            summary = run_e2e(
-                _config(scene_path, out)
-            )
-            elapsed.append(time.perf_counter() - started)
-            summaries.append(summary)
+    def test_e2e_reproducible_and_fast(self, tmp_path, demo_e2e):
+        # run "a" is the session's seed-7 e2e run of scenes/demo.json,
+        # which is three_actor_scene()
+        run_a, _, elapsed_a = demo_e2e
+        started = time.perf_counter()
+        summaries = [
+            json.loads((run_a / "summary.json").read_text()),
+            run_e2e(RunConfig(scene=str(DEMO), seed=7, out_dir=str(tmp_path / "b"))),
+        ]
+        elapsed = [elapsed_a, time.perf_counter() - started]
 
         same_packets = summaries[0]["packets_sha256"] == summaries[1]["packets_sha256"]
         same_reports = (
-            (tmp_path / "a" / "reports.jsonl").read_bytes()
+            (run_a / "reports.jsonl").read_bytes()
             == (tmp_path / "b" / "reports.jsonl").read_bytes()
         )
-        recon_a = sorted((tmp_path / "a" / "recon").glob("*.png"))
+        recon_a = sorted((run_a / "recon").glob("*.png"))
         same_recon = all(
             png.read_bytes() == (tmp_path / "b" / "recon" / png.name).read_bytes()
             for png in recon_a
@@ -348,9 +346,3 @@ class TestCriterion8Determinism:
             f"{len(recon_a)} reconstructions byte-identical; slowest run "
             f"{max(elapsed):.1f}s (< 60 s)",
         )
-
-
-def _config(scene_path: Path, out: Path):
-    from proxycam.config import RunConfig
-
-    return RunConfig(scene=str(scene_path), seed=11, out_dir=str(out))
