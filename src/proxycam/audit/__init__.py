@@ -1,18 +1,5 @@
-from .independence import IndependenceResult, mask_independence_audit
-from .attack import AttackGallery, AttackResult, GalleryActor, build_gallery, identity_attack
-from .leakscan import LeakScanResult, pixel_leak_scan
-from .report import AuditReport, run_full_audit
-
-__all__ = [
-    "AttackGallery",
-    "AttackResult",
-    "AuditReport",
-    "GalleryActor",
-    "IndependenceResult",
-    "LeakScanResult",
-    "build_gallery",
-    "identity_attack",
-    "mask_independence_audit",
-    "pixel_leak_scan",
-    "run_full_audit",
-]
+# the names perfbench/workloads.py imports from the package; every other
+# caller imports from the module that defines the name
+from .attack import build_gallery, identity_attack
+from .independence import mask_independence_audit
+from .leakscan import pixel_leak_scan

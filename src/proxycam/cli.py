@@ -141,12 +141,7 @@ def cmd_cloud(args) -> int:
             {
                 "command": "cloud",
                 "source": source,
-                "reports": len(cloud.reports),
-                "malformed_packets": cloud.malformed,
-                "reconstructions_reused": cloud.reconstructions_reused,
-                "proxies_drawn": cloud.proxies_drawn,
-                "proxies_reused": cloud.proxies_reused,
-                "gap_events": cloud.gap_frame_ids(),
+                **cloud.summary(),
                 "files": ["reports.jsonl", "cloud_log.jsonl"]
                 + [f"recon/{name}" for name in cloud.recon_files],
             },
@@ -173,10 +168,12 @@ def cmd_e2e(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    # the config's seed rule; numpy would refuse a negative seed with a traceback
+    seed = config_from_dict({"seed": args.seed}).seed
     out = Path(args.out_dir or "out")
     out.mkdir(parents=True, exist_ok=True)
     report = run_full_audit(
-        seed=args.seed or 0,
+        seed=seed,
         independence_trials=args.trials,
         gallery_size=args.gallery,
         probes=args.probes,

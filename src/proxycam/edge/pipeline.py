@@ -21,7 +21,7 @@ from .background import BackgroundModel, erase, update_background
 # unused here; perfbench/trace.py wraps the names
 # proxycam.edge.pipeline.{render_proxy, occlusion_order, overlay, embed}
 from ..proxy import occlusion_order, overlay, render_proxy
-from .compose import embed
+from ..raster import embed
 from .pose import estimate_pose
 from .track import TrackerState, track_step
 

@@ -5,7 +5,8 @@ Silhouettes are built from filled capsules (distance-to-segment fields) and
 discs, with no antialiasing, so every rendering decision is a hard pixel
 test and repeated renders are byte-identical. `SilhouetteCanvas` is the one
 painter: the proxies of a frame and the simulator's actors are each drawn
-by a single `paint` over all of their shapes.
+by a single `paint` over all of their shapes. `embed` is the frame
+embedding the identity attack reads off a composite.
 """
 
 from __future__ import annotations
@@ -231,3 +232,13 @@ def grid_pool(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
             cell = values[r_edges[i] : r_edges[i + 1], c_edges[j] : c_edges[j + 1]]
             out[i, j] = cell.mean() if cell.size else 0.0
     return out
+
+
+def embed(composite: np.ndarray) -> np.ndarray:
+    """64-dim embedding: luma mean-pooled over an 8x8 grid, scaled to [0, 1].
+
+    It does not cross the wire: it is a function of the composite, which
+    the cloud rebuilds byte for byte from the tuple."""
+    composite = validate_frame(composite, "composite")
+    pooled = grid_pool(luminance(composite), 8, 8) / 255.0
+    return np.clip(pooled, 0.0, 1.0).ravel().astype(np.float32)

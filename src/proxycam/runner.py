@@ -261,9 +261,17 @@ class CloudRunner:
             camera.drawn = _Drawn(t.env_png, keys, kept, encode_png(reconstruct(env, proxies)))
         (self.out_dir / f"cam{cam}_frame{fid}.png").write_bytes(camera.drawn.png)
 
-    def gap_frame_ids(self) -> list[int]:
-        """The frame ids declared dropped, as `summary.json` lists them."""
-        return [e.frame_id for e in self.events if isinstance(e, GapEvent)]
+    def summary(self) -> dict:
+        """The cloud's fields of `summary.json`, for `cloud` and `e2e` alike;
+        `gap_events` lists the frame ids declared dropped."""
+        return {
+            "reports": len(self.reports),
+            "malformed_packets": self.malformed,
+            "reconstructions_reused": self.reconstructions_reused,
+            "proxies_drawn": self.proxies_drawn,
+            "proxies_reused": self.proxies_reused,
+            "gap_events": [e.frame_id for e in self.events if isinstance(e, GapEvent)],
+        }
 
     def report_records(self) -> list[dict]:
         records = []
@@ -382,11 +390,7 @@ def run_e2e(config: RunConfig) -> dict:
         "packet_bytes": packet_bytes,
         "packets_sha256": packet_digest.hexdigest(),
         "env_png_reused": edge_stats["env_png_reused"],
-        "reports": len(cloud.reports),
-        "reconstructions_reused": cloud.reconstructions_reused,
-        "proxies_drawn": cloud.proxies_drawn,
-        "proxies_reused": cloud.proxies_reused,
-        "gap_events": cloud.gap_frame_ids(),
+        **cloud.summary(),
         "render_mismatches": mismatches,
         "metrics": metrics.to_dict(),
         "elapsed_s": elapsed,

@@ -9,7 +9,6 @@ evaluation set (seeds 5000-5019).
 import json
 import time
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 

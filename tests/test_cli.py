@@ -250,6 +250,18 @@ class TestE2ECommand:
         for name in summary["files"]:
             assert (out / name).exists(), name
 
+    def test_e2e_writes_the_cloud_fields_of_a_cloud_replay(self, tmp_path, scene_file):
+        main(["e2e", "--scene", str(scene_file), "--out", str(tmp_path / "e2e")])
+        main(["edge", "--scene", str(scene_file), "--out", str(tmp_path / "edge")])
+        main(["cloud", "--replay", str(tmp_path / "edge" / "packets.bin"),
+              "--out", str(tmp_path / "cloud")])
+        e2e, cloud = (json.loads((tmp_path / run / "summary.json").read_text())
+                      for run in ("e2e", "cloud"))
+        fields = ("reports", "malformed_packets", "reconstructions_reused",
+                  "proxies_drawn", "proxies_reused", "gap_events")
+        assert {k: e2e[k] for k in fields} == {k: cloud[k] for k in fields}
+        assert e2e["malformed_packets"] == 0
+
     def test_empty_scene_accuracy_vacuously_one(self, tmp_path, empty_scene_file):
         out = tmp_path / "e2e"
         rc = main(["e2e", "--scene", str(empty_scene_file), "--out", str(out)])
@@ -415,6 +427,15 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_a_negative_audit_seed_is_a_validation_error(self, tmp_path, capsys):
+        # the audit applies the config's seed rule before it seeds numpy
+        rc = main(["audit", "--seed", "-1", "--trials", "2", "--probes", "2", "--gallery", "2",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be") and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("text", ['{"scene": ', "[1, 2]", '"scene.json"'])
     def test_config_that_is_not_a_json_object(self, tmp_path, capsys, text):

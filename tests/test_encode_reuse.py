@@ -204,9 +204,7 @@ class TestCloudMemoCorners:
         assert recon(tmp_path, 0, 5) == recon(tmp_path, 0, 0)
 
     @pytest.mark.parametrize("change", ["negative_zero_yaw", "one_visibility_bit"])
-    def test_a_bitwise_pose_change_is_redrawn(
-        self, tmp_path, monkeypatch, counting_encode, change
-    ):
+    def test_a_bitwise_pose_change_is_redrawn(self, tmp_path, counting_encode, change):
         pose = stand_pose(yaw=0.0)
         if change == "negative_zero_yaw":
             other = KeypointSet(pose.points, pose.visible, -0.0)
@@ -215,15 +213,13 @@ class TestCloudMemoCorners:
             visible[9] = not visible[9]
             other = KeypointSet(pose.points, visible, pose.head_yaw)
         assert other.head_yaw == pose.head_yaw  # 0.0 == -0.0 by value
-        # the codec writes a yaw of -0.0 as 0.0, so the tuples go past it
-        monkeypatch.setattr(runner_module, "decode", lambda t: t)
-        tuples = [decode(packet(0, 0, {1: pose})), decode(packet(0, 1, {1: pose}))]
-        tuples[1].poses = [(1, other)]
-        cloud = feed_all(tmp_path, tuples)
+        # the codec keeps a -0.0 yaw's sign, so the change crosses the wire
+        packets = [packet(0, 0, {1: pose}), packet(0, 1, {1: other})]
+        cloud = feed_all(tmp_path, packets)
         assert cloud.reconstructions_reused == 0
         assert counting_encode.calls == 2
-        for i, t in enumerate(tuples):
-            assert recon(tmp_path, 0, i) == fresh_reconstruction(t)
+        for i, p in enumerate(packets):
+            assert recon(tmp_path, 0, i) == fresh_reconstruction(decode(p))
 
     def test_interleaved_cameras_keep_their_own_reconstructions(self, tmp_path, counting_encode):
         poses = {0: {1: stand_pose(x=50.0)}, 1: {1: stand_pose(x=110.0)}}

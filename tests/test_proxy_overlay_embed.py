@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 import proxycam.proxy as proxy_module
 import proxycam.runner as runner_module
 from proxycam.config import RunConfig
-from proxycam.edge.compose import embed
 from proxycam.edge.track import Track
 from proxycam.geometry import BoundingBox
 from proxycam.pngio import decode_png, encode_png
@@ -19,6 +18,7 @@ from proxycam.proxy import (
     render_proxy,
     support,
 )
+from proxycam.raster import embed
 from proxycam.runner import CloudRunner
 from proxycam.sim.generate import generate_scene
 from proxycam.skeleton import L_ANKLE, L_KNEE, R_ANKLE, KeypointSet
