@@ -7,11 +7,9 @@ from typing import Sequence
 
 from ..errors import ValidationError
 from ..geometry import BoundingBox
-from ..proxy import keypoint_extent_box
-from ..skeleton import KeypointSet
 from ..transport.model import RepresentationTuple, SyncKey
 from .classify import classify_behavior
-from .kinematics import extract_kinematics
+from .kinematics import PoseGeometry, extract_kinematics, measure_poses
 
 INFER_WINDOW = 5
 
@@ -30,7 +28,7 @@ class BehaviorReport:
     subjects: tuple[SubjectReport, ...]
 
 
-def _resolve(history: Sequence[KeypointSet]) -> tuple[str, float]:
+def _resolve(history: Sequence[PoseGeometry]) -> tuple[str, float]:
     """Label the newest pose of a history as a replay from its oldest pose would.
 
     A label depends on the one before it only when no rule fires, and only
@@ -46,15 +44,22 @@ def _resolve(history: Sequence[KeypointSet]) -> tuple[str, float]:
     return label, conf
 
 
-def infer(window: Sequence[RepresentationTuple]) -> BehaviorReport:
+def infer(
+    window: Sequence[RepresentationTuple],
+    geometry: Sequence[Sequence[PoseGeometry]] | None = None,
+) -> BehaviorReport:
     """Classify every subject present in the newest tuple of the window.
 
-    The window must be a frame-ordered slice of one camera's stream. Each
-    subject's history is its poses in the window, oldest first. Its label
-    is the one a replay of the classifier along that history gives, where
-    each step holds the previous label when no rule fires; `_resolve`
-    computes it from the newest step backwards and goes back only as far
-    as the hold reaches. A subject with any pose in its history that has
+    The window must be a frame-ordered slice of one camera's stream.
+    `geometry` holds, per tuple, `measure_poses` of its poses; a caller
+    that keeps a window passes the records it measured when each tuple
+    entered, and without them `infer` measures the tuples itself. Each
+    subject's history is its measured poses in the window, oldest first.
+    Its label is the one a replay of the classifier along that history
+    gives, where each step holds the previous label when no rule fires;
+    `_resolve` computes it from the newest step backwards and goes back
+    only as far as the hold reaches. The report box is the newest pose's
+    `keypoint_extent_box`. A subject with any pose in its history that has
     no visible joint is reported as ('unknown', 0.5) with an empty box,
     without failing the frame.
     """
@@ -66,19 +71,22 @@ def infer(window: Sequence[RepresentationTuple]) -> BehaviorReport:
             raise ValidationError("window mixes camera ids")
         if b.key.frame_id <= a.key.frame_id:
             raise ValidationError("window is not frame-ordered")
+    if geometry is None:
+        geometry = [measure_poses(t.poses) for t in window]
 
-    histories: dict[int, list[KeypointSet]] = {}
-    for t in window:
-        for sid, kp in t.poses:
-            histories.setdefault(sid, []).append(kp)
+    histories: dict[int, list[PoseGeometry]] = {}
+    for t, records in zip(window, geometry, strict=True):
+        for (sid, _), record in zip(t.poses, records, strict=True):
+            histories.setdefault(sid, []).append(record)
 
     current = window[-1]
     reports: list[SubjectReport] = []
-    for sid, kp in sorted(current.poses, key=lambda p: p[0]):
+    newest = [(sid, record) for (sid, _), record in zip(current.poses, geometry[-1])]
+    for sid, record in sorted(newest, key=lambda p: p[0]):
         history = histories[sid]
-        if all(pose.visible.any() for pose in history):
+        if all(g.visible for g in history):
             label, conf = _resolve(history)
-            box = keypoint_extent_box(kp)
+            box = record.box
         else:
             label, conf = "unknown", 0.5
             box = BoundingBox(0.0, 0.0, 0.0, 0.0)

@@ -169,8 +169,12 @@ def keypoint_extent_box(pose: KeypointSet) -> BoundingBox:
         raise ValidationError("no visible joints to box")
     x0, y0 = vis.min(axis=0)
     x1, y1 = vis.max(axis=0)
-    box = BoundingBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
-    return box.scaled(1.0 + _EXTENT_MARGIN_FRAC)
+    return extent_box(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
+
+
+def extent_box(x0: float, y0: float, width: float, height: float) -> BoundingBox:
+    """`keypoint_extent_box` of joints whose extent starts at (x0, y0)."""
+    return BoundingBox(x0, y0, width, height).scaled(1.0 + _EXTENT_MARGIN_FRAC)
 
 
 def occlusion_order(poses: Mapping[int, KeypointSet]) -> list[int]:

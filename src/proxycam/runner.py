@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .cloud.infer import INFER_WINDOW, BehaviorReport, infer
+from .cloud.kinematics import measure_poses
 from .cloud.reconstruct import reconstruct, render_proxies
 from .config import RunConfig
 from .edge.pipeline import EdgeOutput, EdgeState, process_frame
@@ -160,8 +161,9 @@ class _Drawn:
 @dataclass
 class _Camera:
     """What the cloud holds for one camera: its reorder buffer, its
-    inference window, the last frame it drew, and, once its first env
-    image decodes, the size that image pinned."""
+    inference window of (tuple, `measure_poses` of its poses) pairs, the
+    last frame it drew, and, once its first env image decodes, the size
+    that image pinned."""
 
     buffer: ReorderBuffer = field(default_factory=ReorderBuffer)
     window: deque = field(default_factory=lambda: deque(maxlen=INFER_WINDOW))
@@ -179,7 +181,9 @@ class CloudRunner:
     and the other frames go on as before. A camera's first decodable env
     image, in release order, pins its size; a later image of any other
     size is malformed too, refused before it is inflated. Every
-    reconstruction is written to `out_dir` as a PNG.
+    reconstruction is written to `out_dir` as a PNG. A released tuple's
+    poses are measured once (`measure_poses`) as it enters its camera's
+    inference window, and the records leave the window with it.
 
     Each camera keeps one record of the last frame it drew (`_Drawn`). A
     released frame whose env bytes and poses equal, bit for bit, the
@@ -246,8 +250,8 @@ class CloudRunner:
             except ValidationError as exc:
                 self._note_malformed(exc, camera_id=cam, frame_id=fid)
                 return
-        camera.window.append(t)
-        self.reports[(cam, fid)] = infer(list(camera.window))
+        camera.window.append((t, measure_poses(t.poses)))
+        self.reports[(cam, fid)] = infer(*zip(*camera.window))
 
         if repeat:
             self.reconstructions_reused += 1

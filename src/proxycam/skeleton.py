@@ -25,6 +25,9 @@ L_ANKLE, R_ANKLE = 15, 16
 
 JOINT_COUNT = 17
 
+# bound on a wire joint coordinate's magnitude
+COORD_LIMIT = 2.0**24
+
 # 16 limbs. The nose-to-shoulder pair keeps the head connected to the torso
 # so the rendered silhouette stays a single component.
 BONES = (
@@ -81,9 +84,11 @@ class KeypointSet:
         )
 
     def validate(self) -> None:
-        """Check that the points and the head yaw are finite."""
-        if not np.all(np.isfinite(self.points)):
-            raise ValidationError("keypoints contain non-finite values")
+        """Check that the points lie within +-COORD_LIMIT and the head yaw
+        is finite. The limit keeps every float32 sum, half, difference and
+        hypot that the cloud takes of two joints finite."""
+        if not np.abs(self.points).max() <= COORD_LIMIT:
+            raise ValidationError("keypoints must be finite and within +-2**24")
         if self.head_yaw is not None and not np.isfinite(self.head_yaw):
             raise ValidationError("head_yaw must be finite")
 
@@ -109,9 +114,6 @@ class KeypointSet:
 
     def shoulder_mid(self) -> np.ndarray | None:
         return self.midpoint(L_SHOULDER, R_SHOULDER)
-
-    def knee_mid(self) -> np.ndarray | None:
-        return self.midpoint(L_KNEE, R_KNEE)
 
     def torso_length(self) -> float | None:
         """Shoulder-midpoint to hip-midpoint distance, None if unmeasurable."""

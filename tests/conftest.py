@@ -9,6 +9,7 @@ import pytest
 
 import proxycam.runner
 from proxycam.cli import main
+from proxycam.cloud.kinematics import measure_poses
 from proxycam.sim.spec import ActorSpec, BackgroundSpec, SceneSpec
 
 DEMO = Path(__file__).resolve().parent.parent / "scenes" / "demo.json"
@@ -43,6 +44,12 @@ def scene(actors, frame_count, width=320, height=240, seed=1, background=GRAY):
         actors=tuple(actors),
         seed=seed,
     )
+
+
+def measured(poses):
+    """The `PoseGeometry` records of a list of poses, each measured as the
+    one pose of its tuple, which is how a camera's window holds them."""
+    return [measure_poses([(0, kp)])[0] for kp in poses]
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 import dataclasses
 import importlib
+import json
 import math
 import struct
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,7 @@ from proxycam.transport.gate import privacy_gate
 from proxycam.transport.model import RepresentationTuple, SyncKey
 from proxycam.transport.reorder import ReorderBuffer
 
-from conftest import filtered_png, inflate_bomb_png, scene, solo_actor
+from conftest import filtered_png, inflate_bomb_png, measured, scene, solo_actor
 
 # the package re-exports the function `infer` under the module's name
 infer_module = importlib.import_module("proxycam.cloud.infer")
@@ -66,7 +68,7 @@ class TestExtractKinematics:
     def test_static_stand_pose(self):
         actor = solo_actor([(0, 10, "stand")])
         kp, _ = pose_at(actor, 0)
-        feats = extract_kinematics([kp] * 5)
+        feats = extract_kinematics(measured([kp] * 5))
         assert feats.spine_angle_deg == pytest.approx(0.0, abs=1e-3)
         assert feats.hip_vy == pytest.approx(0.0)
         assert feats.hip_vx == pytest.approx(0.0)
@@ -74,7 +76,7 @@ class TestExtractKinematics:
     def test_post_fall_pose_is_horizontal(self):
         actor = solo_actor([(0, 5, "stand"), (5, 40, "fall")])
         kp, _ = pose_at(actor, 39)
-        feats = extract_kinematics([kp])
+        feats = extract_kinematics(measured([kp]))
         assert feats.spine_angle_deg == pytest.approx(90.0, abs=1.0)
         assert feats.kp_bbox_aspect < 0.8
 
@@ -83,12 +85,12 @@ class TestExtractKinematics:
         for v in (100, 105, 110, 115, 120):
             actor = solo_actor([(0, 10, "stand")], trajectory=((0, 110.0, float(v)),))
             poses.append(pose_at(actor, 0)[0])
-        feats = extract_kinematics(poses)
+        feats = extract_kinematics(measured(poses))
         assert feats.hip_vy == pytest.approx(5.0)
 
     def test_all_invisible_is_degenerate(self):
         with pytest.raises(ValidationError):
-            extract_kinematics([invisible_pose()])
+            extract_kinematics(measured([invisible_pose()]))
 
     def test_empty_history_is_degenerate(self):
         with pytest.raises(ValidationError):
@@ -234,7 +236,7 @@ def replay_labels(window):
     histories = histories_of(window)
     out = []
     for sid, kp in sorted(window[-1].poses, key=lambda p: p[0]):
-        history = histories[sid]
+        history = measured(histories[sid])
         try:
             prev = None
             for upto in range(1, len(history) + 1):
@@ -317,7 +319,7 @@ class TestLazyHysteresis:
                 if not all(kp.visible.any() for kp in history):
                     early_degenerate += 1
                     continue
-                alone, _ = classify_behavior(extract_kinematics(history), None)
+                alone, _ = classify_behavior(extract_kinematics(measured(history)), None)
                 held += alone == "unknown" and label != "unknown"
         # the comparison must reach the held-label chains and the
         # degenerate pose behind a drawable newest pose
@@ -336,7 +338,7 @@ class TestLazyHysteresis:
     def test_held_label_chain_reaches_back_to_the_oldest_pose(self):
         actor = solo_actor([(0, 5, "stand"), (5, 40, "fall")])
         fallen, _ = pose_at(actor, 39)
-        assert classify_behavior(extract_kinematics([fallen]))[0] == "fallen"
+        assert classify_behavior(extract_kinematics(measured([fallen])))[0] == "fallen"
         # the same hips with the torso leaning 40 degrees and the knees
         # hidden: no velocity, too upright to be fallen, too leaning to
         # stand, no knees to sit on, so no rule fires
@@ -349,7 +351,7 @@ class TestLazyHysteresis:
         points[R_SHOULDER] = top + (5.0, 0.0)
         visible[[L_KNEE, R_KNEE]] = False
         leaning = KeypointSet(points=points, visible=visible)
-        assert classify_behavior(extract_kinematics([fallen, leaning]))[0] == "unknown"
+        assert classify_behavior(extract_kinematics(measured([fallen, leaning])))[0] == "unknown"
         window = window_of([[(1, fallen)]] + [[(1, leaning)]] * 4)
         expected = replay_labels(window)
         assert [(label, conf) for _, label, conf, _ in expected] == [("fallen", 0.5)]
@@ -658,14 +660,17 @@ class TestReorderedStream:
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
+def replay(packets, out_dir):
+    """A `CloudRunner` that took `packets` in order, writing to `out_dir`."""
+    out_dir.mkdir()
+    cloud = CloudRunner(config=RunConfig(), out_dir=out_dir)
+    for packet in packets:
+        cloud.feed(packet)
+    cloud.finish()
+    return cloud
+
+
 class TestMalformedEnvImage:
-    def run(self, packets, out_dir):
-        out_dir.mkdir()
-        cloud = CloudRunner(config=RunConfig(), out_dir=out_dir)
-        for packet in packets:
-            cloud.feed(packet)
-        cloud.finish()
-        return cloud
 
     def test_env_outside_the_dialect_is_counted_and_the_stream_goes_on(self, tmp_path):
         actor = solo_actor(
@@ -686,8 +691,8 @@ class TestMalformedEnvImage:
         ]
         good = [encode(t) for i, t in enumerate(tuples) if i not in bad_env]
 
-        cloud = self.run(mixed, tmp_path / "mixed")
-        left_out = self.run(good, tmp_path / "good")
+        cloud = replay(mixed, tmp_path / "mixed")
+        left_out = replay(good, tmp_path / "good")
 
         good_ids = [i for i in range(16) if i not in bad_env]
         assert cloud.malformed == 4
@@ -723,3 +728,62 @@ class TestMalformedEnvImage:
         assert peak < 2_000_000
         assert cloud.malformed == 1
         assert sorted(cloud.reports) == [(0, 0), (0, 2)]
+
+
+def with_extreme_joints(packet, value):
+    """A CRC-valid copy of `packet` whose first pose has its joints' u at
+    +value and -value in turn; `encode` refuses such a pose, so the bytes
+    are written in place."""
+    (env_len,) = struct.unpack_from("<I", packet, 26)
+    points_at = 26 + 4 + env_len + 2 + 12
+    body = bytearray(packet[:-4])
+    for j in range(17):
+        struct.pack_into("<f", body, points_at + 8 * j, value if j % 2 == 0 else -value)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestExtremeKeypoints:
+    def test_encode_refuses_a_joint_beyond_two_to_the_24(self):
+        actor = solo_actor([(0, 1, "stand")])
+        kp, _ = pose_at(actor, 0)
+        beyond = float(np.nextafter(np.float32(2**24), np.float32(np.inf)))
+        for value, ok in ((2.0**24, True), (-(2.0**24), True), (beyond, False), (-beyond, False)):
+            points = kp.points.copy()
+            points[3, 1] = value
+            t = window_of([[(1, KeypointSet(points, kp.visible))]])[0]
+            if ok:
+                assert decode(encode(t)).poses[0][1] == t.poses[0][1]
+            else:
+                with pytest.raises(ValidationError, match="within"):
+                    encode(t)
+
+    def test_a_packet_of_extreme_joints_is_counted_and_skipped(self, tmp_path):
+        actor = solo_actor(
+            [(0, 16, "walk")], height_px=70, trajectory=((0, 30.0, 100.0), (15, 110.0, 100.0))
+        )
+        tuples, _ = run_tuples(scene([actor], frame_count=16, width=160, height=120))
+        packets = [encode(t) for t in tuples]
+        assert tuples[5].poses
+        extreme = packets[:5] + [with_extreme_joints(packets[5], 3e38)] + packets[6:]
+
+        cloud = replay(extreme, tmp_path / "extreme")
+        left_out = replay(packets[:5] + packets[6:], tmp_path / "deleted")
+
+        assert cloud.malformed == 1
+        assert (0, 5) not in cloud.reports
+        assert cloud.report_records() == left_out.report_records()
+        assert cloud.recon_files == left_out.recon_files
+        assert sorted(p.name for p in (tmp_path / "extreme").iterdir()) == sorted(cloud.recon_files)
+        for name in cloud.recon_files:
+            assert (tmp_path / "extreme" / name).read_bytes() == (
+                tmp_path / "deleted" / name
+            ).read_bytes()
+        cloud.write_reports(tmp_path / "reports.jsonl")
+        lines = (tmp_path / "reports.jsonl").read_text().splitlines()
+        assert len(lines) == 15
+        for line in lines:
+            json.loads(line, parse_constant=refuse_constant)

@@ -12,6 +12,7 @@ from proxycam.sim.spec import (
     scene_spec_to_dict,
     validate_scene_spec,
 )
+from proxycam.skeleton import L_KNEE, R_KNEE
 
 from conftest import joint_mask_of, scene, solo_actor
 
@@ -133,7 +134,7 @@ class TestPoseAt:
     def test_sit_end_hip_at_knee_height(self):
         actor = solo_actor([(0, 40, "sit")])
         kp, _ = pose_at(actor, 39)
-        gap = abs(float(kp.hip_mid()[1]) - float(kp.knee_mid()[1]))
+        gap = abs(float(kp.hip_mid()[1]) - float(kp.midpoint(L_KNEE, R_KNEE)[1]))
         assert gap <= 2.0
 
     def test_frame_out_of_range(self):
