@@ -6,7 +6,8 @@ subjects (`render_proxy`) in `occlusion_order`, back to front, and
 `overlay` pastes them onto a frame. All of them read only what crosses
 the wire (the joint points with their visibility, the head yaw, the frame
 size), so both sides produce the same bytes from the same tuple. The edge
-draws nothing: `is_drawable` reads the renderer's own layout rule.
+draws nothing: `is_drawable` gives the verdict of the renderer's own
+layout rule, without running it for a pose inside the frame.
 
 A proxy is a capsule per visible bone plus a head disc, drawn with one
 fixed fill and outline for every subject. Nothing about the person except
@@ -82,7 +83,27 @@ def render_proxy(
 
 def is_drawable(pose: KeypointSet, frame_size: tuple[int, int]) -> bool:
     """Whether `render_proxy` draws `pose`: it has at least two visible
-    joints and a patch of non-zero size inside the frame."""
+    joints and a patch of non-zero size inside the frame.
+
+    A pose with at least two visible joints, all inside [0, W) x [0, H),
+    is drawable without its `_layout`. Proof, for x (y is alike): the
+    layout's margin m is at least 0.75 + `_TICK_LENGTH` + 2 = 4.75 > 0,
+    and 0 <= xmin <= xmax < W. Its patch is x0 = max(0, floor(xmin - m))
+    to x1 = min(W, ceil(xmax + m)). Here floor(xmin - m) < W, and W > 0,
+    so x0 < W; ceil(xmax + m) > 0, and ceil(xmax + m) > floor(xmin - m),
+    so x0 < ceil(xmax + m). Hence x0 < x1. Every other pose, one with a
+    joint outside the frame or a NaN among them, is decided by `_layout`.
+    Without pose noise every visible joint of an edge pose is inside: the
+    simulator hides the joints outside the frame.
+    """
+    width, height = frame_size
+    inside = [
+        0.0 <= x < width and 0.0 <= y < height
+        for (x, y), seen in zip(pose.points.tolist(), pose.visible.tolist())
+        if seen
+    ]
+    if len(inside) >= 2 and all(inside):
+        return True
     return _layout(pose, frame_size) is not None
 
 

@@ -18,8 +18,12 @@ if str(ROOT) not in sys.path:  # `pytest` alone puts only tests/ on the path
     sys.path.insert(0, str(ROOT))
 
 import proxycam.audit.attack as attack
+import proxycam.edge.pipeline as pipeline
 from perfbench.trace import _WRAPPED
 from proxycam.runner import run_edge
+from proxycam.sim.generate import generate_scene
+
+from conftest import scene, solo_actor
 
 # names the benchmark reaches as attributes at run time, not by import
 REACHED = [
@@ -89,3 +93,20 @@ def test_the_attack_calls_process_frame_through_its_module_name(monkeypatch):
     monkeypatch.setattr(attack, "process_frame", counting)
     attack.identity_attack(attack.build_gallery(2), probe_scenes=1, seed=0, enroll_per_actor=1)
     assert len(calls) == 3 * attack.FRAMES_PER_SCENE
+
+
+def test_process_frame_scrubs_through_its_module_names(monkeypatch):
+    # the self-tests swap pipeline.erase for a leaky scrubber, and the
+    # tracer times pipeline.erase and pipeline.update_background as
+    # edge.erase and edge.background
+    calls = []
+    for name in ("erase", "update_background"):
+        def counting(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    spec = scene([solo_actor([(0, 1, "stand")])], frame_count=1)
+    frames, gts = generate_scene(spec)
+    pipeline.process_frame(pipeline.EdgeState(spec.width, spec.height), frames[0], gts[0])
+    assert sorted(calls) == ["erase", "update_background"]

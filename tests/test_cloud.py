@@ -23,6 +23,7 @@ from proxycam.pngio import decode_png
 from proxycam.proxy import (
     FILL_COLOR,
     OUTLINE_COLOR,
+    _layout,
     is_drawable,
     keypoint_extent_box,
     occlusion_order,
@@ -545,15 +546,38 @@ def ankles_at(x, y=20.0):
     return KeypointSet(points=points, visible=np.isin(np.arange(17), [L_ANKLE, R_ANKLE]))
 
 
+# where a pose's joints lie along one axis of a frame of size n: inside
+# [0, n), straddling an edge, or past it by less or by more than the least
+# margin of a proxy's patch (4.75 px)
+SPANS = (
+    lambda n: (0.0, float(np.nextafter(np.float32(n), np.float32(0)))),
+    lambda n: (-6.0, n + 6.0),
+    lambda n: (-4.75, 0.0),
+    lambda n: (float(n), n + 4.75),
+    lambda n: (-30.0, -4.75),
+    lambda n: (n + 4.75, n + 30.0),
+)
+TORSO = [L_SHOULDER, R_SHOULDER, L_HIP, R_HIP]
+
+
 @st.composite
 def undrawable_or_not(draw):
-    """A pose near or past the edges of a small frame: few visible joints
-    are common, and so are patches clipped to nothing."""
-    width, height = draw(st.integers(8, 64)), draw(st.integers(8, 48))
-    xs = st.floats(-30.0, width + 30.0, width=32)
-    ys = st.floats(-30.0, height + 30.0, width=32)
+    """A pose inside, across or past the edges of a frame down to 1x1:
+    0 to 17 visible joints, the torso often hidden, coordinates at the
+    ends of their span and at +-0.0, and patches clipped to nothing."""
+    width, height = draw(st.integers(1, 64)), draw(st.integers(1, 48))
+
+    def coordinate(n):
+        # inside on more than half the axes, so about one pose in five
+        # takes is_drawable's in-frame rule
+        lo, hi = draw(st.just(SPANS[0]) | st.sampled_from(SPANS))(n)
+        return st.sampled_from([lo, hi, 0.0, -0.0]) | st.floats(lo, hi, width=32)
+
+    xs, ys = coordinate(width), coordinate(height)
     points = np.array([(draw(xs), draw(ys)) for _ in range(17)], np.float32)
     shown = draw(st.sets(st.integers(0, 16), max_size=17))
+    if draw(st.booleans()):
+        shown -= set(TORSO)
     visible = np.isin(np.arange(17), sorted(shown))
     yaw = draw(st.none() | st.floats(-math.pi, math.pi))
     return KeypointSet(points=points, visible=visible, head_yaw=yaw), (width, height)
@@ -595,18 +619,24 @@ class TestUndrawablePose:
             assert is_drawable(ankles_at(x), size) is drawable, x
             assert (1 in render_proxy({1: ankles_at(x)}, size)) is drawable, x
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=600, deadline=None, derandomize=True)
     @given(case=undrawable_or_not())
     @example(case=(ankles_at(64 + 4.75), (64, 48)))  # zero width at the right edge
     @example(case=(ankles_at(-4.75), (64, 48)))  # zero width at the left edge
+    @example(case=(ankles_at(-0.0, 0.0), (1, 1)))  # inside a 1x1 frame
+    @example(case=(ankles_at(64.0), (64, 48)))  # on the far edge, outside the frame
     @example(case=(ankles_at(200.0, 300.0), (64, 48)))  # entirely off the frame
     @example(
         # one visible joint, inside the frame
         case=(KeypointSet(np.full((17, 2), 20.0, np.float32), np.arange(17) == 0), (64, 48))
     )
     def test_edge_verdict_equals_the_renderer_verdict(self, case):
+        # is_drawable decides an in-frame pose without the layout; its
+        # verdict must still be the layout's and the renderer's
         pose, size = case
-        assert is_drawable(pose, size) == (1 in render_proxy({1: pose}, size))
+        drawable = is_drawable(pose, size)
+        assert drawable == (_layout(pose, size) is not None)
+        assert drawable == (1 in render_proxy({1: pose}, size))
 
 
 class SteppingClock:

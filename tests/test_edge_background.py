@@ -20,6 +20,21 @@ def flat(color, h=60, w=80):
     return frame
 
 
+def layouts(image):
+    """Equal copies of an (H, W, ...) array in the layouts a caller may
+    pass: C order, Fortran order, negative strides, and a cropped view."""
+    h, w = image.shape[:2]
+    flipped = np.ascontiguousarray(image[::-1, ::-1])[::-1, ::-1]
+    framed = np.zeros((h + 3, w + 2) + image.shape[2:], image.dtype)
+    framed[1:-2, 2:] = image
+    return [image, np.asfortranarray(image), flipped, framed[1:-2, 2:]]
+
+
+def mask_forms(mask):
+    """One boolean mask as bool and as uint8 0/1, each in every layout."""
+    return [form for m in (mask, mask.astype(np.uint8)) for form in layouts(m)]
+
+
 class TestErase:
     def test_zero_mask_is_identity(self):
         rng = np.random.default_rng(0)
@@ -67,17 +82,29 @@ class TestErase:
             out[mask] = vals
             return out
 
+        # every frame layout and mask form, 1x1 frames, all- and
+        # none-masked frames, and never-seen pixels, fresh models included
         rng = np.random.default_rng(4)
-        for trial in range(50):
-            h, w = rng.integers(1, 90), rng.integers(1, 120)
+        sizes = [(1, 1), (1, 7), (5, 1)]
+        sizes += [(int(rng.integers(1, 90)), int(rng.integers(1, 120))) for _ in range(37)]
+        for trial, (h, w) in enumerate(sizes):
             frame = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
             # estimates beyond [0, 255] and at .5 exercise the clip and the rounding
             accum = rng.uniform(-40.0, 300.0, (h, w, 3))
             accum[rng.random((h, w, 3)) < 0.2] = rng.integers(0, 255) + 0.5
-            model = BackgroundModel(accum=accum, seen=rng.random((h, w)) < 0.6)
-            mask = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+            seen = [np.zeros((h, w), bool), rng.random((h, w)) < 0.6][trial % 4 != 0]
+            model = BackgroundModel(accum=accum, seen=seen)
+            mask = [
+                np.zeros((h, w), bool),
+                np.ones((h, w), bool),
+                rng.random((h, w)) < rng.uniform(0.0, 1.0),
+            ][trial % 3]
+            expected = reference(frame, mask, model)
             before = accum.copy()
-            assert np.array_equal(erase(frame, mask, model), reference(frame, mask, model))
+            for frame_view in layouts(frame):
+                for mask_form in mask_forms(mask):
+                    out = erase(frame_view, mask_form, model)
+                    assert out.tobytes() == expected.tobytes(), trial
             assert np.array_equal(model.accum, before)  # the model is only read
 
 
@@ -133,6 +160,7 @@ class TestUpdateBackground:
             model.accum[rest] = (1.0 - alpha) * model.accum[rest] + alpha * f[rest]
             model.seen[first] = True
 
+        # frames and masks in every layout and form, as the erase test
         rng = np.random.default_rng(5)
         sizes = [(1, 1), (1, 7), (5, 1), (3, 3)]
         sizes += [(int(rng.integers(1, 90)), int(rng.integers(1, 120))) for _ in range(16)]
@@ -152,7 +180,9 @@ class TestUpdateBackground:
                 ][(trial + step) % 3]
                 alpha = [0.0, 1.0, float(rng.random()), EMA_ALPHA][(trial + 2 * step) % 4]
                 monkeypatch.setattr(background_module, "EMA_ALPHA", alpha)
-                assert update_background(model, frame, mask) is model
+                frame_view = layouts(frame)[(trial + step) % 4]
+                mask_form = mask_forms(mask)[(trial + 3 * step) % 8]
+                assert update_background(model, frame_view, mask_form) is model
                 reference(ref, frame, mask, alpha)
                 assert model.accum.tobytes() == ref.accum.tobytes(), (trial, step)
                 assert np.array_equal(model.seen, ref.seen), (trial, step)
