@@ -42,8 +42,8 @@ class BackgroundModel:
     seen: np.ndarray   # (H, W) bool, pixel ever observed unmasked
 
     def __post_init__(self) -> None:
-        # update_background writes through flat views of accum, one item
-        # or one row per pixel, which only C-contiguous storage gives
+        # update_background writes through a flat view of accum, one item
+        # per pixel, which only C-contiguous storage gives
         # (reshape would copy and the writes would be lost)
         self.accum = np.ascontiguousarray(self.accum, dtype=np.float64)
         self.seen = np.ascontiguousarray(self.seen, dtype=bool)
@@ -82,7 +82,9 @@ def update_background(
     masked pixels never reach the model. A pixel's first unmasked
     observation seeds the estimate directly. Each unmasked pixel takes the
     same float64 steps as the formula applied to it alone. The masked
-    estimates are saved and restored as one 24-byte item per pixel.
+    estimates are saved and restored as one 24-byte item per pixel, and
+    first-seen pixels are gathered as one 3-byte item each, cast to
+    float64 and written as one 24-byte item each.
     Returns the same (mutated) model for chaining.
     """
     frame = validate_frame(frame)
@@ -97,7 +99,8 @@ def update_background(
     first = np.flatnonzero(~(joint_mask | model.seen))
     model.accum *= 1.0 - EMA_ALPHA
     model.accum += np.multiply(frame, EMA_ALPHA, dtype=np.float64)
-    model.accum.reshape(-1, 3)[first] = frame.reshape(-1, 3)[first]
+    seeds = _pixels(np.ascontiguousarray(frame), _RGB)[first]
+    estimates[first] = seeds.view(np.uint8).astype(np.float64).view(_ESTIMATE)
     estimates[masked] = held
     model.seen |= ~joint_mask
     return model

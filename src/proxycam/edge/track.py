@@ -10,12 +10,42 @@ ids; tracks coast while missed and retire after the miss timeout.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..geometry import BoundingBox
+
+
+def _load_linear_sum_assignment():
+    """scipy's `linear_sum_assignment`, loaded from its compiled `_lsap`
+    extension alone.
+
+    `scipy.optimize` takes the function from that extension, so this is
+    the same builtin and gives the same assignments, ties included.
+    Importing `scipy.optimize` for it would load the whole package, about
+    49 MB and 0.4 s after numpy, into every process that tracks.
+    The file is found in scipy's `optimize` folder without importing
+    scipy; a scipy that has no such file gets the public import.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    for folder in scipy.submodule_search_locations or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(folder) / "optimize" / f"_lsap{suffix}"
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location("scipy.optimize._lsap", path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+linear_sum_assignment = _load_linear_sum_assignment()
 
 IOU_THRESHOLD = 0.2
 MISS_TIMEOUT = 10

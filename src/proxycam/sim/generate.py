@@ -4,7 +4,8 @@ Actors are articulated stick figures: every bone of the shared skeleton is
 a filled capsule, plus a head disc. Clothing color fills the body, skin
 color fills the face and head. Rendering an actor also yields its exact
 silhouette, which doubles as the ground-truth instance mask, so the mask
-delimits precisely the pixels that differ from the clean background.
+delimits precisely the pixels that differ from the clean background. The
+ground truth keeps each silhouette cropped to its box, not as a frame.
 
 Occlusion is resolved by depth = ankle-midpoint image row: actors lower in
 the image are nearer and painted last.
@@ -36,12 +37,30 @@ _HEAD_RADIUS_FRAC = 0.070
 
 @dataclass(frozen=True)
 class ActorTruth:
+    """One actor in one frame. `silhouette` is its mask cropped to `box`,
+    the silhouette's exact extent, in a frame of `frame_shape` (H, W)."""
+
     actor_id: str
     box: BoundingBox
-    mask: np.ndarray
+    silhouette: np.ndarray
+    frame_shape: tuple[int, int]
     keypoints: KeypointSet
     head_yaw: float
     action: str
+
+    @property
+    def window(self) -> tuple[slice, slice]:
+        """The frame's rows and columns under `box`."""
+        x, y = int(self.box.x), int(self.box.y)
+        h, w = self.silhouette.shape
+        return slice(y, y + h), slice(x, x + w)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The full-frame (H, W) bool mask, built on each read."""
+        mask = np.zeros(self.frame_shape, dtype=bool)
+        mask[self.window] = self.silhouette
+        return mask
 
 
 @dataclass(frozen=True)
@@ -54,8 +73,20 @@ class GroundTruthFrame:
         """The union of every actor's mask: the pixels the edge must erase."""
         mask = np.zeros(self.background.shape[:2], dtype=bool)
         for actor in self.actors:
-            mask |= actor.mask
+            mask[actor.window] |= actor.silhouette
         return mask
+
+
+def crop_silhouette(patch: np.ndarray, x0: int, y0: int) -> tuple[BoundingBox, np.ndarray]:
+    """The box of a silhouette painted into `patch` at frame position
+    (x0, y0), and a copy of its pixels cropped to that box, so the patch
+    itself is not kept."""
+    rows = np.flatnonzero(patch.any(axis=1))
+    cols = np.flatnonzero(patch.any(axis=0))
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    c0, c1 = int(cols[0]), int(cols[-1]) + 1
+    box = BoundingBox(float(x0 + c0), float(y0 + r0), float(c1 - c0), float(r1 - r0))
+    return box, patch[r0:r1, c0:c1].copy()
 
 
 def render_background(spec: SceneSpec) -> np.ndarray:
@@ -150,22 +181,13 @@ def generate_scene(
             region[body] = actor.clothing
             region[skin] = actor.skin
 
-            silhouette = body | skin
-            mask = np.zeros((h, w), dtype=bool)
-            mask[y0 : y0 + body.shape[0], x0 : x0 + body.shape[1]] = silhouette
-            # the box from the patch: its pixels are the only set ones
-            ys, xs = np.nonzero(silhouette)
-            box = BoundingBox(
-                float(x0 + xs.min()),
-                float(y0 + ys.min()),
-                float(xs.max() - xs.min() + 1),
-                float(ys.max() - ys.min() + 1),
-            )
+            box, silhouette = crop_silhouette(body | skin, x0, y0)
             truths.append(
                 ActorTruth(
                     actor_id=actor.actor_id,
                     box=box,
-                    mask=mask,
+                    silhouette=silhouette,
+                    frame_shape=(h, w),
                     keypoints=_with_visibility(pose, w, h),
                     head_yaw=yaw,
                     action=actor.action_at(f)[2],
@@ -232,7 +254,7 @@ def ground_truth_records(gts: list[GroundTruthFrame]) -> list[dict]:
                         ],
                         "head_yaw": a.head_yaw,
                         "action": a.action,
-                        "mask_shape": list(a.mask.shape),
+                        "mask_shape": list(a.frame_shape),
                         "mask_rle": _mask_rle(a.mask),
                     }
                     for a in gt.actors

@@ -2,7 +2,8 @@
 
 `tests/byte_contract.json` holds digests of what the CLI writes for
 `scenes/demo.json` at seed 7, with and without `edge.noise_sigma: 2.0`,
-and of the reduced audit's `audit_report.json`. The simulator's
+of the simulator's `ground_truth.jsonl` for that scene and seed, and of
+the reduced audit's `audit_report.json`. The simulator's
 backgrounds are static, so the demo's scrubbed pixels do not depend on the
 background model's EMA weight, and no demo frame breaks a depth tie in the
 occlusion order where proxies overlap. One more stream, made in process,
@@ -34,7 +35,7 @@ from proxycam.pngio import decode_png
 from proxycam.runner import CloudRunner, run_edge
 from proxycam.sim.generate import generate_scene
 
-from conftest import run_demo_e2e, scene, solo_actor
+from conftest import DEMO, run_demo_e2e, scene, solo_actor
 
 CONTRACT = Path(__file__).resolve().parent / "byte_contract.json"
 # the packet layout up to the env length, and the env length's size
@@ -119,6 +120,12 @@ def tie_and_sensor_noise_contract(out: Path) -> dict:
     return stream_contract(packets, out / "reports.jsonl", [out / n for n in cloud.recon_files])
 
 
+def sim_contract(out: Path) -> dict:
+    assert main(["sim", "--scene", str(DEMO), "--out", str(out), "--seed", "7"]) == 0
+    truth = (out / "ground_truth.jsonl").read_bytes()
+    return {"ground_truth_sha256": hashlib.sha256(truth).hexdigest()}
+
+
 def audit_contract(out: Path) -> dict:
     assert main(["audit", *AUDIT_ARGS, "--out", str(out)]) == 0
     report = (out / "audit_report.json").read_bytes()
@@ -148,6 +155,10 @@ def test_tied_depths_over_noisy_pixels_equal_the_pinned_bytes(tmp_path):
     check("tie_and_sensor_noise", tie_and_sensor_noise_contract(tmp_path))
 
 
+def test_simulated_ground_truth_equals_the_pinned_bytes(tmp_path):
+    check("sim_demo_seed7", sim_contract(tmp_path))
+
+
 def test_reduced_audit_report_equals_the_pinned_bytes(tmp_path):
     check("audit", audit_contract(tmp_path))
 
@@ -158,6 +169,7 @@ def write_contract(scratch: Path) -> None:
         packets = run_demo_e2e(scratch / case, config)
         cases[case] = e2e_contract(scratch / case / "run", packets)
     cases["tie_and_sensor_noise"] = tie_and_sensor_noise_contract(scratch / "tie")
+    cases["sim_demo_seed7"] = sim_contract(scratch / "sim")
     cases["audit"] = audit_contract(scratch / "audit")
     contract = {"zlib": zlib.ZLIB_RUNTIME_VERSION, "cases": cases}
     CONTRACT.write_text(json.dumps(contract, indent=2) + "\n")

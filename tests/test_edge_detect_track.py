@@ -1,5 +1,15 @@
-import pytest
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+import scipy.optimize
+
+import proxycam
+from proxycam.edge import track as track_module
 from proxycam.edge.pipeline import detect
 from proxycam.edge.track import TrackerState, track_step
 from proxycam.errors import ValidationError
@@ -106,3 +116,44 @@ class TestTracker:
                 mapping[track.subject_id] = best
         assert state.next_id - 1 == 2  # exactly one id per actor, ever
         assert switches == 0
+
+
+def cost_matrices():
+    """Seeded random, integer-tied, all-equal, rectangular and empty costs."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        rows, cols = rng.integers(1, 9, size=2)
+        yield rng.random((rows, cols))
+        yield rng.integers(0, 3, size=(rows, cols)).astype(np.float64)
+        yield np.full((rows, cols), float(rng.integers(0, 2)))
+    yield np.zeros((0, 0))
+    yield np.zeros((0, 4))
+    yield np.zeros((4, 0))
+    yield -np.eye(5)[:, :3]
+
+
+class TestSolver:
+    def test_assignments_equal_scipy_optimize(self):
+        for cost in cost_matrices():
+            ours = track_module.linear_sum_assignment(cost)
+            theirs = scipy.optimize.linear_sum_assignment(cost)
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs)), cost
+            assert [a.dtype for a in ours] == [b.dtype for b in theirs]
+
+    def test_an_infeasible_matrix_is_refused_alike(self):
+        cost = np.array([[np.inf, 1.0], [np.inf, 2.0]])
+        with pytest.raises(ValueError):
+            scipy.optimize.linear_sum_assignment(cost)
+        with pytest.raises(ValueError):
+            track_module.linear_sum_assignment(cost)
+
+    def test_importing_the_cli_leaves_scipy_optimize_unloaded(self):
+        code = "import json, sys, proxycam.cli; print(json.dumps(sorted(sys.modules)))"
+        src = str(Path(proxycam.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        loaded = json.loads(run.stdout)
+        assert "proxycam.edge.track" in loaded
+        assert "scipy.optimize" not in loaded

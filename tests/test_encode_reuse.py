@@ -22,7 +22,7 @@ from proxycam.cloud.infer import INFER_WINDOW, infer
 from proxycam.cloud.reconstruct import reconstruct, render_proxies
 from proxycam.config import RunConfig
 from proxycam.edge.pipeline import EdgeOutput
-from proxycam.errors import ValidationError
+from proxycam.errors import GateViolationError, ValidationError
 from proxycam.proxy import pose_key
 from proxycam.runner import CloudRunner, EnvPngMemo, run_edge
 from proxycam.sim.generate import generate_scene
@@ -183,6 +183,41 @@ class TestEdgeMemo:
         with pytest.raises(ValidationError):
             memo(ENV.astype(np.int16))
         assert not memo.hit
+
+
+class TestGateOncePerDistinctImage:
+    def test_the_gate_decodes_only_new_bytes(self, monkeypatch):
+        calls = []
+        real_gate = runner_module.privacy_gate
+
+        def privacy_gate(t, stream_resolution):
+            calls.append(t.key.frame_id)
+            real_gate(t, stream_resolution)
+
+        monkeypatch.setattr(runner_module, "privacy_gate", privacy_gate)
+        spec = still_and_moving_scene()
+        stats = run_edge(RunConfig(), spec, lambda p: None)
+        assert stats["env_png_reused"] >= 10
+        assert len(calls) == spec.frame_count - stats["env_png_reused"]
+        assert calls[0] == 0
+
+    def test_new_bytes_of_the_wrong_size_still_abort_the_run(self, monkeypatch):
+        # the third encode, a frame whose image differs from the one
+        # before, gives a valid PNG of another size
+        encodes = []
+        small = pngio.encode_png(np.zeros((8, 8, 3), np.uint8))
+
+        def encode_png(image):
+            encodes.append(image)
+            return small if len(encodes) == 3 else pngio.encode_png(image)
+
+        monkeypatch.setattr(runner_module, "encode_png", encode_png)
+        sent = []
+        with pytest.raises(GateViolationError, match="env image refused"):
+            run_edge(RunConfig(), still_and_moving_scene(), sent.append)
+        assert len(encodes) == 3
+        assert len(sent) > 2  # frames that reused their bytes came first
+        assert small not in [decode(p).env_png for p in sent]
 
 
 class TestCloudMemoCorners:
