@@ -84,11 +84,7 @@ def cmd_edge(args) -> int:
     with ExitStack() as stack:
         log = stack.enter_context(closing(JsonlLog(out / "edge_log.jsonl")))
         if config.transport.connect:
-            try:
-                sock = connect_with_retry(_parse_address(config.transport.connect))
-            except ConnectionError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_IO
+            sock = connect_with_retry(_parse_address(config.transport.connect))
             write = stack.enter_context(sock).sendall
         else:
             write = stack.enter_context(open(out / "packets.bin", "wb")).write
@@ -120,35 +116,31 @@ def cmd_cloud(args) -> int:
     recon_dir.mkdir(parents=True, exist_ok=True)
     source = config.transport.listen or config.transport.replay
 
-    try:
-        with ExitStack() as stack:
-            log = stack.enter_context(closing(JsonlLog(out / "cloud_log.jsonl")))
-            cloud = CloudRunner(config=config, out_dir=recon_dir, log=log)
-            if config.transport.listen:
-                server = stack.enter_context(
-                    socket.create_server(_parse_address(config.transport.listen))
-                )
-                conn, _ = server.accept()
-                read = stack.enter_context(conn).recv
-            else:
-                read = stack.enter_context(open(config.transport.replay, "rb")).read
-            for packet in iter_packets(read):
-                cloud.feed(packet)
-            cloud.finish()
-        cloud.write_reports(out / "reports.jsonl")
-        _write_summary(
-            out,
-            {
-                "command": "cloud",
-                "source": source,
-                **cloud.summary(),
-                "files": ["reports.jsonl", "cloud_log.jsonl"]
-                + [f"recon/{name}" for name in cloud.recon_files],
-            },
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with ExitStack() as stack:
+        log = stack.enter_context(closing(JsonlLog(out / "cloud_log.jsonl")))
+        cloud = CloudRunner(config=config, out_dir=recon_dir, log=log)
+        if config.transport.listen:
+            server = stack.enter_context(
+                socket.create_server(_parse_address(config.transport.listen))
+            )
+            conn, _ = server.accept()
+            read = stack.enter_context(conn).recv
+        else:
+            read = stack.enter_context(open(config.transport.replay, "rb")).read
+        for packet in iter_packets(read):
+            cloud.feed(packet)
+        cloud.finish()
+    cloud.write_reports(out / "reports.jsonl")
+    _write_summary(
+        out,
+        {
+            "command": "cloud",
+            "source": source,
+            **cloud.summary(),
+            "files": ["reports.jsonl", "cloud_log.jsonl"]
+            + [f"recon/{name}" for name in cloud.recon_files],
+        },
+    )
     print(f"processed {len(cloud.reports)} tuples ({cloud.malformed} malformed skipped)")
     return EXIT_OK
 

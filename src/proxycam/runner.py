@@ -11,7 +11,7 @@ import hashlib
 import json
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -237,7 +237,7 @@ class CloudRunner:
         self.events.extend(events)
         for event in events:
             kind = "gap" if isinstance(event, GapEvent) else "duplicate"
-            self.log.write(kind, camera_id=event.camera_id, frame_id=event.frame_id)
+            self.log.write(kind, **asdict(event))
         for t in released:
             self._process(camera, t)
 
@@ -273,14 +273,17 @@ class CloudRunner:
 
     def summary(self) -> dict:
         """The cloud's fields of `summary.json`, for `cloud` and `e2e` alike;
-        `gap_events` lists the frame ids declared dropped."""
+        `gap_events` lists each run of frames declared dropped as
+        `[camera_id, first_frame_id, count]`."""
         return {
             "reports": len(self.reports),
             "malformed_packets": self.malformed,
             "reconstructions_reused": self.reconstructions_reused,
             "proxies_drawn": self.proxies_drawn,
             "proxies_reused": self.proxies_reused,
-            "gap_events": [e.frame_id for e in self.events if isinstance(e, GapEvent)],
+            "gap_events": [
+                [e.camera_id, e.frame_id, e.count] for e in self.events if isinstance(e, GapEvent)
+            ],
         }
 
     def report_records(self) -> list[dict]:

@@ -31,7 +31,7 @@ and must cover every frame exactly once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import ValidationError
@@ -171,31 +171,6 @@ def validate_scene_spec(spec: SceneSpec) -> None:
             )
 
 
-def scene_spec_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "width": spec.width,
-        "height": spec.height,
-        "frame_count": spec.frame_count,
-        "seed": spec.seed,
-        "background": {
-            "kind": spec.background.kind,
-            "colors": [list(c) for c in spec.background.colors],
-            "cell": spec.background.cell,
-        },
-        "actors": [
-            {
-                "actor_id": a.actor_id,
-                "clothing": list(a.clothing),
-                "skin": list(a.skin),
-                "height_px": a.height_px,
-                "trajectory": [[f, x, y] for f, x, y in a.trajectory],
-                "actions": [[s, e, act] for s, e, act in a.actions],
-            }
-            for a in spec.actors
-        ],
-    }
-
-
 def scene_spec_from_dict(data: dict) -> SceneSpec:
     try:
         bg_data = data.get("background", {})
@@ -240,5 +215,5 @@ def load_scene_spec(path: str | Path) -> SceneSpec:
 
 def save_scene_spec(spec: SceneSpec, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_spec_to_dict(spec), fh, indent=2)
+        json.dump(asdict(spec), fh, indent=2)
         fh.write("\n")

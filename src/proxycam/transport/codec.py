@@ -10,7 +10,7 @@ Packet layout, all integers little-endian:
     timestamp_us    u64
     env section     u32 length, then that many bytes of a PNG in
                     `encode_png`'s dialect (the codec does not look inside)
-    pose section    u16 count, then per subject:
+    pose section    u16 count, then per subject one `_POSE` record:
                       subject_id u32
                       flags u32: bit j (j < 17) set when joint j is
                         visible, bit 17 set when a head yaw is present;
@@ -42,58 +42,37 @@ from .model import RepresentationTuple, SyncKey, validate_tuple
 MAGIC = b"PCV2"
 VERSION = 4
 
-_HEADER = struct.Struct("<4sBBIQQ")
-_POSE_HEAD = struct.Struct("<IIf")
-_JOINT_BITS = (1 << np.arange(JOINT_COUNT)).astype(np.uint32)
-_HEAD_BIT = 1 << JOINT_COUNT
+_HEADER = struct.Struct("<4sBBIQQI")  # up to the env section's bytes
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+# a subject's record in the pose section: 148 bytes, no padding
+_POSE = np.dtype(
+    [("sid", "<u4"), ("flags", "<u4"), ("yaw", "<f4"), ("points", "<f4", (JOINT_COUNT, 2))]
+)
+_JOINT_BITS = (1 << np.arange(JOINT_COUNT)).astype(np.uint32)
+_HEAD_BIT = 1 << JOINT_COUNT
 
 
 def encode(t: RepresentationTuple) -> bytes:
     """Serialize a tuple; refuses tuples that violate their invariants."""
     validate_tuple(t)
-    parts = [
-        _HEADER.pack(
-            MAGIC, VERSION, 0, t.key.camera_id, t.key.frame_id, t.key.timestamp_us
-        ),
-        _U32.pack(len(t.env_png)),
-        bytes(t.env_png),
-        _U16.pack(len(t.poses)),
-    ]
-    for sid, kp in t.poses:
-        flags = int(_JOINT_BITS[kp.visible].sum())
-        if kp.head_yaw is not None:
-            flags |= _HEAD_BIT
-        # not `or 0.0`, which would send a yaw of -0.0 as +0.0
-        parts.append(_POSE_HEAD.pack(sid, flags, 0.0 if kp.head_yaw is None else kp.head_yaw))
-        parts.append(kp.points.astype("<f4").tobytes())
-    body = b"".join(parts)
+    poses = np.array(
+        [
+            # not `head_yaw or 0.0`, which would send a yaw of -0.0 as +0.0
+            (sid, 0, 0.0, kp.points) if kp.head_yaw is None
+            else (sid, _HEAD_BIT, kp.head_yaw, kp.points)
+            for sid, kp in t.poses
+        ],
+        dtype=_POSE,
+    )
+    visible = np.array([kp.visible for _, kp in t.poses], dtype=bool)
+    poses["flags"] |= visible.reshape(-1, JOINT_COUNT) @ _JOINT_BITS
+    key = t.key
+    head = _HEADER.pack(
+        MAGIC, VERSION, 0, key.camera_id, key.frame_id, key.timestamp_us, len(t.env_png)
+    )
+    body = b"".join([head, bytes(t.env_png), _U16.pack(len(poses)), poses.tobytes()])
     return body + _U32.pack(zlib.crc32(body))
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValidationError(
-                f"packet truncated: wanted {n} bytes at offset {self.pos}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
 
 
 def decode(packet: bytes) -> RepresentationTuple:
@@ -113,35 +92,36 @@ def decode(packet: bytes) -> RepresentationTuple:
             f"checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )
 
-    reader = _Reader(packet[:-4])
-    _, _, flags, camera_id, frame_id, timestamp_us = _HEADER.unpack(
-        reader.take(_HEADER.size)
-    )
+    _, _, flags, camera_id, frame_id, timestamp_us, env_len = _HEADER.unpack_from(packet)
     if flags != 0:
         raise ValidationError(f"flags byte {flags:#04x} must be zero in version {VERSION}")
-    env_len = reader.u32()
-    env_png = reader.take(env_len)
+    body = len(packet) - 4
+    count_at = _HEADER.size + env_len
+    if count_at + _U16.size > body:
+        raise ValidationError(f"packet truncated: the pose count lies past the {body}-byte body")
+    (count,) = _U16.unpack_from(packet, count_at)
+    end = count_at + _U16.size + count * _POSE.itemsize
+    if end > body:
+        raise ValidationError(f"packet truncated: {count} poses end at byte {end} of {body}")
+    if end < body:
+        raise ValidationError(f"{body - end} unexpected trailing bytes")
 
-    pose_count = reader.u16()
-    poses: list[tuple[int, KeypointSet]] = []
-    for _ in range(pose_count):
-        sid, flags, head_yaw = _POSE_HEAD.unpack(reader.take(_POSE_HEAD.size))
-        if flags >> (JOINT_COUNT + 1):
-            raise ValidationError(f"pose flags {flags:#010x} set a reserved bit")
-        points = np.frombuffer(reader.take(JOINT_COUNT * 2 * 4), dtype="<f4")
-        visible = (flags & _JOINT_BITS) != 0
-        yaw = float(head_yaw) if flags & _HEAD_BIT else None
-        poses.append((sid, KeypointSet(points.reshape(JOINT_COUNT, 2).copy(), visible, yaw)))
-
-    if not reader.done():
-        raise ValidationError(
-            f"{len(reader.data) - reader.pos} unexpected trailing bytes"
-        )
-
+    poses = np.frombuffer(packet, _POSE, count, count_at + _U16.size)
+    pose_flags = poses["flags"]
+    reserved = pose_flags[pose_flags >> (JOINT_COUNT + 1) != 0]
+    if reserved.size:
+        raise ValidationError(f"pose flags {int(reserved[0]):#010x} set a reserved bit")
+    visible = (pose_flags[:, None] & _JOINT_BITS) != 0
+    points = poses["points"].copy()  # writable, and apart from the packet
     t = RepresentationTuple(
         key=SyncKey(camera_id=camera_id, frame_id=frame_id, timestamp_us=timestamp_us),
-        env_png=env_png,
-        poses=poses,
+        env_png=packet[_HEADER.size : count_at],
+        poses=[
+            (sid, KeypointSet(p, v, yaw if f & _HEAD_BIT else None))
+            for sid, f, yaw, p, v in zip(
+                poses["sid"].tolist(), pose_flags.tolist(), poses["yaw"].tolist(), points, visible
+            )
+        ],
     )
     validate_tuple(t)
     return t

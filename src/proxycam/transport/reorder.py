@@ -4,9 +4,11 @@ Tuples are released strictly by increasing frame_id, starting at frame 0.
 A missing frame blocks delivery until a frame at least `GAP_FRAMES` beyond
 it arrives, at which point the missing frame is declared dropped and
 delivery resumes; so at most `GAP_FRAMES - 1` tuples wait behind a hole,
-and that is the buffer's only bound. Duplicates are discarded, and `flush`
-declares every hole left at stream end. No rule reads a clock, so the
-releases and events are a function of the arrival order alone.
+and that is the buffer's only bound. A run of holes declared together is
+one `GapEvent`, so a jump in frame id costs one event however far it
+jumps. Duplicates are discarded, and `flush` declares every hole left at
+stream end. No rule reads a clock, so the releases and events are a
+function of the arrival order alone.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ GAP_FRAMES = 30
 
 @dataclass(frozen=True)
 class GapEvent:
+    """`count` frames from `frame_id` on were declared dropped."""
+
     camera_id: int
     frame_id: int
+    count: int
 
 
 @dataclass(frozen=True)
@@ -84,12 +89,17 @@ class ReorderBuffer:
     def _drain(self, released: list, events: list, ended: bool = False) -> None:
         """Release in frame order. A hole is declared dropped once it is
         overtaken: a frame `GAP_FRAMES` or more beyond it has arrived, or
-        the stream has `ended`."""
+        the stream has `ended`. Each run of holes declared at once is one
+        event."""
         while self._pending:
             if self._next in self._pending:
                 released.append(self._pending.pop(self._next))
-            elif ended or self._max_seen >= self._next + GAP_FRAMES:
-                events.append(GapEvent(self.camera_id, self._next))
-            else:
+                self._next += 1
+                continue
+            # the holes before `end` are overtaken, up to the next arrival
+            end = self._max_seen + 1 if ended else self._max_seen - GAP_FRAMES + 1
+            if end <= self._next:
                 return
-            self._next += 1
+            end = min(end, min(self._pending))
+            events.append(GapEvent(self.camera_id, self._next, end - self._next))
+            self._next = end

@@ -309,9 +309,9 @@ class TestCriterion7ReorderAndGaps:
         gaps = json.loads((out_dropped / "summary.json").read_text())["gap_events"]
         report(
             7,
-            identical and gaps == [7],
+            identical and gaps == [[0, 7, 1]],
             f"shuffled replay reports byte-identical to in-order: {identical}; "
-            f"deleting frame 7 yielded gap events {gaps} (exactly [7])",
+            f"deleting frame 7 yielded gap events {gaps} (exactly [[0, 7, 1]])",
         )
 
 

@@ -175,7 +175,11 @@ class TestCloudCommand:
         out = tmp_path / "cloud"
         main(["cloud", "--replay", str(gappy), "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["gap_events"] == [2]
+        assert summary["gap_events"] == [[0, 2, 1]]
+        log = [json.loads(line) for line in (out / "cloud_log.jsonl").read_text().splitlines()]
+        assert [(r["camera_id"], r["frame_id"], r["count"]) for r in log if r["event"] == "gap"] == [
+            (0, 2, 1)
+        ]
 
     def test_malformed_packet_skipped_and_counted(self, tmp_path, scene_file):
         packets_file = self._edge_packets(tmp_path, scene_file)

@@ -18,7 +18,6 @@ from proxycam.sim.kinematics import pose_at
 from proxycam.sim.spec import (
     SceneSpec,
     scene_spec_from_dict,
-    scene_spec_to_dict,
     validate_scene_spec,
 )
 from proxycam.skeleton import L_KNEE, R_KNEE
@@ -221,7 +220,7 @@ class TestSpecValidation:
             validate_scene_spec(scene([actor], frame_count=5))
 
     def test_json_round_trip(self, fall_scene):
-        assert scene_spec_from_dict(scene_spec_to_dict(fall_scene)) == fall_scene
+        assert scene_spec_from_dict(dataclasses.asdict(fall_scene)) == fall_scene
 
 
 class TestPoseAt:

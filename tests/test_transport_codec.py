@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 import zlib
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from proxycam.errors import ValidationError
 from proxycam.pngio import encode_png
-from proxycam.skeleton import KeypointSet
+from proxycam.skeleton import COORD_LIMIT, KeypointSet
 from proxycam.transport.codec import decode, encode
 from proxycam.transport.model import RepresentationTuple, SyncKey
 
@@ -307,6 +308,96 @@ class TestVersion4:
         cloud.finish()
         assert cloud.malformed == 1
         assert sorted(cloud.reports) == [(0, 1)]
+
+
+yaws = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def wide_tuples(draw):
+    """Up to 20 subjects, any set of visible joints, and coordinates out to
+    the +-2**24 limit, the limit itself included."""
+    n = draw(st.integers(0, 20))
+    sids = draw(st.lists(subject_ids, min_size=n, max_size=n, unique=True))
+    poses = []
+    for sid in sids:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = draw(st.sampled_from([1.0, 320.0, float(COORD_LIMIT)]))
+        points = rng.uniform(-scale, scale, (17, 2)).astype(np.float32)
+        if draw(st.booleans()):
+            points[0] = (COORD_LIMIT, -COORD_LIMIT)
+        visible = (draw(st.integers(0, 2**17 - 1)) >> np.arange(17)) & 1 == 1
+        poses.append((sid, KeypointSet(points, visible, draw(yaws))))
+    return make_tuple(poses=poses, frame_id=draw(st.integers(0, 2**44)))
+
+
+def pose_section_one_by_one(t: RepresentationTuple) -> bytes:
+    """The records of `t`'s poses packed one subject at a time, as the
+    layout states them."""
+    out = b""
+    for sid, kp in t.poses:
+        flags = sum(1 << j for j in range(17) if kp.visible[j])
+        if kp.head_yaw is not None:
+            flags |= 1 << 17
+        out += struct.pack("<IIf", sid, flags, 0.0 if kp.head_yaw is None else kp.head_yaw)
+        out += kp.points.astype("<f4").tobytes()
+    return out
+
+
+def three_subjects() -> RepresentationTuple:
+    return make_tuple(poses=[(sid, keypoints(sid)) for sid in (4, 5, 6)])
+
+
+class TestPoseRecords:
+    """The pose section is one array of fixed 148-byte records."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(wide_tuples())
+    def test_round_trip_both_ways(self, t):
+        packet = encode(t)
+        records = pose_section_one_by_one(t)
+        assert packet[len(packet) - 4 - len(records) : -4] == records
+        decoded = decode(packet)
+        assert decoded == t
+        assert encode(decoded) == packet
+        signs = [
+            [math.copysign(1.0, kp.head_yaw) for _, kp in u.poses if kp.head_yaw is not None]
+            for u in (t, decoded)
+        ]
+        assert signs[0] == signs[1]
+
+    def test_every_cut_and_one_extra_byte_are_refused(self):
+        body = encode(three_subjects())[:-4]
+        for cut in range(len(body)):
+            with pytest.raises(ValidationError, match="packet truncated|packet too short"):
+                decode(with_crc(body[:cut]))
+        with pytest.raises(ValidationError, match="1 unexpected trailing bytes"):
+            decode(with_crc(body + b"\0"))
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_reserved_bit_on_any_subject_is_refused(self, k):
+        body = bytearray(encode(three_subjects())[:-4])
+        at = len(body) - (3 - k) * 148 + 4  # the flags word follows subject_id
+        (flags,) = struct.unpack_from("<I", body, at)
+        struct.pack_into("<I", body, at, flags | 1 << 18)
+        with pytest.raises(ValidationError, match="reserved bit"):
+            decode(with_crc(body))
+
+    def test_decoded_points_are_writable_and_apart_from_the_packet(self):
+        t = three_subjects()
+        packet = encode(t)
+        wire = np.frombuffer(packet, dtype=np.uint8)
+        poses = [kp for _, kp in decode(packet).poses]
+        for kp in poses:
+            assert kp.points.flags.writeable
+            assert not np.shares_memory(kp.points, wire)
+        poses[0].points[:] = -1.0
+        assert decode(packet).poses[0][1] == t.poses[0][1]
+        assert poses[1] == t.poses[1][1] and poses[2] == t.poses[2][1]
 
 
 class TestSingleByteFuzz:
