@@ -11,11 +11,13 @@ layout rule, without running it for a pose inside the frame.
 
 A proxy is a capsule per visible bone plus a head disc, drawn with one
 fixed fill and outline for every subject. Nothing about the person except
-geometry enters the raster: two different people in the same pose render
-to the same bytes. `render_proxy` queues the shapes of every subject it
-is given on one `raster.SilhouetteCanvas` and paints them in one flat
-pass; a subject's mask, and so its raster, is the same whichever other
-subjects share the call.
+geometry enters it: two different people in the same pose render to the
+same bytes. `render_proxy` queues the shapes of every subject it is given
+on one `raster.SilhouetteCanvas` and paints them in one flat pass; a
+subject's codes are the same whichever other subjects share the call. A
+proxy holds palette codes, not colours: `overlay` pastes a frame's codes
+back to front onto one canvas, then writes the colours once, at its
+nonzero pixels, and `support` reads the same canvas.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import BoundingBox
-from .raster import SilhouetteCanvas, mark_opaque, outline_of, paste_rgba, validate_frame
+from .raster import SilhouetteCanvas, outline_of, paste_codes, validate_frame
 from .skeleton import BONES, KeypointSet, L_ANKLE, L_EAR, NOSE, R_ANKLE, R_EAR
 
 FILL_COLOR = (180, 180, 180)
 OUTLINE_COLOR = (60, 60, 60)
-_PALETTE = np.array([(0, 0, 0, 0), (*FILL_COLOR, 255), (*OUTLINE_COLOR, 255)], dtype=np.uint8)
+# the colour of each code as one 3-byte item, so a pixel is written in one move
+_PALETTE = np.array([(0, 0, 0), FILL_COLOR, OUTLINE_COLOR], dtype=np.uint8).view("V3").ravel()
 
 _LIMB_WIDTH_FRAC = 0.06        # capsule width as a fraction of torso length
 _TORSO_FALLBACK_FRAC = 0.3     # of keypoint-extent height, if shoulders/hips are hidden
@@ -45,9 +48,10 @@ _EXTENT_MARGIN_FRAC = 0.10     # keypoint extent box growth, relative
 
 @dataclass(frozen=True)
 class SkeletalProxy:
-    """RGBA patch plus its placement in frame coordinates."""
+    """The (h, w) uint8 palette codes of a subject's patch (0 transparent,
+    1 fill, 2 outline) plus the patch's placement in frame coordinates."""
 
-    raster: np.ndarray
+    codes: np.ndarray
     anchor: tuple[int, int]
 
 
@@ -72,12 +76,11 @@ def render_proxy(
     proxies: dict[int, SkeletalProxy] = {}
     for sid, (x0, y0, body, tick) in placed.items():
         inside = masks[body]
-        # palette indices: 0 transparent, 1 fill, 2 outline
-        code = inside.astype(np.uint8)
-        code[outline_of(inside)] = 2
+        codes = inside.astype(np.uint8)
+        codes[outline_of(inside)] = 2
         if tick is not None:
-            code[masks[tick]] = 2
-        proxies[sid] = SkeletalProxy(raster=_PALETTE.take(code, axis=0), anchor=(x0, y0))
+            codes[masks[tick]] = 2
+        proxies[sid] = SkeletalProxy(codes=codes, anchor=(x0, y0))
     return proxies
 
 
@@ -228,14 +231,14 @@ def render_proxies(
 
     frame_size is (width, height). `drawn` holds proxies already drawn for
     some of these subjects; the others go to one `render_proxy` call, and
-    their rasters are marked read-only and added to `drawn`.
+    their codes are marked read-only and added to `drawn`.
     """
     poses = dict(poses)
     drawn = {} if drawn is None else drawn
     misses = {sid: pose for sid, pose in poses.items() if sid not in drawn}
     if misses:
         for sid, proxy in render_proxy(misses, frame_size).items():
-            proxy.raster.flags.writeable = False
+            proxy.codes.flags.writeable = False
             drawn[sid] = proxy
     return [drawn[sid] for sid in occlusion_order({sid: poses[sid] for sid in drawn})]
 
@@ -245,19 +248,25 @@ def overlay(frame: np.ndarray, proxies: Sequence[SkeletalProxy]) -> np.ndarray:
 
     This is the one compositor: the cloud reconstruction and the edge
     composite are both made by it. Pixels outside every proxy's
-    opaque support are returned untouched.
+    `support` are returned untouched.
     """
     out = validate_frame(frame).copy()
-    for proxy in proxies:
-        paste_rgba(out, proxy.raster, proxy.anchor[0], proxy.anchor[1])
+    codes = _pasted(proxies, out.shape[:2]).ravel()
+    painted = np.flatnonzero(codes)
+    out.view("V3").reshape(-1)[painted] = _PALETTE[codes[painted]]
     return out
 
 
 def support(proxies: Sequence[SkeletalProxy], frame_size: tuple[int, int]) -> np.ndarray:
     """The (H, W) boolean mask of the pixels `overlay` paints: the union of
-    the proxies' opaque support. frame_size is (width, height)."""
+    the proxies' nonzero codes. frame_size is (width, height)."""
     width, height = frame_size
-    mask = np.zeros((height, width), bool)
+    return _pasted(proxies, (height, width)) > 0
+
+
+def _pasted(proxies: Sequence[SkeletalProxy], shape: tuple[int, int]) -> np.ndarray:
+    """The (H, W) canvas of the proxies' codes, pasted back to front."""
+    canvas = np.zeros(shape, np.uint8)
     for proxy in proxies:
-        mark_opaque(mask, proxy.raster, proxy.anchor[0], proxy.anchor[1])
-    return mask
+        paste_codes(canvas, proxy.codes, *proxy.anchor)
+    return canvas

@@ -190,25 +190,13 @@ def _placed(patch: np.ndarray, shape: tuple, x0: int, y0: int):
     return patch[sy0 : sy0 + hh, sx0 : sx0 + ww], (slice(dy0, dy0 + hh), slice(dx0, dx0 + ww))
 
 
-def paste_rgba(dst: np.ndarray, patch: np.ndarray, x0: int, y0: int) -> None:
-    """Paint the opaque pixels of an RGBA patch onto an RGB frame in place.
-
-    Alpha is binary by construction (0 or 255); opaque pixels overwrite.
-    """
-    placed = _placed(patch, dst.shape, x0, y0)
-    if placed is None:
-        return
-    sub, region = placed
-    opaque = sub[:, :, 3] > 0
-    dst[region][opaque] = sub[:, :, :3][opaque]
-
-
-def mark_opaque(mask: np.ndarray, patch: np.ndarray, x0: int, y0: int) -> None:
-    """Set, in a boolean (H, W) mask, the pixels `paste_rgba` would paint."""
-    placed = _placed(patch, mask.shape, x0, y0)
+def paste_codes(canvas: np.ndarray, codes: np.ndarray, x0: int, y0: int) -> None:
+    """Write the nonzero palette codes of an (h, w) patch put at (x0, y0)
+    onto an (H, W) code canvas in place; code 0 is transparent."""
+    placed = _placed(codes, canvas.shape, x0, y0)
     if placed is not None:
         sub, region = placed
-        mask[region] |= sub[:, :, 3] > 0
+        np.copyto(canvas[region], sub, where=sub > 0)
 
 
 def luminance(frame: np.ndarray) -> np.ndarray:

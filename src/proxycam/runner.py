@@ -24,7 +24,7 @@ from .config import RunConfig
 from .edge.pipeline import EdgeOutput, EdgeState, process_frame
 from .errors import GateViolationError, ValidationError
 from .metrics import evaluate_behavior
-from .pngio import decode_png, encode_png
+from .pngio import RECONSTRUCTION_LEVEL, WIRE_LEVEL, decode_png, encode_png
 from .proxy import SkeletalProxy, pose_key
 from .sim.generate import generate_scene, write_ground_truth_jsonl
 from .sim.spec import SceneSpec, load_scene_spec
@@ -46,10 +46,12 @@ def build_tuple(
     encode_env: Callable[[np.ndarray], bytes] | None = None,
 ) -> RepresentationTuple:
     """The tuple of one edge output. `encode_env` turns the scrubbed image
-    into PNG bytes: a stream's `EnvPngMemo`, or `encode_png` by default."""
+    into PNG bytes: a stream's `EnvPngMemo`, or `encode_png` at
+    `WIRE_LEVEL` by default."""
+    image = output.desensitized
     return RepresentationTuple(
         key=SyncKey(camera_id=camera_id, frame_id=frame_id, timestamp_us=timestamp_us),
-        env_png=(encode_env or encode_png)(output.desensitized),
+        env_png=encode_env(image) if encode_env else encode_png(image, WIRE_LEVEL),
         poses=list(output.poses),
     )
 
@@ -72,7 +74,7 @@ class EnvPngMemo:
         last = self._image
         self.hit = last is not None and image.dtype == last.dtype and np.array_equal(image, last)
         if not self.hit:
-            self._png = encode_png(image)
+            self._png = encode_png(image, WIRE_LEVEL)
             self._image = image.copy()
         return self._png
 
@@ -187,9 +189,10 @@ class CloudRunner:
     and the other frames go on as before. A camera's first decodable env
     image, in release order, pins its size; a later image of any other
     size is malformed too, refused before it is inflated. Every
-    reconstruction is written to `out_dir` as a PNG. A released tuple's
-    poses are measured once (`measure_poses`) as it enters its camera's
-    inference window, and the records leave the window with it.
+    reconstruction is written to `out_dir` as a PNG, and
+    `reconstruction_bytes` sums their sizes. A released tuple's poses are
+    measured once (`measure_poses`) as it enters its camera's inference
+    window, and the records leave the window with it.
 
     Each camera keeps one record of the last frame it drew (`_Drawn`). A
     released frame whose env bytes and poses equal, bit for bit, the
@@ -211,6 +214,7 @@ class CloudRunner:
     reconstructions_reused: int = field(default=0, init=False)
     proxies_drawn: int = field(default=0, init=False)
     proxies_reused: int = field(default=0, init=False)
+    reconstruction_bytes: int = field(default=0, init=False)
     _cameras: dict[int, _Camera] = field(default_factory=dict, init=False)
 
     @property
@@ -268,8 +272,10 @@ class CloudRunner:
             self.proxies_reused += len(kept)
             self.proxies_drawn += len(keys) - len(kept)
             proxies = render_proxies(t.poses, camera.size, kept)
-            camera.drawn = _Drawn(t.env_png, keys, kept, encode_png(reconstruct(env, proxies)))
+            png = encode_png(reconstruct(env, proxies), RECONSTRUCTION_LEVEL)
+            camera.drawn = _Drawn(t.env_png, keys, kept, png)
         (self.out_dir / f"cam{cam}_frame{fid}.png").write_bytes(camera.drawn.png)
+        self.reconstruction_bytes += len(camera.drawn.png)
 
     def summary(self) -> dict:
         """The cloud's fields of `summary.json`, for `cloud` and `e2e` alike;
@@ -281,6 +287,7 @@ class CloudRunner:
             "reconstructions_reused": self.reconstructions_reused,
             "proxies_drawn": self.proxies_drawn,
             "proxies_reused": self.proxies_reused,
+            "reconstruction_bytes": self.reconstruction_bytes,
             "gap_events": [
                 [e.camera_id, e.frame_id, e.count] for e in self.events if isinstance(e, GapEvent)
             ],
@@ -325,9 +332,9 @@ def run_sim(config: RunConfig) -> dict:
     files = []
     for i, frame in enumerate(frames):
         name = f"frames/frame_{i:06d}.png"
-        (out / name).write_bytes(encode_png(frame))
+        (out / name).write_bytes(encode_png(frame, WIRE_LEVEL))
         files.append(name)
-    (out / "background.png").write_bytes(encode_png(gts[0].background))
+    (out / "background.png").write_bytes(encode_png(gts[0].background, WIRE_LEVEL))
     files.append("background.png")
     write_ground_truth_jsonl(gts, out / "ground_truth.jsonl")
     files.append("ground_truth.jsonl")

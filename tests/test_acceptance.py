@@ -23,7 +23,7 @@ from proxycam.edge.track import TrackerState, track_step
 from proxycam.errors import ValidationError
 from proxycam.geometry import iou
 from proxycam.metrics import BehaviorMetrics, evaluate_behavior
-from proxycam.pngio import decode_png, encode_png
+from proxycam.pngio import WIRE_LEVEL, decode_png, encode_png
 from proxycam.proxy import occlusion_order
 from proxycam.runner import build_tuple, run_e2e
 from proxycam.sim.generate import generate_scene
@@ -98,7 +98,7 @@ class TestCriterion1ErasureIndependence:
 
 def random_tuple(rng: np.random.Generator) -> RepresentationTuple:
     h, w = int(rng.integers(4, 24)), int(rng.integers(4, 24))
-    env = encode_png(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    env = encode_png(rng.integers(0, 256, (h, w, 3), dtype=np.uint8), WIRE_LEVEL)
     n = int(rng.integers(0, 5))
     sids = rng.choice(2**31, size=n, replace=False).tolist() if n else []
     poses = []

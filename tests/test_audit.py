@@ -14,7 +14,7 @@ from proxycam.audit.leakscan import LeakScanResult, _inside_patches, pixel_leak_
 from proxycam.edge.background import erase
 from proxycam.edge.pipeline import EdgeState, process_frame
 from proxycam.errors import ValidationError
-from proxycam.pngio import encode_png
+from proxycam.pngio import WIRE_LEVEL, encode_png
 from proxycam.raster import embed
 from proxycam.runner import build_tuple
 from proxycam.sim.generate import generate_scene
@@ -95,7 +95,7 @@ class TestLeakScan:
 
         return RepresentationTuple(
             key=SyncKey(0, fid, 0),
-            env_png=encode_png(env),
+            env_png=encode_png(env, WIRE_LEVEL),
             poses=[],
         )
 

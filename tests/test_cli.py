@@ -10,7 +10,7 @@ import pytest
 from proxycam.cli import EXIT_GATE, EXIT_OK, EXIT_VALIDATION, main
 from proxycam.config import RunConfig
 from proxycam.errors import GateViolationError
-from proxycam.pngio import encode_png
+from proxycam.pngio import WIRE_LEVEL, encode_png
 import proxycam.runner as runner_module
 from proxycam.runner import build_tuple, run_edge
 from proxycam.sim.spec import save_scene_spec
@@ -34,7 +34,8 @@ def scene_file(tmp_path):
 def foreign_env(t):
     """A tuple the privacy gate must refuse: its env image is a valid PNG,
     but not of the stream's 160x120."""
-    return dataclasses.replace(t, env_png=encode_png(np.zeros((8, 8, 3), dtype=np.uint8)))
+    small = encode_png(np.zeros((8, 8, 3), dtype=np.uint8), WIRE_LEVEL)
+    return dataclasses.replace(t, env_png=small)
 
 
 def non_finite_point(t):
@@ -262,9 +263,17 @@ class TestE2ECommand:
         e2e, cloud = (json.loads((tmp_path / run / "summary.json").read_text())
                       for run in ("e2e", "cloud"))
         fields = ("reports", "malformed_packets", "reconstructions_reused",
-                  "proxies_drawn", "proxies_reused", "gap_events")
+                  "proxies_drawn", "proxies_reused", "reconstruction_bytes", "gap_events")
         assert {k: e2e[k] for k in fields} == {k: cloud[k] for k in fields}
         assert e2e["malformed_packets"] == 0
+
+    def test_reconstruction_bytes_sum_the_files_written(self, demo_e2e):
+        run, _, _ = demo_e2e
+        summary = json.loads((run / "summary.json").read_text())
+        files = list((run / "recon").iterdir())
+        # a reused reconstruction is written, and counted, like any other
+        assert len(files) == summary["reports"] > summary["reconstructions_reused"] > 0
+        assert summary["reconstruction_bytes"] == sum(f.stat().st_size for f in files)
 
     def test_empty_scene_accuracy_vacuously_one(self, tmp_path, empty_scene_file):
         out = tmp_path / "e2e"

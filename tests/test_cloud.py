@@ -481,7 +481,7 @@ class TestReconstruct:
         expected = [drawn[3], drawn[1]]
         assert [p.anchor for p in proxies] == [p.anchor for p in expected]
         for got, want in zip(proxies, expected):
-            assert np.array_equal(got.raster, want.raster)
+            assert np.array_equal(got.codes, want.codes)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -36,6 +36,10 @@ from conftest import scene, solo_actor
 # `one_frame_cameras`, before it kept a drawn frame's key and PNG
 # (tracemalloc, CPython 3.11, numpy 2.4)
 PER_CAMERA_BYTES_WITHOUT_MEMO = 34_220
+# the rest of that growth beside the kept PNG and the kept proxy's codes:
+# the camera's buffer, window, report, pose keys and records (measured
+# 6,690 B, same interpreter and numpy)
+PER_CAMERA_BYTES_BESIDE_PNG_AND_CODES = 6_700
 
 
 class CountingEncode:
@@ -44,9 +48,9 @@ class CountingEncode:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, image):
+    def __call__(self, image, level):
         self.calls += 1
-        return pngio.encode_png(image)
+        return pngio.encode_png(image, level)
 
 
 @pytest.fixture
@@ -79,7 +83,7 @@ ENV = np.full((120, 160, 3), 90, np.uint8)
 def packet(camera, frame_id, poses, env_png=None):
     t = RepresentationTuple(
         key=SyncKey(camera, frame_id, frame_id * 33_333),
-        env_png=pngio.encode_png(ENV) if env_png is None else env_png,
+        env_png=pngio.encode_png(ENV, pngio.WIRE_LEVEL) if env_png is None else env_png,
         poses=list(poses.items()),
     )
     return encode(t)
@@ -97,7 +101,8 @@ def fresh_reconstruction(t: RepresentationTuple) -> bytes:
     """One frame decoded, drawn and encoded with no state kept from another."""
     env = pngio.decode_png(t.env_png)
     size = (env.shape[1], env.shape[0])
-    return pngio.encode_png(reconstruct(env, render_proxies(t.poses, size)))
+    image = reconstruct(env, render_proxies(t.poses, size))
+    return pngio.encode_png(image, pngio.RECONSTRUCTION_LEVEL)
 
 
 def recon(tmp_path, camera, frame_id) -> bytes:
@@ -120,7 +125,7 @@ class TestEncodeOncePerDistinctImage:
             encode(
                 RepresentationTuple(
                     SyncKey(0, i, i * runner_module.us_per_frame(RunConfig().fps)),
-                    pngio.encode_png(out.desensitized),
+                    pngio.encode_png(out.desensitized, pngio.WIRE_LEVEL),
                     list(out.poses),
                 )
             )
@@ -161,7 +166,7 @@ class TestEdgeMemo:
         image[10, 10] = 0  # the caller writes into the array it passed
         second = memo(image)
         assert not memo.hit
-        assert second == pngio.encode_png(image) != first
+        assert second == pngio.encode_png(image, pngio.WIRE_LEVEL) != first
 
     def test_an_edge_that_rewrites_one_buffer_sends_each_frame(self, tmp_path, monkeypatch):
         # every frame's scrubbed image is the same array, overwritten in place
@@ -175,7 +180,8 @@ class TestEdgeMemo:
         sent = []
         run_edge(RunConfig(), still_and_moving_scene(), sent.append)
         frames, _ = generate_scene(still_and_moving_scene())
-        assert [decode(p).env_png for p in sent] == [pngio.encode_png(f) for f in frames]
+        expected = [pngio.encode_png(f, pngio.WIRE_LEVEL) for f in frames]
+        assert [decode(p).env_png for p in sent] == expected
 
     def test_equal_pixels_of_another_dtype_are_not_a_hit(self):
         memo = EnvPngMemo()
@@ -205,11 +211,11 @@ class TestGateOncePerDistinctImage:
         # the third encode, a frame whose image differs from the one
         # before, gives a valid PNG of another size
         encodes = []
-        small = pngio.encode_png(np.zeros((8, 8, 3), np.uint8))
+        small = pngio.encode_png(np.zeros((8, 8, 3), np.uint8), pngio.WIRE_LEVEL)
 
-        def encode_png(image):
+        def encode_png(image, level):
             encodes.append(image)
-            return small if len(encodes) == 3 else pngio.encode_png(image)
+            return small if len(encodes) == 3 else pngio.encode_png(image, level)
 
         monkeypatch.setattr(runner_module, "encode_png", encode_png)
         sent = []
@@ -220,6 +226,9 @@ class TestGateOncePerDistinctImage:
         assert small not in [decode(p).env_png for p in sent]
 
 
+SMALL_PNG = pngio.encode_png(np.zeros((8, 8, 3), np.uint8), pngio.WIRE_LEVEL)
+
+
 class TestCloudMemoCorners:
     def test_repeated_malformed_env_is_counted_each_time(self, tmp_path, counting_encode):
         pose = {1: stand_pose()}
@@ -227,8 +236,8 @@ class TestCloudMemoCorners:
             packet(0, 0, pose),
             packet(0, 1, pose, env_png=b"not a png"),
             packet(0, 2, pose, env_png=b"not a png"),
-            packet(0, 3, pose, env_png=pngio.encode_png(np.zeros((8, 8, 3), np.uint8))),
-            packet(0, 4, pose, env_png=pngio.encode_png(np.zeros((8, 8, 3), np.uint8))),
+            packet(0, 3, pose, env_png=SMALL_PNG),
+            packet(0, 4, pose, env_png=SMALL_PNG),
             packet(0, 5, pose),
         ]
         cloud = feed_all(tmp_path, packets)
@@ -301,4 +310,8 @@ def test_memory_per_camera_grows_by_the_kept_png_alone(tmp_path):
     per_camera = (after - before) / count
     kept_png = len(recon(tmp_path, 0, 0))
     assert per_camera <= PER_CAMERA_BYTES_WITHOUT_MEMO + kept_png + 1024
+    # a kept proxy costs a byte per patch pixel; an RGBA raster costs four
+    (pose,) = decode(packets[0]).poses
+    patch_pixels = sum(p.codes.size for p in render_proxies([pose], (320, 240)))
+    assert per_camera <= kept_png + patch_pixels + PER_CAMERA_BYTES_BESIDE_PNG_AND_CODES + 1024
     assert per_camera < 320 * 240 * 3  # no decoded image is kept

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from proxycam.errors import ValidationError
-from proxycam.pngio import decode_png, encode_png
+from proxycam.pngio import RECONSTRUCTION_LEVEL, WIRE_LEVEL, decode_png, encode_png
 
 from conftest import PNG_SIGNATURE, filtered_png, inflate_bomb_png, png_chunk, png_chunks
 
@@ -23,8 +23,8 @@ def idat_rows(data):
 def test_encode_round_trip_writes_filter_zero_rows(channels, height, width):
     rng = np.random.default_rng(height * width + channels)
     image = rng.integers(0, 256, (height, width, channels), dtype=np.uint8)
-    data = encode_png(image)
-    assert data == encode_png(image.copy())
+    data = encode_png(image, WIRE_LEVEL)
+    assert data == encode_png(image.copy(), WIRE_LEVEL)
     rows = np.frombuffer(idat_rows(data), dtype=np.uint8).reshape(height, -1)
     assert not rows[:, 0].any()
     out = decode_png(data)
@@ -32,9 +32,36 @@ def test_encode_round_trip_writes_filter_zero_rows(channels, height, width):
     assert out.flags.writeable and out.flags.c_contiguous
 
 
+def patterned_image():
+    """A 24x32 image with the runs and repeats of a reconstruction, so
+    that the two levels have matches to find."""
+    image = np.zeros((24, 32, 3), dtype=np.uint8)
+    image[:, :, 0] = np.arange(32) * 8
+    image[8:20, 10:18] = (180, 180, 180)
+    image[::3, ::5] = np.random.default_rng(5).integers(0, 256, (8, 7, 3), dtype=np.uint8)
+    return image
+
+
+@pytest.mark.parametrize("level", [WIRE_LEVEL, RECONSTRUCTION_LEVEL])
+def test_each_level_gives_equal_pixels_equal_bytes(level):
+    image = patterned_image()
+    data = encode_png(image, level)
+    assert data == encode_png(image.copy(), level)
+    assert np.array_equal(decode_png(data), image)
+
+
+def test_the_two_levels_differ_in_bytes_alone():
+    # equal bytes would mean a level argument that the encoder drops
+    image = patterned_image()
+    wire, recon = encode_png(image, WIRE_LEVEL), encode_png(image, RECONSTRUCTION_LEVEL)
+    assert (WIRE_LEVEL, RECONSTRUCTION_LEVEL) == (6, 3)
+    assert wire != recon
+    assert np.array_equal(decode_png(recon), decode_png(wire))
+
+
 def test_encoder_refuses_anything_but_rgb():
     with pytest.raises(ValidationError, match=r"\(H, W, 3\) uint8"):
-        encode_png(np.zeros((2, 2, 4), dtype=np.uint8))
+        encode_png(np.zeros((2, 2, 4), dtype=np.uint8), WIRE_LEVEL)
 
 
 def test_filter_type_above_four_is_rejected():
@@ -68,7 +95,7 @@ def flipped_idat_crc(data):
 
 
 IMAGE = np.random.default_rng(3).integers(0, 256, (6, 5, 3), dtype=np.uint8)
-PNG = encode_png(IMAGE)
+PNG = encode_png(IMAGE, WIRE_LEVEL)
 
 
 @pytest.mark.parametrize(
@@ -110,7 +137,7 @@ def test_wrong_inflated_length_is_rejected(delta):
 
 
 def test_expected_size_is_checked_before_inflating():
-    data = encode_png(np.zeros((4, 6, 3), dtype=np.uint8))
+    data = encode_png(np.zeros((4, 6, 3), dtype=np.uint8), WIRE_LEVEL)
     assert decode_png(data, (6, 4)).shape == (4, 6, 3)
     with pytest.raises(ValidationError, match="PNG is 6x4, expected 4x6"):
         decode_png(data, (4, 6))

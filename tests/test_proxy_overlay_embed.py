@@ -6,7 +6,7 @@ import proxycam.runner as runner_module
 from proxycam.config import RunConfig
 from proxycam.edge.track import Track
 from proxycam.geometry import BoundingBox
-from proxycam.pngio import decode_png, encode_png
+from proxycam.pngio import WIRE_LEVEL, decode_png, encode_png
 from proxycam.proxy import (
     FILL_COLOR,
     OUTLINE_COLOR,
@@ -48,7 +48,7 @@ class TestRenderProxy:
     def test_standing_silhouette_is_tall(self):
         kp = stand_pose()
         proxy = draw(kp)
-        ys, xs = np.nonzero(proxy.raster[:, :, 3])
+        ys, xs = np.nonzero(proxy.codes)
         ratio = (ys.max() - ys.min() + 1) / (xs.max() - xs.min() + 1)
         assert ratio > 2.0
 
@@ -56,7 +56,7 @@ class TestRenderProxy:
         kp = stand_pose()
         a = draw(kp)
         b = draw(kp)
-        assert np.array_equal(a.raster, b.raster)
+        assert np.array_equal(a.codes, b.codes)
         assert a.anchor == b.anchor
 
     def test_appearance_never_enters_the_render(self):
@@ -65,13 +65,16 @@ class TestRenderProxy:
         assert kp_red == kp_blue  # same pose regardless of appearance
         a = draw(kp_red)
         b = draw(kp_blue)
-        assert np.array_equal(a.raster, b.raster)
+        assert np.array_equal(a.codes, b.codes)
 
     def test_palette_is_fill_and_outline_only(self):
         kp = stand_pose()
         proxy = draw(kp)
-        opaque = proxy.raster[proxy.raster[:, :, 3] > 0][:, :3]
-        colors = {tuple(c) for c in np.unique(opaque, axis=0)}
+        assert proxy.codes.dtype == np.uint8
+        assert set(np.unique(proxy.codes).tolist()) == {0, 1, 2}
+        black = np.zeros((FRAME_SIZE[1], FRAME_SIZE[0], 3), np.uint8)
+        painted = overlay(black, [proxy])[support([proxy], FRAME_SIZE)]
+        colors = {tuple(c) for c in np.unique(painted, axis=0).tolist()}
         assert colors == {FILL_COLOR, OUTLINE_COLOR}
 
     def test_opaque_support_is_connected(self):
@@ -79,7 +82,7 @@ class TestRenderProxy:
 
         kp = stand_pose()
         proxy = draw(kp)
-        _, n = ndimage.label(proxy.raster[:, :, 3] > 0, structure=np.ones((3, 3)))
+        _, n = ndimage.label(proxy.codes > 0, structure=np.ones((3, 3)))
         assert n == 1
 
     def test_too_few_visible_joints_degenerate(self):
@@ -148,7 +151,7 @@ class CountingRender:
 
 
 def same_proxy(a, b):
-    return np.array_equal(a.raster, b.raster) and a.anchor == b.anchor
+    return np.array_equal(a.codes, b.codes) and a.anchor == b.anchor
 
 
 def shade(frame_id):
@@ -182,7 +185,8 @@ class ReuseCloud:
         fid = len(self.sent)
         env = shade(fid if env_of is None else env_of)
         key = SyncKey(camera_id=0, frame_id=fid, timestamp_us=fid * 33_333)
-        self.runner.feed(encode(RepresentationTuple(key, encode_png(env), list(poses.items()))))
+        env_png = encode_png(env, WIRE_LEVEL)
+        self.runner.feed(encode(RepresentationTuple(key, env_png, list(poses.items()))))
         self.sent.append((env, dict(poses)))
 
     def assert_drawn_afresh(self):
@@ -210,7 +214,7 @@ class TestProxyReuse:
         assert len(pasted) == 1 and pasted[0] is first
         assert np.array_equal(env, shade(1))
         assert same_proxy(first, draw(kp))
-        assert not first.raster.flags.writeable
+        assert not first.codes.flags.writeable
         assert (cloud.runner.proxies_drawn, cloud.runner.proxies_reused) == (1, 1)
         cloud.assert_drawn_afresh()
 
@@ -377,14 +381,38 @@ class TestCloudProxyReuse:
         assert render.calls == len(poses)
 
 
-def square_proxy(sid, x0, y0, size=20, alpha_fill=255):
-    raster = np.zeros((size, size, 4), dtype=np.uint8)
-    raster[:, :, :3] = (10 * sid, 20 * sid, 30 * sid)
-    raster[:, :, 3] = alpha_fill
-    return SkeletalProxy(raster=raster, anchor=(x0, y0))
+def square_proxy(code, x0, y0, size=20):
+    """A square of one palette code: 1 paints the fill colour, 2 the outline."""
+    return SkeletalProxy(codes=np.full((size, size), code, np.uint8), anchor=(x0, y0))
+
+
+def rgba_overlay(frame, proxies):
+    """The compositor as it was when a proxy held an RGBA raster, kept as
+    the reference: each proxy's colours pasted in turn, back to front, at
+    its opaque pixels that fall inside the frame."""
+    palette = np.array([(0, 0, 0, 0), (*FILL_COLOR, 255), (*OUTLINE_COLOR, 255)], np.uint8)
+    out = frame.copy()
+    height, width = out.shape[:2]
+    for proxy in proxies:
+        rgba = palette[proxy.codes]
+        ys, xs = np.nonzero(rgba[:, :, 3])
+        fy, fx = ys + proxy.anchor[1], xs + proxy.anchor[0]
+        inside = (fy >= 0) & (fy < height) & (fx >= 0) & (fx < width)
+        out[fy[inside], fx[inside]] = rgba[ys[inside], xs[inside], :3]
+    return out
 
 
 class TestOverlay:
+    def test_equals_the_rgba_paste_of_each_proxy_in_turn(self):
+        base = np.random.default_rng(2).integers(0, 256, (240, 320, 3), dtype=np.uint8)
+        crowd = render_proxies(crowd_poses().items(), FRAME_SIZE)
+        squares = [square_proxy(1 + i % 2, x0, y0, size=30)
+                   for i, (x0, y0) in enumerate([(-12, 100), (300, -8), (-20, -20), (305, 225)])]
+        holed = square_proxy(2, 60, 150, size=40)
+        holed.codes[::3, ::2] = 0
+        for proxies in (crowd, squares + crowd + [holed], crowd[::-1]):
+            assert np.array_equal(overlay(base, proxies), rgba_overlay(base, proxies))
+
     def test_no_proxies_is_identity(self):
         base = np.random.default_rng(0).integers(0, 256, (60, 80, 3), dtype=np.uint8)
         assert np.array_equal(overlay(base, []), base)
@@ -394,7 +422,8 @@ class TestOverlay:
         a, b = square_proxy(1, 10, 10), square_proxy(2, 20, 20)
         out = overlay(base, [b, a])  # back-to-front: b then a
         # the overlap [20:30, 20:30] belongs to a (painted last)
-        assert np.all(out[25, 25] == (10, 20, 30))
+        assert np.all(out[25, 25] == FILL_COLOR)
+        assert np.all(out[35, 35] == OUTLINE_COLOR)
 
     def test_order_flip_changes_overlap_only(self):
         base = np.random.default_rng(1).integers(0, 256, (60, 80, 3), dtype=np.uint8)
@@ -418,7 +447,7 @@ class TestOverlay:
         base = np.zeros((60, 80, 3), dtype=np.uint8)
         out = overlay(base, [square_proxy(1, -10, 50)])
         assert not out[:50].any()
-        assert np.all(out[50:, :10] == (10, 20, 30))
+        assert np.all(out[50:, :10] == FILL_COLOR)
         assert not out[50:, 10:].any()
 
 
@@ -446,7 +475,7 @@ class TestSupport:
         corners = [(-10, 50), (70, -5), (-15, -15), (75, 55), (200, 10)]
         proxies = [square_proxy(1, x0, y0) for x0, y0 in corners]
         holed = square_proxy(2, 30, 20)
-        holed.raster[::2, ::3, 3] = 0
+        holed.codes[::2, ::3] = 0
         proxies.append(holed)
         assert np.array_equal(support(proxies, (80, 60)), self.painted(proxies, (80, 60)))
         assert not support([], (80, 60)).any()

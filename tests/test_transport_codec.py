@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxycam.errors import ValidationError
-from proxycam.pngio import encode_png
+from proxycam.pngio import WIRE_LEVEL, encode_png
 from proxycam.skeleton import COORD_LIMIT, KeypointSet
 from proxycam.transport.codec import decode, encode
 from proxycam.transport.model import RepresentationTuple, SyncKey
 
-SMALL_PNG = encode_png(np.full((8, 8, 3), 77, dtype=np.uint8))
+SMALL_PNG = encode_png(np.full((8, 8, 3), 77, dtype=np.uint8), WIRE_LEVEL)
 
 
 def make_tuple(poses=(), frame_id=0, env=SMALL_PNG):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from proxycam.errors import GateViolationError, ValidationError
-from proxycam.pngio import encode_png
+from proxycam.pngio import WIRE_LEVEL, encode_png
 from proxycam.skeleton import KeypointSet
 from proxycam.transport.gate import privacy_gate
 from proxycam.transport.model import RepresentationTuple, SyncKey
@@ -13,7 +13,7 @@ from proxycam.transport.reorder import (
     ReorderBuffer,
 )
 
-PNG_16x12 = encode_png(np.full((12, 16, 3), 50, dtype=np.uint8))
+PNG_16x12 = encode_png(np.full((12, 16, 3), 50, dtype=np.uint8), WIRE_LEVEL)
 
 
 def tup(fid, camera_id=0, env=PNG_16x12):
