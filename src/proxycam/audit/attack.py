@@ -202,6 +202,8 @@ def identity_attack(
     height is shared across the gallery by construction. Each probe draws
     its actor from the whole gallery, then its scene's seed.
     """
+    if probe_scenes < 1:
+        raise ValidationError("probes must be >= 1")
     gallery.validate()
     rng = np.random.default_rng(seed)
 

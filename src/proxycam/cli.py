@@ -6,10 +6,12 @@
     proxycam e2e    --scene scene.json --out dir
     proxycam audit  --out dir [--trials N --probes N --gallery N]
 
-Every subcommand also accepts --config PATH; explicit flags override the
-file. Exit codes: 0 success, 1 usage error or any other ProxycamError (a
-bad config or tuple raises ValidationError), 2 privacy-gate refusal
-(GateViolationError), 3 I/O or connection error, 4 audit bound failure.
+Every subcommand but audit also accepts --config PATH; explicit flags
+override the file. Only sim, edge and e2e take --scene, and only edge and
+e2e take --seed: no other command reads them. Exit codes: 0 success, 1
+usage error or any other ProxycamError (a bad config, scene or tuple
+raises ValidationError), 2 privacy-gate refusal (GateViolationError), 3
+I/O or connection error, 4 audit bound failure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from contextlib import ExitStack, closing
 from pathlib import Path
 
 from .audit.report import run_full_audit
-from .config import RunConfig, config_from_dict, read_config
+from .config import RunConfig, config_from_dict, read_json
 from .errors import GateViolationError, ProxycamError, ValidationError
 from .runner import CloudRunner, JsonlLog, run_e2e, run_edge, run_sim, _write_summary
 from .sim.spec import load_scene_spec
@@ -43,7 +45,7 @@ def _parse_address(text: str) -> tuple[str, int]:
 
 
 def _resolve_config(args) -> RunConfig:
-    data = read_config(args.config) if args.config else {}
+    data = read_json(args.config, "config") if args.config else {}
     for key in ("scene", "seed", "out_dir"):
         value = getattr(args, key, None)
         if value is not None:
@@ -56,11 +58,14 @@ def _resolve_config(args) -> RunConfig:
     return config_from_dict(data)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """--config and --out, and those of --scene and --seed in `flags`."""
     parser.add_argument("--config", help="JSON run config")
-    parser.add_argument("--scene", help="scene spec JSON path")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", dest="out_dir", help="output directory")
+    if "scene" in flags:
+        parser.add_argument("--scene", help="scene spec JSON path")
+    if "seed" in flags:
+        parser.add_argument("--seed", type=int)
 
 
 def cmd_sim(args) -> int:
@@ -186,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("sim", help="render a scene plus ground truth to disk")
-    _add_common(p_sim)
+    _add_common(p_sim, "scene")
     p_sim.set_defaults(fn=cmd_sim)
 
     p_edge = sub.add_parser("edge", help="run the edge pipeline, emit packets")
-    _add_common(p_edge)
+    _add_common(p_edge, "scene", "seed")
     p_edge.add_argument("--connect", help="send packets to HOST:PORT instead of a file")
     p_edge.set_defaults(fn=cmd_edge)
 
@@ -201,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cloud.set_defaults(fn=cmd_cloud)
 
     p_e2e = sub.add_parser("e2e", help="edge plus cloud in one process, with metrics")
-    _add_common(p_e2e)
+    _add_common(p_e2e, "scene", "seed")
     p_e2e.set_defaults(fn=cmd_e2e)
 
     p_audit = sub.add_parser("audit", help="run the privacy audit suite")

@@ -2,8 +2,8 @@
 
 Tracks predict their next box by shifting with their smoothed velocity.
 Predicted boxes are matched to detections by IoU via the Hungarian method
-and pairs below the IoU gate are split back apart. The cost matrix reads
-each box's corners and area, taken once per frame, and is bit-equal to
+and pairs below the IoU gate are split back apart. The cost matrix is one
+NumPy broadcast over the boxes' corners and areas, bit-equal to
 `1 - geometry.iou` of each pair. Unmatched detections spawn fresh subject
 ids; tracks coast while missed and retire after the miss timeout.
 """
@@ -71,28 +71,6 @@ class TrackerState:
     next_id: int = 1
 
 
-def _corners(boxes: list[BoundingBox]) -> list[tuple[float, float, float, float, float]]:
-    return [(b.x, b.y, b.x2, b.y2, b.area) for b in boxes]
-
-
-def _iou_costs(a: tuple, corners: list[tuple]) -> list[float]:
-    """1 - `geometry.iou(a, b)` for each b, with iou's operations in its order.
-
-    `max(p, q)` is spelled `q if q > p else p` and `min(p, q)` is spelled
-    `q if q < p else p`, which is what the builtins return, ties and signed
-    zeros included, without a call per operation.
-    """
-    ax, ay, ax2, ay2, a_area = a
-    costs = []
-    for bx, by, bx2, by2, b_area in corners:
-        w = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
-        h = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
-        inter = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
-        union = a_area + b_area - inter
-        costs.append(1.0 - (inter / union if union > 0 else 0.0))
-    return costs
-
-
 def track_step(state: TrackerState, boxes: list[BoundingBox]) -> list[Track]:
     """Advance the tracker by one frame and return the live tracks.
 
@@ -106,8 +84,18 @@ def track_step(state: TrackerState, boxes: list[BoundingBox]) -> list[Track]:
     matched_d: set[int] = set()
     pairs: list[tuple[int, int]] = []
     if tracks and boxes:
-        corners = _corners(boxes)
-        cost = np.array([_iou_costs(pbox, corners) for pbox in _corners(predicted)])
+        # 1 - geometry.iou of each predicted box (row) and detection
+        # (column), as one broadcast with iou's operations in its order
+        p, d = (
+            np.array([(b.x, b.y, b.x2, b.y2, b.area) for b in side], dtype=np.float64)
+            for side in (predicted, boxes)
+        )
+        p, d = p[:, None, :], d[None, :, :]
+        w = np.minimum(p[..., 2], d[..., 2]) - np.maximum(p[..., 0], d[..., 0])
+        h = np.minimum(p[..., 3], d[..., 3]) - np.maximum(p[..., 1], d[..., 1])
+        inter = np.where(w > 0.0, w, 0.0) * np.where(h > 0.0, h, 0.0)
+        union = p[..., 4] + d[..., 4] - inter
+        cost = 1.0 - np.divide(inter, union, out=np.zeros_like(union), where=union > 0)
         rows, cols = linear_sum_assignment(cost)
         for i, j in zip(rows, cols):
             if 1.0 - cost[i, j] >= IOU_THRESHOLD:

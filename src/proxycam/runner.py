@@ -38,6 +38,10 @@ def us_per_frame(fps: float) -> int:
     return max(1, round(1_000_000 / fps))
 
 
+def recon_name(camera_id: int, frame_id: int) -> str:
+    return f"cam{camera_id}_frame{frame_id}.png"
+
+
 def build_tuple(
     output: EdgeOutput,
     camera_id: int,
@@ -220,7 +224,7 @@ class CloudRunner:
     @property
     def recon_files(self) -> list[str]:
         """The reconstructions written, in release order: one per report."""
-        return [f"cam{cam}_frame{fid}.png" for cam, fid in self.reports]
+        return [recon_name(cam, fid) for cam, fid in self.reports]
 
     def feed(self, packet: bytes) -> None:
         try:
@@ -274,7 +278,7 @@ class CloudRunner:
             proxies = render_proxies(t.poses, camera.size, kept)
             png = encode_png(reconstruct(env, proxies), RECONSTRUCTION_LEVEL)
             camera.drawn = _Drawn(t.env_png, keys, kept, png)
-        (self.out_dir / f"cam{cam}_frame{fid}.png").write_bytes(camera.drawn.png)
+        (self.out_dir / recon_name(cam, fid)).write_bytes(camera.drawn.png)
         self.reconstruction_bytes += len(camera.drawn.png)
 
     def summary(self) -> dict:
@@ -387,8 +391,7 @@ def run_e2e(config: RunConfig) -> dict:
     gts = generated[1]
     mismatches = 0
     for frame_id, output in enumerate(edge_stats["outputs"]):
-        name = f"cam{config.camera_id}_frame{frame_id}.png"
-        recon = decode_png((recon_dir / name).read_bytes())
+        recon = decode_png((recon_dir / recon_name(config.camera_id, frame_id)).read_bytes())
         if not np.array_equal(recon, output.composite):
             mismatches += 1
 

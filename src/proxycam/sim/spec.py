@@ -25,7 +25,12 @@ Background kinds: "flat" (one color), "checker" (two colors plus "cell"),
 "gradient" (top-to-bottom blend of two colors). Trajectory waypoints are
 (frame, x, y) with the position interpolated piecewise-linearly; (x, y) is
 the actor's ground point (ankle midpoint). Action ranges are [start, end)
-and must cover every frame exactly once.
+and must cover every frame exactly once. "seed" records the seed a scene
+script was built from; no stage reads it.
+
+A scene file is read by the config's rules (see `config`), so the
+defaults are those of the dataclasses below. `validate_scene_spec` then
+checks the ranges; it is the only check on a spec built in Python.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from ..config import from_json, read_json
 from ..errors import ValidationError
 
 ACTIONS = ("stand", "walk", "sit", "fall", "raise_arm")
@@ -42,17 +48,6 @@ MAX_ACTORS = 16
 MIN_DIMENSION = 64
 
 Color = tuple[int, int, int]
-
-
-def _as_color(value, what: str) -> Color:
-    try:
-        r, g, b = (int(c) for c in value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be an [r, g, b] triple") from None
-    for c in (r, g, b):
-        if not 0 <= c <= 255:
-            raise ValidationError(f"{what} channels must lie in [0, 255]")
-    return (r, g, b)
 
 
 @dataclass(frozen=True)
@@ -127,6 +122,9 @@ def validate_scene_spec(spec: SceneSpec) -> None:
     if len(spec.actors) > MAX_ACTORS:
         raise ValidationError(f"actor count must be <= {MAX_ACTORS}")
     spec.background.validate()
+    colors = [*spec.background.colors, *(c for a in spec.actors for c in (a.clothing, a.skin))]
+    if not all(0 <= channel <= 255 for color in colors for channel in color):
+        raise ValidationError("color channels must lie in [0, 255]")
 
     ids = [a.actor_id for a in spec.actors]
     if len(set(ids)) != len(ids):
@@ -172,45 +170,13 @@ def validate_scene_spec(spec: SceneSpec) -> None:
 
 
 def scene_spec_from_dict(data: dict) -> SceneSpec:
-    try:
-        bg_data = data.get("background", {})
-        background = BackgroundSpec(
-            kind=bg_data.get("kind", "flat"),
-            colors=tuple(
-                _as_color(c, "background color") for c in bg_data.get("colors", [[96, 96, 96]])
-            ),
-            cell=int(bg_data.get("cell", 16)),
-        )
-        actors = tuple(
-            ActorSpec(
-                actor_id=str(a["actor_id"]),
-                clothing=_as_color(a["clothing"], "clothing"),
-                skin=_as_color(a["skin"], "skin"),
-                height_px=int(a["height_px"]),
-                trajectory=tuple(
-                    (int(f), float(x), float(y)) for f, x, y in a["trajectory"]
-                ),
-                actions=tuple((int(s), int(e), str(act)) for s, e, act in a["actions"]),
-            )
-            for a in data.get("actors", [])
-        )
-        spec = SceneSpec(
-            width=int(data["width"]),
-            height=int(data["height"]),
-            frame_count=int(data["frame_count"]),
-            background=background,
-            actors=actors,
-            seed=int(data.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed scene spec: {exc}") from exc
+    spec = from_json(SceneSpec, data, "scene")
     validate_scene_spec(spec)
     return spec
 
 
 def load_scene_spec(path: str | Path) -> SceneSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_spec_from_dict(json.load(fh))
+    return scene_spec_from_dict(read_json(path, "scene"))
 
 
 def save_scene_spec(spec: SceneSpec, path: str | Path) -> None:

@@ -2,7 +2,7 @@
 
 `tests/byte_contract.json` holds digests of what the CLI writes for
 `scenes/demo.json` at seed 7, with and without `edge.noise_sigma: 2.0`,
-of the simulator's `ground_truth.jsonl` for that scene and seed, and of
+of the simulator's `ground_truth.jsonl` for that scene, and of
 the reduced audit's `audit_report.json`. The simulator's
 backgrounds are static, so the demo's scrubbed pixels do not depend on the
 background model's EMA weight, and no demo frame breaks a depth tie in the
@@ -121,7 +121,7 @@ def tie_and_sensor_noise_contract(out: Path) -> dict:
 
 
 def sim_contract(out: Path) -> dict:
-    assert main(["sim", "--scene", str(DEMO), "--out", str(out), "--seed", "7"]) == 0
+    assert main(["sim", "--scene", str(DEMO), "--out", str(out)]) == 0
     truth = (out / "ground_truth.jsonl").read_bytes()
     return {"ground_truth_sha256": hashlib.sha256(truth).hexdigest()}
 

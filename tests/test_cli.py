@@ -458,3 +458,120 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("probes", ["0", "-3"])
+    def test_audit_probes_below_one_is_a_validation_error(self, tmp_path, capsys, probes):
+        rc = main(["audit", "--trials", "2", "--probes", probes, "--gallery", "2",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cloud", "--seed", "7"],
+            ["cloud", "--scene", "s.json"],
+            ["sim", "--seed", "7"],
+        ],
+    )
+    def test_flags_no_command_reads_are_unknown(self, tmp_path, scene_file, argv):
+        # cloud reads no scene or seed, and sim no seed
+        if argv[0] == "cloud":
+            inputs = ["--replay", str(tmp_path / "p.bin")]
+        else:
+            inputs = ["--scene", str(scene_file)]
+        rc = main([*argv, *inputs, "--out", str(tmp_path / "x")])
+        assert rc == EXIT_VALIDATION
+        assert not (tmp_path / "x").exists()
+
+
+class TestSceneFiles:
+    """A scene file is read by the config's rules: any breach exits 1 with
+    one `error:` line, before anything is written."""
+
+    def run(self, tmp_path, capsys, command, scene_path):
+        out = tmp_path / "out"
+        rc = main([command, "--scene", str(scene_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["sim", "edge", "e2e"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"width": ', "[1, 2]", '"x"', "[" * 100_000, b"\xff\xfe", None],
+        ids=["truncated", "array", "string", "nested-too-deep", "not-utf8", "missing"],
+    )
+    def test_unreadable_scene_files(self, tmp_path, capsys, command, text):
+        path = tmp_path / "scene.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
+            path.write_text(text)
+        err = self.run(tmp_path, capsys, command, path)
+        if text is None:
+            assert err.startswith(f"error: cannot read scene {path}")
+
+    @staticmethod
+    def edited(tmp_path, scene_file, edit):
+        data = json.loads(scene_file.read_text())
+        edit(data)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: d.update(backround={}), "backround"),
+            (lambda d: d["background"].update(colours=[]), "colours"),
+            (lambda d: d["actors"][0].update(heigth=100), "heigth"),
+        ],
+        ids=["top-level", "background", "actor"],
+    )
+    def test_an_unknown_key_is_named(self, tmp_path, capsys, scene_file, edit, key):
+        err = self.run(tmp_path, capsys, "sim", self.edited(tmp_path, scene_file, edit))
+        assert key in err
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: d.pop("frame_count"), "frame_count"),
+            (lambda d: d["actors"][0].pop("skin"), "skin"),
+        ],
+        ids=["top-level", "actor"],
+    )
+    def test_a_missing_key_is_named(self, tmp_path, capsys, scene_file, edit, key):
+        err = self.run(tmp_path, capsys, "sim", self.edited(tmp_path, scene_file, edit))
+        assert key in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(width=320.0),
+            lambda d: d.update(width=320.9),
+            lambda d: d["actors"][0].update(height_px="100"),
+            lambda d: d.update(seed=True),
+            lambda d: d["actors"][0].update(actor_id=5),
+            lambda d: d["actors"][0]["actions"][0].__setitem__(1, 12.7),  # 12 frames: a truncation would tile
+            lambda d: d["actors"][0]["trajectory"][0].__setitem__(0, 1.5),
+            lambda d: d["actors"][0]["clothing"].__setitem__(2, 12.0),
+            lambda d: d["background"].update(cell="16"),
+            lambda d: d["actors"][0]["trajectory"][0].__setitem__(1, "70"),
+            lambda d: d["actors"][0].update(skin=[224, 180]),
+        ],
+        ids=["width-320.0", "width-320.9", "height_px-str", "seed-true", "actor_id-int",
+             "action-end-float", "trajectory-frame-float", "channel-float", "cell-str",
+             "x-str", "skin-pair"],
+    )
+    def test_a_value_of_another_json_type(self, tmp_path, capsys, scene_file, edit):
+        self.run(tmp_path, capsys, "sim", self.edited(tmp_path, scene_file, edit))
+
+    def test_an_integer_where_a_float_is_declared_is_taken(self, tmp_path, scene_file):
+        path = self.edited(
+            tmp_path, scene_file, lambda d: d["actors"][0]["trajectory"][0].__setitem__(1, 70)
+        )
+        assert main(["sim", "--scene", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK

@@ -15,14 +15,17 @@ from proxycam.sim.generate import (
     mask_from_rle,
 )
 from proxycam.sim.kinematics import pose_at
+from proxycam.sim.scripts import make_behavior_scene
 from proxycam.sim.spec import (
     SceneSpec,
+    load_scene_spec,
+    save_scene_spec,
     scene_spec_from_dict,
     validate_scene_spec,
 )
 from proxycam.skeleton import L_KNEE, R_KNEE
 
-from conftest import joint_mask_of, scene, solo_actor
+from conftest import DEMO, joint_mask_of, scene, solo_actor
 
 
 def spine_angle_deg(kp):
@@ -219,8 +222,22 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="outside"):
             validate_scene_spec(scene([actor], frame_count=5))
 
+    def test_color_channel_out_of_range_rejected(self):
+        actor = solo_actor([(0, 5, "stand")], clothing=(200, 40, 256))
+        with pytest.raises(ValidationError, match="channels"):
+            validate_scene_spec(scene([actor], frame_count=5))
+
     def test_json_round_trip(self, fall_scene):
         assert scene_spec_from_dict(dataclasses.asdict(fall_scene)) == fall_scene
+
+    @pytest.mark.parametrize(
+        "make", [lambda: load_scene_spec(DEMO), lambda: make_behavior_scene(3)],
+        ids=["demo", "behavior3"],
+    )
+    def test_save_then_load_gives_an_equal_spec(self, tmp_path, make):
+        spec = make()
+        save_scene_spec(spec, tmp_path / "scene.json")
+        assert load_scene_spec(tmp_path / "scene.json") == spec
 
 
 class TestPoseAt:
