@@ -167,14 +167,15 @@ def cmd_e2e(args) -> int:
 def cmd_audit(args) -> int:
     # the config's seed rule; numpy would refuse a negative seed with a traceback
     seed = config_from_dict({"seed": args.seed}).seed
-    out = Path(args.out_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
     report = run_full_audit(
         seed=seed,
         independence_trials=args.trials,
         gallery_size=args.gallery,
         probes=args.probes,
     )
+    # made once the audit has taken its arguments, so a refused one leaves nothing
+    out = Path(args.out_dir or "out")
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "audit_report.json"
     path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"audit {'PASSED' if report.passed else 'FAILED'}: {path}")

@@ -4,6 +4,8 @@ Poses come from ground truth: `estimate_pose` returns the scripted
 keypoints of the actor whose box the tracker paired with a track this
 frame, optionally perturbed with seeded Gaussian noise. The tracker pairs
 each box with one track, so one person never becomes two subjects.
+Every point is rounded to the wire's 1/16 px grid here, where the pose is
+made, so the edge's composite, the packet and the cloud all see one value.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import BoundingBox
-from ..skeleton import KeypointSet
+from ..skeleton import GRID, KeypointSet
 
 
 def estimate_pose(
@@ -24,7 +26,8 @@ def estimate_pose(
 
     Isotropic Gaussian noise of std `noise_sigma` is added per coordinate
     when requested, drawn from `rng`. Joints pushed outside the box are
-    clamped to it and marked invisible.
+    clamped to it and marked invisible. Every point is then rounded to the
+    nearest 1/GRID px, and a -0.0 becomes +0.0: the wire's values.
     """
     truth = actor.keypoints
     points = truth.points.astype(np.float64)
@@ -37,6 +40,9 @@ def estimate_pose(
     outside = (u < box.x) | (u > box.x2) | (v < box.y) | (v > box.y2)
     points[:, 0] = np.clip(u, box.x, box.x2)
     points[:, 1] = np.clip(v, box.y, box.y2)
+    # a box's far edge may lie on a 4096-px frame's border, one step past
+    # the largest u16 count
+    points = np.clip(np.round(points * GRID), 0, 2**16 - 1) / GRID + 0.0
     return KeypointSet(
         points=points, visible=truth.visible & ~outside, head_yaw=truth.head_yaw
     )

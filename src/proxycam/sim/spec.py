@@ -46,6 +46,8 @@ ACTIONS = ("stand", "walk", "sit", "fall", "raise_arm")
 
 MAX_ACTORS = 16
 MIN_DIMENSION = 64
+# the wire carries joint coordinates below 4096 px (see transport.codec)
+MAX_DIMENSION = 4096
 
 Color = tuple[int, int, int]
 
@@ -115,6 +117,9 @@ def validate_scene_spec(spec: SceneSpec) -> None:
         raise ValidationError(
             f"width/height must be >= {MIN_DIMENSION}, got {spec.width}x{spec.height}"
         )
+    for name, size in (("width", spec.width), ("height", spec.height)):
+        if size > MAX_DIMENSION:
+            raise ValidationError(f"{name} must be <= {MAX_DIMENSION}, got {size}")
     if spec.frame_count < 1:
         raise ValidationError("frame_count must be >= 1")
     if not 0 <= spec.seed < 2**64:

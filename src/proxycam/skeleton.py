@@ -25,8 +25,10 @@ L_ANKLE, R_ANKLE = 15, 16
 
 JOINT_COUNT = 17
 
-# bound on a wire joint coordinate's magnitude
-COORD_LIMIT = 2.0**24
+# the wire sends a joint coordinate as a u16 count of 1/GRID px, so a wire
+# coordinate lies on that grid in [0, COORD_LIMIT)
+GRID = 16
+COORD_LIMIT = 2**16 / GRID
 
 # 16 limbs. The nose-to-shoulder pair keeps the head connected to the torso
 # so the rendered silhouette stays a single component.
@@ -82,15 +84,6 @@ class KeypointSet:
             and np.array_equal(self.visible, other.visible)
             and self.head_yaw == other.head_yaw
         )
-
-    def validate(self) -> None:
-        """Check that the points lie within +-COORD_LIMIT and the head yaw
-        is finite. The limit keeps every float32 sum, half, difference and
-        hypot that the cloud takes of two joints finite."""
-        if not np.abs(self.points).max() <= COORD_LIMIT:
-            raise ValidationError("keypoints must be finite and within +-2**24")
-        if self.head_yaw is not None and not np.isfinite(self.head_yaw):
-            raise ValidationError("head_yaw must be finite")
 
     def visible_points(self) -> np.ndarray:
         return self.points[self.visible]

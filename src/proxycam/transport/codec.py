@@ -3,7 +3,7 @@
 Packet layout, all integers little-endian:
 
     magic           4 bytes  'PCV2'
-    version         u8       = 4
+    version         u8       = 5
     flags           u8       reserved, zero; decode refuses others
     camera_id       u32
     frame_id        u64
@@ -15,9 +15,18 @@ Packet layout, all integers little-endian:
                       flags u32: bit j (j < 17) set when joint j is
                         visible, bit 17 set when a head yaw is present;
                         decode refuses any higher bit
-                      head_yaw f32 (zero when absent)
-                      17 x (u f32, v f32)
+                      head_yaw f32, +0.0 when absent; decode refuses
+                        a yaw that is not finite, or not +0.0 where
+                        bit 17 is clear
+                      17 x (u u16, v u16), each in 1/16 px
     crc32           u32, IEEE, over every preceding byte
+
+A joint coordinate goes on the wire as a u16 count of 1/16 px
+(`skeleton.GRID`), so the format carries exactly the points on that grid
+in [0, 4096), and decode gives each as the float32 `u16 / 16`. `encode`
+refuses any other point, a negative zero included; it never rounds.
+`edge.pose.estimate_pose` puts every pose it makes on the grid, so the
+edge's own composite is drawn from the values the cloud decodes.
 
 Encoding is canonical: equal tuples produce byte-identical packets. The
 decoder checks the checksum before touching any section, so any corrupted
@@ -36,37 +45,50 @@ import zlib
 import numpy as np
 
 from ..errors import ValidationError
-from ..skeleton import JOINT_COUNT, KeypointSet
+from ..skeleton import COORD_LIMIT, GRID, JOINT_COUNT, KeypointSet
 from .model import RepresentationTuple, SyncKey, validate_tuple
 
 MAGIC = b"PCV2"
-VERSION = 4
+VERSION = 5
 
 _HEADER = struct.Struct("<4sBBIQQI")  # up to the env section's bytes
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-# a subject's record in the pose section: 148 bytes, no padding
+# a subject's record in the pose section: 80 bytes, no padding
 _POSE = np.dtype(
-    [("sid", "<u4"), ("flags", "<u4"), ("yaw", "<f4"), ("points", "<f4", (JOINT_COUNT, 2))]
+    [("sid", "<u4"), ("flags", "<u4"), ("yaw", "<f4"), ("points", "<u2", (JOINT_COUNT, 2))]
 )
 _JOINT_BITS = (1 << np.arange(JOINT_COUNT)).astype(np.uint32)
 _HEAD_BIT = 1 << JOINT_COUNT
 
 
+def _check_yaws(poses: np.ndarray) -> None:
+    if not np.isfinite(poses["yaw"]).all():
+        raise ValidationError("head_yaw must be finite")
+
+
 def encode(t: RepresentationTuple) -> bytes:
-    """Serialize a tuple; refuses tuples that violate their invariants."""
+    """Serialize a tuple; refuses tuples that violate their invariants and
+    points the format does not carry."""
     validate_tuple(t)
-    poses = np.array(
-        [
-            # not `head_yaw or 0.0`, which would send a yaw of -0.0 as +0.0
-            (sid, 0, 0.0, kp.points) if kp.head_yaw is None
-            else (sid, _HEAD_BIT, kp.head_yaw, kp.points)
-            for sid, kp in t.poses
-        ],
-        dtype=_POSE,
-    )
-    visible = np.array([kp.visible for _, kp in t.poses], dtype=bool)
-    poses["flags"] |= visible.reshape(-1, JOINT_COUNT) @ _JOINT_BITS
+    poses = np.zeros(len(t.poses), dtype=_POSE)
+    if t.poses:
+        points = np.stack([kp.points for _, kp in t.poses])
+        in_range = ~np.signbit(points) & (points < COORD_LIMIT)  # NaN is not
+        steps = np.where(in_range, points, 0) * GRID
+        if not (in_range & (steps == np.floor(steps))).all():
+            raise ValidationError(
+                f"keypoints must lie on the 1/{GRID} px grid in [0, {COORD_LIMIT:g})"
+            )
+        visible = np.stack([kp.visible for _, kp in t.poses])
+        heads = [kp.head_yaw is not None for _, kp in t.poses]
+        poses["sid"] = [sid for sid, _ in t.poses]
+        poses["flags"] = visible @ _JOINT_BITS
+        poses["flags"][heads] |= _HEAD_BIT
+        # not `head_yaw or 0.0`, which would send a yaw of -0.0 as +0.0
+        poses["yaw"] = [0.0 if kp.head_yaw is None else kp.head_yaw for _, kp in t.poses]
+        poses["points"] = steps
+        _check_yaws(poses)
     key = t.key
     head = _HEADER.pack(
         MAGIC, VERSION, 0, key.camera_id, key.frame_id, key.timestamp_us, len(t.env_png)
@@ -111,8 +133,11 @@ def decode(packet: bytes) -> RepresentationTuple:
     reserved = pose_flags[pose_flags >> (JOINT_COUNT + 1) != 0]
     if reserved.size:
         raise ValidationError(f"pose flags {int(reserved[0]):#010x} set a reserved bit")
+    _check_yaws(poses)
+    if poses["yaw"].view("<u4")[pose_flags & _HEAD_BIT == 0].any():
+        raise ValidationError("a subject with no head yaw must send a yaw of +0.0")
     visible = (pose_flags[:, None] & _JOINT_BITS) != 0
-    points = poses["points"].copy()  # writable, and apart from the packet
+    points = poses["points"] / np.float32(GRID)  # exact, and apart from the packet
     t = RepresentationTuple(
         key=SyncKey(camera_id=camera_id, frame_id=frame_id, timestamp_us=timestamp_us),
         env_png=packet[_HEADER.size : count_at],

@@ -5,7 +5,7 @@ image (as PNG bytes) and the per-subject joint points, visibility bits and
 head yaw. There is deliberately no field that could carry the raw frame or
 per-subject appearance, nor one the cloud can compute from the others: the
 back-to-front subject order is `proxy.occlusion_order` of the poses, so it
-is not carried. Version 4 of the wire format has no extension sections
+is not carried. Version 5 of the wire format has no extension sections
 either.
 """
 
@@ -58,4 +58,3 @@ def validate_tuple(t: RepresentationTuple) -> None:
             raise ValidationError("subject_id must fit in u32")
         if not isinstance(kp, KeypointSet):
             raise ValidationError("poses must carry KeypointSet values")
-        kp.validate()

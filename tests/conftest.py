@@ -11,6 +11,7 @@ import proxycam.runner
 from proxycam.cli import main
 from proxycam.cloud.kinematics import measure_poses
 from proxycam.sim.spec import ActorSpec, BackgroundSpec, SceneSpec
+from proxycam.skeleton import GRID, KeypointSet
 
 DEMO = Path(__file__).resolve().parent.parent / "scenes" / "demo.json"
 
@@ -44,6 +45,12 @@ def scene(actors, frame_count, width=320, height=240, seed=1, background=GRAY):
         actors=tuple(actors),
         seed=seed,
     )
+
+
+def on_grid(kp):
+    """`kp` as the edge sends it: its points rounded to the wire's 1/16 px
+    grid. Ground-truth keypoints lie off that grid, and `encode` refuses them."""
+    return KeypointSet(np.round(kp.points * GRID) / GRID, kp.visible, kp.head_yaw)
 
 
 def measured(poses):

@@ -103,9 +103,9 @@ def random_tuple(rng: np.random.Generator) -> RepresentationTuple:
     sids = rng.choice(2**31, size=n, replace=False).tolist() if n else []
     poses = []
     for sid in sids:
-        points = np.empty((17, 2), dtype=np.float32)
-        points[:, 0] = rng.uniform(0, 320, 17)
-        points[:, 1] = rng.uniform(0, 240, 17)
+        points = np.empty((17, 2), dtype=np.float32)  # on the wire's 1/16 px grid
+        points[:, 0] = rng.integers(0, 320 * 16, 17) / 16
+        points[:, 1] = rng.integers(0, 240 * 16, 17) / 16
         visible = rng.uniform(0, 1, 17) < 0.5
         yaw = float(np.float32(rng.uniform(-3.14, 3.14))) if rng.random() < 0.5 else None
         poses.append((int(sid), KeypointSet(points=points, visible=visible, head_yaw=yaw)))

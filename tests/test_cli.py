@@ -468,6 +468,16 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "flag, value", [("--trials", "0"), ("--gallery", "1"), ("--probes", "0")]
+    )
+    def test_a_refused_audit_writes_nothing(self, tmp_path, capsys, flag, value):
+        sizes = {"--trials": "2", "--gallery": "2", "--probes": "2", flag: value}
+        rc = main(["audit", *(a for kv in sizes.items() for a in kv), "--out", str(tmp_path / "d")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["cloud", "--seed", "7"],
@@ -569,6 +579,14 @@ class TestSceneFiles:
     )
     def test_a_value_of_another_json_type(self, tmp_path, capsys, scene_file, edit):
         self.run(tmp_path, capsys, "sim", self.edited(tmp_path, scene_file, edit))
+
+    @pytest.mark.parametrize("command", ["sim", "edge", "e2e"])
+    def test_a_frame_wider_than_the_wire_carries_is_refused(
+        self, tmp_path, capsys, scene_file, command
+    ):
+        path = self.edited(tmp_path, scene_file, lambda d: d.update(width=4097))
+        err = self.run(tmp_path, capsys, command, path)
+        assert "width" in err
 
     def test_an_integer_where_a_float_is_declared_is_taken(self, tmp_path, scene_file):
         path = self.edited(

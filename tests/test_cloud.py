@@ -49,7 +49,7 @@ from proxycam.transport.gate import privacy_gate
 from proxycam.transport.model import RepresentationTuple, SyncKey
 from proxycam.transport.reorder import ReorderBuffer
 
-from conftest import filtered_png, inflate_bomb_png, measured, scene, solo_actor
+from conftest import filtered_png, inflate_bomb_png, measured, on_grid, scene, solo_actor
 
 # the package re-exports the function `infer` under the module's name
 infer_module = importlib.import_module("proxycam.cloud.infer")
@@ -598,7 +598,7 @@ class TestUndrawablePose:
     def test_undrawable_pose_draws_nothing_and_the_stream_goes_on(self, tmp_path):
         # one visible joint: nothing to draw
         lone = KeypointSet(points=np.full((17, 2), 100.0), visible=np.arange(17) == 0)
-        normal, _ = pose_at(solo_actor([(0, 2, "stand")]), 0)
+        normal = on_grid(pose_at(solo_actor([(0, 2, "stand")]), 0)[0])
         cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
         # frame 1 waits for frame 0, so one accept releases both
         cloud.feed(self.packet(1, normal))
@@ -760,15 +760,15 @@ class TestMalformedEnvImage:
         assert sorted(cloud.reports) == [(0, 0), (0, 2)]
 
 
-def with_extreme_joints(packet, value):
-    """A CRC-valid copy of `packet` whose first pose has its joints' u at
-    +value and -value in turn; `encode` refuses such a pose, so the bytes
-    are written in place."""
+def with_yaw_bits(packet, bits):
+    """A CRC-valid copy of `packet` whose first pose carries a head yaw of
+    the f32 bits `bits`; `encode` refuses a yaw that is not finite, so the
+    bytes are written in place."""
     (env_len,) = struct.unpack_from("<I", packet, 26)
-    points_at = 26 + 4 + env_len + 2 + 12
+    flags_at = 26 + 4 + env_len + 2 + 4  # the flags word follows subject_id
     body = bytearray(packet[:-4])
-    for j in range(17):
-        struct.pack_into("<f", body, points_at + 8 * j, value if j % 2 == 0 else -value)
+    (flags,) = struct.unpack_from("<I", body, flags_at)
+    struct.pack_into("<II", body, flags_at, flags | 1 << 17, bits)
     return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
@@ -777,28 +777,35 @@ def refuse_constant(name):
 
 
 class TestExtremeKeypoints:
-    def test_encode_refuses_a_joint_beyond_two_to_the_24(self):
+    """The wire carries a joint coordinate as a u16 count of 1/16 px, so the
+    head yaw is the only float of a pose that a packet can make extreme."""
+
+    def test_encode_refuses_a_joint_off_the_wire_grid(self):
         actor = solo_actor([(0, 1, "stand")])
-        kp, _ = pose_at(actor, 0)
-        beyond = float(np.nextafter(np.float32(2**24), np.float32(np.inf)))
-        for value, ok in ((2.0**24, True), (-(2.0**24), True), (beyond, False), (-beyond, False)):
+        truth, _ = pose_at(actor, 0)
+        kp = on_grid(truth)
+        cases = ((0.0, True), (4095.9375, True), (100.03125, False), (4096.0, False),
+                 (-0.0625, False), (2.0**24, False))
+        for value, ok in cases:
             points = kp.points.copy()
             points[3, 1] = value
             t = window_of([[(1, KeypointSet(points, kp.visible))]])[0]
             if ok:
                 assert decode(encode(t)).poses[0][1] == t.poses[0][1]
             else:
-                with pytest.raises(ValidationError, match="within"):
+                with pytest.raises(ValidationError, match="1/16 px grid"):
                     encode(t)
+        with pytest.raises(ValidationError, match="1/16 px grid"):
+            encode(window_of([[(1, truth)]])[0])
 
-    def test_a_packet_of_extreme_joints_is_counted_and_skipped(self, tmp_path):
+    def test_a_packet_with_a_non_finite_yaw_is_counted_and_skipped(self, tmp_path):
         actor = solo_actor(
             [(0, 16, "walk")], height_px=70, trajectory=((0, 30.0, 100.0), (15, 110.0, 100.0))
         )
         tuples, _ = run_tuples(scene([actor], frame_count=16, width=160, height=120))
         packets = [encode(t) for t in tuples]
         assert tuples[5].poses
-        extreme = packets[:5] + [with_extreme_joints(packets[5], 3e38)] + packets[6:]
+        extreme = packets[:5] + [with_yaw_bits(packets[5], 0x7F800000)] + packets[6:]  # +inf
 
         cloud = replay(extreme, tmp_path / "extreme")
         left_out = replay(packets[:5] + packets[6:], tmp_path / "deleted")

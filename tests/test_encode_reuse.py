@@ -30,7 +30,7 @@ from proxycam.skeleton import KeypointSet
 from proxycam.transport.codec import decode, encode
 from proxycam.transport.model import RepresentationTuple, SyncKey
 
-from conftest import scene, solo_actor
+from conftest import on_grid, scene, solo_actor
 
 # the cloud's retained growth per camera for one released frame of
 # `one_frame_cameras`, before it kept a drawn frame's key and PNG
@@ -73,7 +73,7 @@ def still_and_moving_scene():
 def stand_pose(x=60.0, yaw=0.0):
     actor = solo_actor([(0, 1, "stand")], height_px=70, trajectory=((0, x, 100.0),))
     _, gts = generate_scene(scene([actor], frame_count=1, width=160, height=120))
-    pose = gts[0].actors[0].keypoints
+    pose = on_grid(gts[0].actors[0].keypoints)
     return KeypointSet(pose.points, pose.visible, yaw)
 
 

@@ -25,7 +25,7 @@ from proxycam.skeleton import L_ANKLE, L_KNEE, R_ANKLE, KeypointSet
 from proxycam.transport.codec import encode
 from proxycam.transport.model import RepresentationTuple, SyncKey
 
-from conftest import scene, solo_actor
+from conftest import on_grid, scene, solo_actor
 
 FRAME_SIZE = (320, 240)
 
@@ -36,7 +36,7 @@ def stand_pose(x=110.0, clothing=(200, 40, 40)):
         frame_count=2,
     )
     _, gts = generate_scene(spec)
-    return gts[0].actors[0].keypoints
+    return on_grid(gts[0].actors[0].keypoints)
 
 
 def draw(pose, frame_size=FRAME_SIZE):
@@ -106,7 +106,7 @@ def crowd_poses():
     _, gts = generate_scene(scene(actors, frame_count=2))
     poses = {}
     for i, actor in enumerate(gts[0].actors):
-        kp = actor.keypoints
+        kp = on_grid(actor.keypoints)
         poses[10 + i] = KeypointSet(kp.points, kp.visible, None if i == 3 else 0.4 * i - 1.0)
     return poses
 

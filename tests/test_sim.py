@@ -202,6 +202,14 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="width/height"):
             validate_scene_spec(SceneSpec(width=32, height=240, frame_count=1))
 
+    def test_canvas_beyond_the_wire_coordinates_rejected(self):
+        # the wire carries joint coordinates in [0, 4096)
+        validate_scene_spec(SceneSpec(width=4096, height=4096, frame_count=1))
+        with pytest.raises(ValidationError, match="width must be <= 4096, got 4097"):
+            validate_scene_spec(SceneSpec(width=4097, height=240, frame_count=1))
+        with pytest.raises(ValidationError, match="height must be <= 4096, got 4097"):
+            validate_scene_spec(SceneSpec(width=320, height=4097, frame_count=1))
+
     def test_action_gap_rejected(self):
         actor = solo_actor([(0, 10, "stand"), (12, 20, "walk")])
         with pytest.raises(ValidationError, match="tile"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from proxycam.errors import ValidationError
 from proxycam.pngio import WIRE_LEVEL, encode_png
-from proxycam.skeleton import COORD_LIMIT, KeypointSet
+from proxycam.skeleton import KeypointSet
 from proxycam.transport.codec import decode, encode
 from proxycam.transport.model import RepresentationTuple, SyncKey
 
@@ -25,12 +25,13 @@ def make_tuple(poses=(), frame_id=0, env=SMALL_PNG):
 
 
 def keypoints(seed, head=True, visible_bits=None):
-    """Random points and yaw from `seed`; joint j is visible when bit j of
-    `visible_bits` is set, or, without it, with probability 0.8."""
+    """Random points on the wire's 1/16 px grid and a yaw, from `seed`;
+    joint j is visible when bit j of `visible_bits` is set, or, without it,
+    with probability 0.8."""
     rng = np.random.default_rng(seed)
     points = np.empty((17, 2), dtype=np.float32)
-    points[:, 0] = rng.uniform(0, 320, 17)
-    points[:, 1] = rng.uniform(0, 240, 17)
+    points[:, 0] = rng.integers(0, 320 * 16, 17) / 16
+    points[:, 1] = rng.integers(0, 240 * 16, 17) / 16
     if visible_bits is None:
         visible = rng.uniform(0, 1, 17) < 0.8
     else:
@@ -128,7 +129,7 @@ class TestRejection:
             decode(packet[:20])
 
     def test_trailing_bytes_rejected(self):
-        # version 4 has no extension sections: extra bytes cannot ride along
+        # version 5 has no extension sections: extra bytes cannot ride along
         packet = encode(make_tuple())
         with pytest.raises(ValidationError, match="unexpected trailing bytes"):
             decode(with_crc(packet[:-4] + b"extra"))
@@ -203,7 +204,7 @@ class TestVersion2:
 
 
 class TestVersion3:
-    """Version 3 dropped version 2's order section, and version 4 keeps it out."""
+    """Version 3 dropped version 2's order section, and later versions keep it out."""
 
     def test_version2_packet_is_refused(self):
         packet = encode(make_tuple(poses=[(1, keypoints(0))]))
@@ -213,7 +214,7 @@ class TestVersion3:
     def test_version2_order_section_is_trailing(self):
         packet = encode(make_tuple(poses=[(1, keypoints(0))]))
         with pytest.raises(ValidationError, match="trailing"):
-            decode(version2_layout(packet, [1], version=4))
+            decode(version2_layout(packet, [1], version=5))
 
     def test_cloud_counts_version2_packet_as_malformed(self, tmp_path):
         from proxycam.config import RunConfig
@@ -241,32 +242,36 @@ def version3_layout(t: RepresentationTuple) -> bytes:
     return with_crc(body)
 
 
+RECORD = 80  # bytes of one subject's pose record
+
+
 def with_pose_flags(packet: bytes, flags: int) -> bytes:
     """A one-subject packet with its subject's flags word replaced, CRC
     recomputed."""
     body = bytearray(packet[:-4])
-    at = len(body) - 17 * 8 - 8  # the flags word follows subject_id
+    at = len(body) - RECORD + 4  # the flags word follows subject_id
     body[at : at + 4] = struct.pack("<I", flags)
     return with_crc(body)
 
 
-class TestVersion4:
-    """Version 4 sends a joint's visibility as one bit: per subject a u32
-    flags word (bit j for joint j, bit 17 for a head yaw), the head yaw,
-    and 17 (u, v) float pairs."""
+def grid_steps(kp: KeypointSet) -> list[int]:
+    """A pose's 34 coordinates as counts of 1/16 px, in wire order."""
+    steps = kp.points.astype(np.float64) * 16
+    assert (steps == np.round(steps)).all()
+    return [int(x) for x in steps.ravel()]
 
-    def test_packet_length(self):
-        for n in range(3):
-            sids = list(range(10, 10 + n))
-            t = make_tuple(poses=[(sid, keypoints(sid)) for sid in sids])
-            assert len(encode(t)) == 26 + 4 + len(SMALL_PNG) + 2 + n * 148 + 4
+
+class TestVersion4:
+    """What version 4 brought and version 5 keeps: a joint's visibility as
+    one bit of a u32 flags word per subject (bit j for joint j, bit 17 for
+    a head yaw), then the head yaw."""
 
     def test_flags_word_layout(self):
         kp = keypoints(3, visible_bits=(1 << 0) | (1 << 16))
         packet = encode(make_tuple(poses=[(7, kp)]))
-        pose = packet[-4 - 148 : -4]
+        pose = packet[-4 - RECORD : -4]
         assert struct.unpack("<IIf", pose[:12]) == (7, 0x30001, kp.head_yaw)
-        assert pose[12:] == kp.points.astype("<f4").tobytes()
+        assert list(struct.unpack("<34H", pose[12:])) == grid_steps(kp)
 
     def test_version3_packet_is_refused(self):
         t = make_tuple(poses=[(1, keypoints(0))])
@@ -310,42 +315,159 @@ class TestVersion4:
         assert sorted(cloud.reports) == [(0, 1)]
 
 
+def version4_layout(t: RepresentationTuple) -> bytes:
+    """`t` encoded in the version-4 layout: per subject the flags word, the
+    head yaw and 17 (u, v) f32 points, 148 bytes."""
+    body = bytearray(encode(dataclasses.replace(t, poses=[]))[:-6])
+    body[4] = 4
+    body += struct.pack("<H", len(t.poses))
+    for sid, kp in t.poses:
+        flags = sum(1 << j for j in range(17) if kp.visible[j])
+        if kp.head_yaw is not None:
+            flags |= 1 << 17
+        body += struct.pack("<IIf", sid, flags, kp.head_yaw or 0.0)
+        body += kp.points.astype("<f4").tobytes()
+    return with_crc(body)
+
+
+def with_yaw(packet: bytes, flags: int, yaw_bits: int) -> bytes:
+    """A one-subject packet with its flags word and the bits of its head
+    yaw replaced, CRC recomputed."""
+    body = bytearray(packet[:-4])
+    struct.pack_into("<II", body, len(body) - RECORD + 4, flags, yaw_bits)
+    return with_crc(body)
+
+
+class TestVersion5:
+    """Version 5 sends each joint coordinate as a u16 count of 1/16 px:
+    80 bytes per subject, and exactly the points on that grid in [0, 4096)."""
+
+    def test_packet_length(self):
+        for n in range(3):
+            sids = list(range(10, 10 + n))
+            t = make_tuple(poses=[(sid, keypoints(sid)) for sid in sids])
+            assert len(encode(t)) == 26 + 4 + len(SMALL_PNG) + 2 + n * RECORD + 4
+
+    def test_points_decode_as_u16_over_16(self):
+        steps = np.arange(34, dtype=np.uint16) * 1927  # 0 to 63,591
+        steps[-1] = 65535
+        kp = KeypointSet(steps.reshape(17, 2) / 16, np.ones(17, dtype=bool))
+        decoded = decode(encode(make_tuple(poses=[(1, kp)]))).poses[0][1]
+        assert decoded.points.dtype == np.float32
+        assert np.array_equal(decoded.points, (steps.astype(np.float32) / 16).reshape(17, 2))
+        assert decoded.points[16, 1] == 4095.9375
+
+    @pytest.mark.parametrize(
+        "value",
+        [1 / 32, 100.01, 4095.96875, -0.0625, -0.0, 4096.0, 65536.0, 3e38,
+         float("nan"), float("inf"), float("-inf")],
+    )
+    def test_a_point_the_format_does_not_carry_is_refused(self, value):
+        kp = keypoints(0)
+        points = kp.points.copy()
+        points[5, 1] = value
+        t = make_tuple(poses=[(1, keypoints(1)), (2, KeypointSet(points, kp.visible))])
+        with pytest.raises(ValidationError, match="1/16 px grid"):
+            encode(t)
+
+    def test_grid_edges_are_carried(self):
+        kp = keypoints(0)
+        points = kp.points.copy()
+        points[0] = (0.0, 4095.9375)
+        points[1] = (0.0625, 2048.5)
+        t = make_tuple(poses=[(1, KeypointSet(points, kp.visible, kp.head_yaw))])
+        assert decode(encode(t)) == t
+
+    def test_version4_packet_is_refused(self):
+        t = make_tuple(poses=[(1, keypoints(0))])
+        packet = version4_layout(t)
+        assert len(packet) == len(encode(t)) + 148 - RECORD
+        with pytest.raises(ValidationError, match="unsupported packet version 4"):
+            decode(packet)
+
+    def test_cloud_counts_version4_packet_as_malformed(self, tmp_path):
+        from proxycam.config import RunConfig
+        from proxycam.runner import CloudRunner
+
+        cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
+        cloud.feed(encode(make_tuple(frame_id=0)))
+        cloud.feed(version4_layout(make_tuple(poses=[(1, keypoints(0))], frame_id=1)))
+        cloud.feed(encode(make_tuple(frame_id=2)))
+        cloud.finish()
+        assert cloud.malformed == 1
+        assert sorted(cloud.reports) == [(0, 0), (0, 2)]
+
+    @pytest.mark.parametrize("yaw", [float("nan"), float("inf")])
+    def test_a_yaw_that_is_not_finite_is_refused(self, yaw):
+        packet = encode(make_tuple(poses=[(1, keypoints(0))]))
+        bits = struct.unpack("<I", struct.pack("<f", yaw))[0]
+        with pytest.raises(ValidationError, match="head_yaw must be finite"):
+            decode(with_yaw(packet, 0x3FFFF, bits))
+        with pytest.raises(ValidationError, match="head_yaw must be finite"):
+            encode(make_tuple(poses=[(1, KeypointSet(keypoints(0).points, np.ones(17, bool), yaw))]))
+
+    @pytest.mark.parametrize("yaw", [1.5, -0.0])
+    def test_a_yaw_without_its_head_bit_is_refused(self, yaw):
+        # a subject with no head yaw sends +0.0, so each tuple has one packet
+        packet = encode(make_tuple(poses=[(1, keypoints(0))]))
+        bits = struct.unpack("<I", struct.pack("<f", yaw))[0]
+        assert decode(with_yaw(packet, 0x1FFFF, 0)).poses[0][1].head_yaw is None
+        with pytest.raises(ValidationError, match="no head yaw"):
+            decode(with_yaw(packet, 0x1FFFF, bits))
+
+
 yaws = st.one_of(
     st.none(),
     st.sampled_from([0.0, -0.0]),
     st.floats(width=32, allow_nan=False, allow_infinity=False),
 )
+# u16 counts of 1/16 px, the grid's two ends drawn often
+steps_16 = st.one_of(st.sampled_from([0, 1, 65534, 65535]), st.integers(0, 2**16 - 1))
 
 
 @st.composite
 def wide_tuples(draw):
-    """Up to 20 subjects, any set of visible joints, and coordinates out to
-    the +-2**24 limit, the limit itself included."""
+    """Up to 20 subjects, any set of visible joints, and any point of the
+    1/16 px grid in [0, 4096), both ends included."""
     n = draw(st.integers(0, 20))
     sids = draw(st.lists(subject_ids, min_size=n, max_size=n, unique=True))
     poses = []
     for sid in sids:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        scale = draw(st.sampled_from([1.0, 320.0, float(COORD_LIMIT)]))
-        points = rng.uniform(-scale, scale, (17, 2)).astype(np.float32)
-        if draw(st.booleans()):
-            points[0] = (COORD_LIMIT, -COORD_LIMIT)
+        steps = np.array(draw(st.lists(steps_16, min_size=34, max_size=34)), dtype=np.uint16)
         visible = (draw(st.integers(0, 2**17 - 1)) >> np.arange(17)) & 1 == 1
-        poses.append((sid, KeypointSet(points, visible, draw(yaws))))
+        poses.append((sid, KeypointSet(steps.reshape(17, 2) / 16, visible, draw(yaws))))
     return make_tuple(poses=poses, frame_id=draw(st.integers(0, 2**44)))
 
 
 def pose_section_one_by_one(t: RepresentationTuple) -> bytes:
     """The records of `t`'s poses packed one subject at a time, as the
-    layout states them."""
+    layout states them: `<IIf34H`."""
     out = b""
     for sid, kp in t.poses:
         flags = sum(1 << j for j in range(17) if kp.visible[j])
         if kp.head_yaw is not None:
             flags |= 1 << 17
-        out += struct.pack("<IIf", sid, flags, 0.0 if kp.head_yaw is None else kp.head_yaw)
-        out += kp.points.astype("<f4").tobytes()
+        yaw = 0.0 if kp.head_yaw is None else kp.head_yaw
+        out += struct.pack("<IIf34H", sid, flags, yaw, *grid_steps(kp))
     return out
+
+
+@st.composite
+def packed_packets(draw):
+    """A packet built byte by byte from the layout: up to 20 records of
+    any subject id, any flags below bit 18, a finite f32 yaw where bit 17
+    is set and +0.0 where it is not, and any u16 coordinates."""
+    n = draw(st.integers(0, 20))
+    sids = draw(st.lists(subject_ids, min_size=n, max_size=n, unique=True))
+    records = b""
+    for sid in sids:
+        flags = draw(st.integers(0, 2**18 - 1))
+        yaw = draw(st.floats(width=32, allow_nan=False, allow_infinity=False))
+        yaw = yaw if flags >> 17 else 0.0
+        steps = draw(st.lists(steps_16, min_size=34, max_size=34))
+        records += struct.pack("<IIf34H", sid, flags, yaw, *steps)
+    head = encode(make_tuple(frame_id=draw(st.integers(0, 2**44))))[:-6]
+    return with_crc(head + struct.pack("<H", n) + records)
 
 
 def three_subjects() -> RepresentationTuple:
@@ -353,7 +475,7 @@ def three_subjects() -> RepresentationTuple:
 
 
 class TestPoseRecords:
-    """The pose section is one array of fixed 148-byte records."""
+    """The pose section is one array of fixed 80-byte records."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(wide_tuples())
@@ -370,6 +492,11 @@ class TestPoseRecords:
         ]
         assert signs[0] == signs[1]
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(packed_packets())
+    def test_every_packet_of_the_layout_decodes_and_encodes_back(self, packet):
+        assert encode(decode(packet)) == packet
+
     def test_every_cut_and_one_extra_byte_are_refused(self):
         body = encode(three_subjects())[:-4]
         for cut in range(len(body)):
@@ -381,7 +508,7 @@ class TestPoseRecords:
     @pytest.mark.parametrize("k", range(3))
     def test_reserved_bit_on_any_subject_is_refused(self, k):
         body = bytearray(encode(three_subjects())[:-4])
-        at = len(body) - (3 - k) * 148 + 4  # the flags word follows subject_id
+        at = len(body) - (3 - k) * RECORD + 4  # the flags word follows subject_id
         (flags,) = struct.unpack_from("<I", body, at)
         struct.pack_into("<I", body, at, flags | 1 << 18)
         with pytest.raises(ValidationError, match="reserved bit"):
