@@ -27,6 +27,7 @@ from ..raster import embed, grid_pool, luminance
 from ..runner import build_tuple, us_per_frame
 from ..sim.generate import generate_scene
 from ..sim.scripts import make_solo_scene
+from ..skeleton import measure_poses
 from ..edge.pipeline import EdgeState, process_frame
 from ..cloud.reconstruct import reconstruct, render_proxies
 from ..transport.codec import decode, encode
@@ -148,7 +149,7 @@ def _wire_features(t: RepresentationTuple, width: int, height: int) -> np.ndarra
     """
     env = decode_png(t.env_png)
     env_stats = grid_pool(luminance(env), 8, 8).ravel() / 255.0
-    proxies = render_proxies(t.poses, (width, height))
+    proxies = render_proxies(t.poses, measure_poses(t.poses), (width, height))
     embedding = embed(reconstruct(env, proxies)).astype(np.float64)
     painted = support(proxies, (width, height))
     occupancy = grid_pool(painted * 255.0, 8, 8).ravel() / 255.0

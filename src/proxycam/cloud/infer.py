@@ -7,9 +7,10 @@ from typing import Sequence
 
 from ..errors import ValidationError
 from ..geometry import BoundingBox
+from ..skeleton import PoseGeometry
 from ..transport.model import RepresentationTuple, SyncKey
 from .classify import classify_behavior
-from .kinematics import PoseGeometry, extract_kinematics, measure_poses
+from .kinematics import extract_kinematics
 
 INFER_WINDOW = 5
 
@@ -45,21 +46,19 @@ def _resolve(history: Sequence[PoseGeometry]) -> tuple[str, float]:
 
 
 def infer(
-    window: Sequence[RepresentationTuple],
-    geometry: Sequence[Sequence[PoseGeometry]] | None = None,
+    window: Sequence[RepresentationTuple], geometry: Sequence[Sequence[PoseGeometry]]
 ) -> BehaviorReport:
     """Classify every subject present in the newest tuple of the window.
 
     The window must be a frame-ordered slice of one camera's stream.
-    `geometry` holds, per tuple, `measure_poses` of its poses; a caller
-    that keeps a window passes the records it measured when each tuple
-    entered, and without them `infer` measures the tuples itself. Each
-    subject's history is its measured poses in the window, oldest first.
+    `geometry` holds, per tuple, `measure_poses` of its poses, measured
+    once when the tuple entered the caller's window. Each subject's
+    history is its measured poses in the window, oldest first.
     Its label is the one a replay of the classifier along that history
     gives, where each step holds the previous label when no rule fires;
     `_resolve` computes it from the newest step backwards and goes back
     only as far as the hold reaches. The report box is the newest pose's
-    `keypoint_extent_box`. A subject with any pose in its history that has
+    `PoseGeometry.box`. A subject with any pose in its history that has
     no visible joint is reported as ('unknown', 0.5) with an empty box,
     without failing the frame.
     """
@@ -71,8 +70,6 @@ def infer(
             raise ValidationError("window mixes camera ids")
         if b.key.frame_id <= a.key.frame_id:
             raise ValidationError("window is not frame-ordered")
-    if geometry is None:
-        geometry = [measure_poses(t.poses) for t in window]
 
     histories: dict[int, list[PoseGeometry]] = {}
     for t, records in zip(window, geometry, strict=True):
@@ -84,7 +81,7 @@ def infer(
     newest = [(sid, record) for (sid, _), record in zip(current.poses, geometry[-1])]
     for sid, record in sorted(newest, key=lambda p: p[0]):
         history = histories[sid]
-        if all(g.visible for g in history):
+        if all(g.joints for g in history):
             label, conf = _resolve(history)
             box = record.box
         else:

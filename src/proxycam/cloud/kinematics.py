@@ -1,9 +1,9 @@
-"""Per-subject kinematic features measured from a short pose history.
+"""Per-subject kinematic features from a short history of measured poses.
 
 A pose is measured once, when its tuple enters a camera's inference
-window: `measure_poses` takes all the poses of a tuple in one pass and
-gives one `PoseGeometry` per pose, which stays beside the tuple while it
-is in the window. `extract_kinematics` reads a subject's history of these
+window: `skeleton.measure_poses` gives one `PoseGeometry` per pose, which
+stays beside the tuple while it is in the window, and the same records
+feed the renderer. `extract_kinematics` reads a subject's history of these
 records, so no pose is measured again for the later windows it sits in.
 """
 
@@ -11,20 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ValidationError
-from ..geometry import BoundingBox
-from ..proxy import extent_box
-from ..skeleton import L_HIP, L_KNEE, L_SHOULDER, R_HIP, R_KNEE, R_SHOULDER, KeypointSet
+from ..skeleton import PoseGeometry
 
 VELOCITY_WINDOW = 5
-
-# left and right joints of the pairs whose midpoints the features read:
-# hip, shoulder, knee
-_PAIRS = np.array([[L_HIP, L_SHOULDER, L_KNEE], [R_HIP, R_SHOULDER, R_KNEE]])
 
 
 def _centred_time(n: int) -> tuple[np.ndarray, float]:
@@ -57,93 +51,6 @@ class KinematicFeatures:
     torso_len: float
 
 
-class PoseGeometry(NamedTuple):
-    """What the cloud reads of one pose, measured in float32 as the pose's
-    own `KeypointSet` methods would.
-
-    hip: the hip midpoint (`KeypointSet.midpoint`), None when both hips
-    are hidden. center: the hip midpoint, or the visible joints' mean when
-    both hips are hidden. knee_v: the knee midpoint's v. spine: shoulder
-    midpoint minus hip midpoint, and torso its length, both None unless
-    both midpoints exist. width and height: the visible joints' extent;
-    box: `keypoint_extent_box` of the pose. A pose with no visible joint
-    has visible False and no center, extent or box.
-    """
-
-    visible: bool
-    hip: tuple[float, float] | None
-    center: tuple[float, float] | None
-    knee_v: float | None
-    spine: tuple[float, float] | None
-    torso: float | None
-    width: float
-    height: float
-    box: BoundingBox | None
-
-
-_UNSEEN = PoseGeometry(False, None, None, None, None, None, 0.0, 0.0, None)
-
-
-def measure_poses(poses: Sequence[tuple[int, KeypointSet]]) -> list[PoseGeometry]:
-    """One `PoseGeometry` per pose of a tuple, in the order of `poses`.
-
-    The joints of all poses are measured together as (S, 17, 2) float32
-    arrays, with the same float32 operations per pose as the pose's own
-    methods; the visible joints' mean of a pose whose hips are both hidden
-    stays a call on the pose, since its float32 sum runs over the visible
-    rows alone.
-    """
-    if not poses:
-        return []
-    kps = [kp for _, kp in poses]
-    points = np.array([kp.points for kp in kps])
-    visible = np.array([kp.visible for kp in kps])
-
-    pairs, seen_pairs = points[:, _PAIRS], visible[:, _PAIRS]
-    a, b, va, vb = pairs[:, 0], pairs[:, 1], seen_pairs[:, 0], seen_pairs[:, 1]
-    # `KeypointSet.midpoint`: the half-sum of both sides, or the one visible
-    mids = np.where(vb[..., None], np.where(va[..., None], (a + b) / 2.0, b), a)
-    spines = mids[:, 1] - mids[:, 0]
-    torsos = np.hypot(spines[:, 0], spines[:, 1])
-
-    seen = visible[..., None]
-    lo = np.where(seen, points, np.inf).min(axis=1)
-    hi = np.where(seen, points, -np.inf).max(axis=1)
-    extents = hi - lo
-
-    seen_any = visible.any(axis=1).tolist()
-    has_mid = (va | vb).tolist()
-    mids, spines, torsos = mids.tolist(), spines.tolist(), torsos.tolist()
-    lo, extents = lo.tolist(), extents.tolist()
-    out = []
-    for s, kp in enumerate(kps):
-        if not seen_any[s]:
-            out.append(_UNSEEN)
-            continue
-        has_hip, has_shoulder, has_knee = has_mid[s]
-        hip = tuple(mids[s][0]) if has_hip else None
-        center = hip
-        if hip is None:
-            mean = kp.visible_points().mean(axis=0)
-            center = (float(mean[0]), float(mean[1]))
-        both = has_hip and has_shoulder
-        width, height = extents[s]
-        out.append(
-            PoseGeometry(
-                visible=True,
-                hip=hip,
-                center=center,
-                knee_v=mids[s][2][1] if has_knee else None,
-                spine=tuple(spines[s]) if both else None,
-                torso=torsos[s] if both else None,
-                width=width,
-                height=height,
-                box=extent_box(*lo[s], width, height),
-            )
-        )
-    return out
-
-
 def _hip_slopes(hips: list[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slopes of the hip's u and v over its frames, 0 below two."""
     n = len(hips)
@@ -166,7 +73,7 @@ def extract_kinematics(history: Sequence[PoseGeometry]) -> KinematicFeatures:
     if not history:
         raise ValidationError("empty pose history")
     current = history[-1]
-    if not current.visible:
+    if not current.joints:
         raise ValidationError("every joint is invisible")
 
     if current.spine is not None:

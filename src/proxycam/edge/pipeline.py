@@ -2,8 +2,11 @@
 
 One EdgeState per camera stream; frames must be fed in order because both
 the tracker and the background model are temporal. The output carries
-what the transport tuple needs and never the raw frame. The edge draws no
-proxy; `EdgeOutput.composite` is drawn only for a caller that reads it.
+what the transport tuple needs and never the raw frame. The edge neither
+draws nor measures a pose: it keeps a pose that shows at least two joints,
+which is the renderer's own verdict for a pose `estimate_pose` made (see
+`process_frame`), and `EdgeOutput.composite` is drawn only for a caller
+that reads it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from ..errors import StageError, ValidationError
 from ..geometry import BoundingBox
 from .. import proxy
-from ..skeleton import KeypointSet
+from ..skeleton import KeypointSet, measure_poses
 from ..raster import validate_frame
 from .background import BackgroundModel, erase, update_background
 # unused here; perfbench/trace.py wraps the names
@@ -58,10 +61,11 @@ class EdgeOutput:
     @property
     def composite(self) -> np.ndarray:
         """The scrubbed image with the proxies pasted on, drawn on each
-        access by the cloud's two calls on these pre-wire values, through
+        access by the cloud's calls on these pre-wire values, through
         `proxy`: perfbench/trace.py times this module's names as frame work."""
         height, width = self.desensitized.shape[:2]
-        return proxy.overlay(self.desensitized, proxy.render_proxies(self.poses, (width, height)))
+        proxies = proxy.render_proxies(self.poses, measure_poses(self.poses), (width, height))
+        return proxy.overlay(self.desensitized, proxies)
 
 
 def _stage(name: str):
@@ -88,6 +92,17 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
     required: without it the "detect" stage fails. Erasure always uses
     every ground-truth subject mask, not just the tracked ones, so a
     tracking failure can never leak pixels.
+
+    A pose goes on the wire if and only if it shows at least two joints,
+    and then the renderer draws it. `estimate_pose` clamps every point
+    into a ground-truth box, which lies in the closed frame [0, W] x
+    [0, H]. The renderer's margin m around the visible joints is at least
+    0.75 + 2 + 2 = 4.75 px. Along x (y is alike), with
+    0 <= umin <= umax <= W, its patch runs from
+    x0 = max(0, floor(umin - m)) to x1 = min(W, ceil(umax + m)). Here
+    floor(umin - m) <= W - m < W and 0 < W, so x0 < W; and
+    ceil(umax + m) exceeds both 0 and floor(umin - m), so
+    x0 < ceil(umax + m). Hence x0 < x1: the patch is never empty.
     """
     frame = validate_frame(frame)
     if frame.shape[:2] != (state.height, state.width):
@@ -116,6 +131,5 @@ def process_frame(state: EdgeState, frame: np.ndarray, gt=None) -> EdgeOutput:
     _stage("background")(update_background, state.background, frame, joint_mask)
 
     # a pose the renderer cannot draw does not go on the wire
-    size = (state.width, state.height)
-    drawable = [sid for sid in sorted(poses) if proxy.is_drawable(poses[sid], size)]
+    drawable = [sid for sid in sorted(poses) if np.count_nonzero(poses[sid].visible) >= 2]
     return EdgeOutput(desensitized, tuple((sid, poses[sid]) for sid in drawable))

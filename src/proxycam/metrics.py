@@ -52,16 +52,6 @@ class BehaviorMetrics:
     def sit_false_alarm_rate(self) -> float:
         return self.sit_false_alarms / self.sit_frames if self.sit_frames else 0.0
 
-    def merge(self, other: "BehaviorMetrics") -> "BehaviorMetrics":
-        return BehaviorMetrics(
-            frames_scored=self.frames_scored + other.frames_scored,
-            frames_correct=self.frames_correct + other.frames_correct,
-            fall_frames=self.fall_frames + other.fall_frames,
-            fall_hits=self.fall_hits + other.fall_hits,
-            sit_frames=self.sit_frames + other.sit_frames,
-            sit_false_alarms=self.sit_false_alarms + other.sit_false_alarms,
-        )
-
     def to_dict(self) -> dict:
         return {
             "frames_scored": self.frames_scored,

@@ -5,9 +5,9 @@ reconstruction and the edge composite: `render_proxies` draws a frame's
 subjects (`render_proxy`) in `occlusion_order`, back to front, and
 `overlay` pastes them onto a frame. All of them read only what crosses
 the wire (the joint points with their visibility, the head yaw, the frame
-size), so both sides produce the same bytes from the same tuple. The edge
-draws nothing: `is_drawable` gives the verdict of the renderer's own
-layout rule, without running it for a pose inside the frame.
+size) and the `skeleton.measure_poses` records of those poses, so both
+sides produce the same bytes from the same tuple. Nothing here measures a
+pose: the patch, the radii and the depth come from its record.
 
 A proxy is a capsule per visible bone plus a head disc, drawn with one
 fixed fill and outline for every subject. Nothing about the person except
@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .geometry import BoundingBox
 from .raster import SilhouetteCanvas, outline_of, paste_codes, validate_frame
-from .skeleton import BONES, KeypointSet, L_ANKLE, L_EAR, NOSE, R_ANKLE, R_EAR
+from .skeleton import BONES, NOSE, KeypointSet, PoseGeometry
 
 FILL_COLOR = (180, 180, 180)
 OUTLINE_COLOR = (60, 60, 60)
@@ -43,7 +41,6 @@ _TORSO_FALLBACK_FRAC = 0.3     # of keypoint-extent height, if shoulders/hips ar
 _HEAD_RADIUS_EAR_FRAC = 0.5    # of the inter-ear distance
 _HEAD_RADIUS_FALLBACK = 0.15   # of torso length
 _TICK_LENGTH = 2.0             # orientation tick, pixels past the disc rim
-_EXTENT_MARGIN_FRAC = 0.10     # keypoint extent box growth, relative
 
 
 @dataclass(frozen=True)
@@ -56,20 +53,21 @@ class SkeletalProxy:
 
 
 def render_proxy(
-    poses: Mapping[int, KeypointSet], frame_size: tuple[int, int]
+    subjects: Mapping[int, tuple[KeypointSet, PoseGeometry]], frame_size: tuple[int, int]
 ) -> dict[int, SkeletalProxy]:
-    """Rasterize the proxies of many subjects with one painter.
+    """Rasterize the proxies of many subjects, each a pose and its
+    `measure_poses` record, with one painter.
 
     frame_size is (width, height). Every subject's shapes go to one
     `SilhouetteCanvas`, whose `paint` evaluates the windows of all of them
     in one flat pass, so a frame's subjects cost about one call, not one
     call per bone. Returns the drawable subjects' proxies by subject id; a
-    subject that `is_drawable` refuses is left out.
+    subject whose `_layout` is None is left out.
     """
     canvas = SilhouetteCanvas()
     placed = {}
-    for sid, pose in poses.items():
-        layout = _layout(pose, frame_size)
+    for sid, (pose, record) in subjects.items():
+        layout = _layout(record, frame_size)
         if layout is not None:
             placed[sid] = _queue_proxy(canvas, pose, layout)
     masks = canvas.paint()
@@ -84,64 +82,36 @@ def render_proxy(
     return proxies
 
 
-def is_drawable(pose: KeypointSet, frame_size: tuple[int, int]) -> bool:
-    """Whether `render_proxy` draws `pose`: it has at least two visible
-    joints and a patch of non-zero size inside the frame.
-
-    A pose with at least two visible joints, all inside [0, W) x [0, H),
-    is drawable without its `_layout`. Proof, for x (y is alike): the
-    layout's margin m is at least 0.75 + `_TICK_LENGTH` + 2 = 4.75 > 0,
-    and 0 <= xmin <= xmax < W. Its patch is x0 = max(0, floor(xmin - m))
-    to x1 = min(W, ceil(xmax + m)). Here floor(xmin - m) < W, and W > 0,
-    so x0 < W; ceil(xmax + m) > 0, and ceil(xmax + m) > floor(xmin - m),
-    so x0 < ceil(xmax + m). Hence x0 < x1. Every other pose, one with a
-    joint outside the frame or a NaN among them, is decided by `_layout`.
-    Without pose noise every visible joint of an edge pose is inside: the
-    simulator hides the joints outside the frame.
-    """
-    width, height = frame_size
-    inside = [
-        0.0 <= x < width and 0.0 <= y < height
-        for (x, y), seen in zip(pose.points.tolist(), pose.visible.tolist())
-        if seen
-    ]
-    if len(inside) >= 2 and all(inside):
-        return True
-    return _layout(pose, frame_size) is not None
-
-
-def _layout(pose: KeypointSet, frame_size: tuple[int, int]) -> tuple | None:
+def _layout(record: PoseGeometry, frame_size: tuple[int, int]) -> tuple | None:
     """The patch (x0, y0, x1, y1), clipped to the frame so the proxy fits
-    when pasted at its anchor, and the limb and head radii of one subject;
-    None when it cannot be drawn. When the shoulders or hips are hidden,
-    the torso length falls back to a fraction of the height of
-    `keypoint_extent_box(pose)`.
+    when pasted at its anchor, and the limb and head radii of one subject,
+    from its `measure_poses` record; None when it cannot be drawn: below
+    two visible joints, or with a patch clipped to nothing. When the
+    shoulders or hips are hidden, the torso length falls back to a
+    fraction of the height of the record's box.
     """
     frame_w, frame_h = frame_size
-    visible = pose.visible
-    if int(visible.sum()) < 2:
+    if record.joints < 2:
         return None
-    pts = pose.points.astype(np.float64)
 
-    torso = pose.torso_length()
+    torso = record.torso
     if torso is None or torso <= 0.0:
-        torso = _TORSO_FALLBACK_FRAC * max(keypoint_extent_box(pose).h, 1.0)
+        torso = _TORSO_FALLBACK_FRAC * max(record.box.h, 1.0)
     limb_r = max(_LIMB_WIDTH_FRAC * torso / 2.0, 0.75)
 
     head_r = 0.0
-    if pose.is_visible(NOSE):
-        if pose.is_visible(L_EAR) and pose.is_visible(R_EAR):
-            inter_ear = float(np.hypot(*(pts[L_EAR] - pts[R_EAR])))
-            head_r = _HEAD_RADIUS_EAR_FRAC * inter_ear
+    if record.nose:
+        if record.ears is not None:
+            head_r = _HEAD_RADIUS_EAR_FRAC * record.ears
         if head_r <= 0.0:
             head_r = _HEAD_RADIUS_FALLBACK * torso
 
-    used = pts[visible]
+    (u0, v0), (u1, v1) = record.lo, record.hi
     margin = max(limb_r, head_r) + _TICK_LENGTH + 2.0
-    x0 = max(0, int(math.floor(used[:, 0].min() - margin)))
-    y0 = max(0, int(math.floor(used[:, 1].min() - margin)))
-    x1 = min(frame_w, int(math.ceil(used[:, 0].max() + margin)))
-    y1 = min(frame_h, int(math.ceil(used[:, 1].max() + margin)))
+    x0 = max(0, math.floor(u0 - margin))
+    y0 = max(0, math.floor(v0 - margin))
+    x1 = min(frame_w, math.ceil(u1 + margin))
+    y1 = min(frame_h, math.ceil(v1 + margin))
     if x1 <= x0 or y1 <= y0:
         return None
     return x0, y0, x1, y1, limb_r, head_r
@@ -182,65 +152,41 @@ def pose_key(pose: KeypointSet) -> tuple:
     return pose.points.tobytes(), pose.visible.tobytes(), yaw
 
 
-def keypoint_extent_box(pose: KeypointSet) -> BoundingBox:
-    """Box around the visible joints, grown by a relative margin.
+def occlusion_order(geometry: Mapping[int, PoseGeometry]) -> list[int]:
+    """Back-to-front order of drawable subjects, by their `measure_poses`
+    records, for `overlay`.
 
-    The cloud reports it as the subject's box, and its height feeds the
-    renderer's torso fallback: the tracker box never crosses the wire.
+    Depth is the record's `depth`, the image row of the ankle midpoint or,
+    when both ankles are hidden, of the lowest visible joint (smaller row
+    = farther); a drawable pose has at least two visible joints. Ties
+    break on ascending subject id. The order is a function of the poses
+    alone, so it never crosses the wire: the edge and the cloud each
+    compute it from the same poses.
     """
-    vis = pose.visible_points()
-    if vis.shape[0] == 0:
-        raise ValidationError("no visible joints to box")
-    x0, y0 = vis.min(axis=0)
-    x1, y1 = vis.max(axis=0)
-    return extent_box(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
-
-
-def extent_box(x0: float, y0: float, width: float, height: float) -> BoundingBox:
-    """`keypoint_extent_box` of joints whose extent starts at (x0, y0)."""
-    return BoundingBox(x0, y0, width, height).scaled(1.0 + _EXTENT_MARGIN_FRAC)
-
-
-def occlusion_order(poses: Mapping[int, KeypointSet]) -> list[int]:
-    """Back-to-front subject order of drawable poses, for `overlay`.
-
-    Depth is the image row of the ankle midpoint (smaller row = farther).
-    When both ankles are hidden it is the row of the lowest visible joint;
-    a drawable pose has at least two. Ties break on ascending subject id.
-    The order is a function of the poses alone, so it never crosses the
-    wire: the edge and the cloud each compute it from the same poses.
-    """
-    keyed: list[tuple[float, int]] = []
-    for sid, pose in poses.items():
-        ankle = pose.midpoint(L_ANKLE, R_ANKLE)
-        if ankle is not None:
-            depth = float(ankle[1])
-        else:
-            depth = float(pose.visible_points()[:, 1].max())
-        keyed.append((depth, sid))
-    keyed.sort()
-    return [sid for _, sid in keyed]
+    return sorted(geometry, key=lambda sid: (geometry[sid].depth, sid))
 
 
 def render_proxies(
-    poses: Iterable[tuple[int, KeypointSet]],
+    poses: Sequence[tuple[int, KeypointSet]],
+    geometry: Sequence[PoseGeometry],
     frame_size: tuple[int, int],
     drawn: dict[int, SkeletalProxy] | None = None,
 ) -> list[SkeletalProxy]:
     """The drawable subjects' proxies in `occlusion_order`, for `overlay`.
 
-    frame_size is (width, height). `drawn` holds proxies already drawn for
-    some of these subjects; the others go to one `render_proxy` call, and
-    their codes are marked read-only and added to `drawn`.
+    `geometry` is `measure_poses(poses)`; frame_size is (width, height).
+    `drawn` holds proxies already drawn for some of these subjects; the
+    others go to one `render_proxy` call, and their codes are marked
+    read-only and added to `drawn`.
     """
-    poses = dict(poses)
+    subjects = {sid: (pose, record) for (sid, pose), record in zip(poses, geometry, strict=True)}
     drawn = {} if drawn is None else drawn
-    misses = {sid: pose for sid, pose in poses.items() if sid not in drawn}
+    misses = {sid: subject for sid, subject in subjects.items() if sid not in drawn}
     if misses:
         for sid, proxy in render_proxy(misses, frame_size).items():
             proxy.codes.flags.writeable = False
             drawn[sid] = proxy
-    return [drawn[sid] for sid in occlusion_order({sid: poses[sid] for sid in drawn})]
+    return [drawn[sid] for sid in occlusion_order({sid: subjects[sid][1] for sid in drawn})]
 
 
 def overlay(frame: np.ndarray, proxies: Sequence[SkeletalProxy]) -> np.ndarray:

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .cloud.infer import INFER_WINDOW, BehaviorReport, infer
-from .cloud.kinematics import measure_poses
 from .cloud.reconstruct import reconstruct, render_proxies
 from .config import RunConfig
 from .edge.pipeline import EdgeOutput, EdgeState, process_frame
@@ -28,6 +27,7 @@ from .pngio import RECONSTRUCTION_LEVEL, WIRE_LEVEL, decode_png, encode_png
 from .proxy import SkeletalProxy, pose_key
 from .sim.generate import generate_scene, write_ground_truth_jsonl
 from .sim.spec import SceneSpec, load_scene_spec
+from .skeleton import measure_poses
 from .transport.codec import decode, encode
 from .transport.gate import privacy_gate
 from .transport.model import RepresentationTuple, SyncKey
@@ -196,7 +196,8 @@ class CloudRunner:
     reconstruction is written to `out_dir` as a PNG, and
     `reconstruction_bytes` sums their sizes. A released tuple's poses are
     measured once (`measure_poses`) as it enters its camera's inference
-    window, and the records leave the window with it.
+    window; `infer` and `render_proxies` read the same records, which leave
+    the window with the tuple.
 
     Each camera keeps one record of the last frame it drew (`_Drawn`). A
     released frame whose env bytes and poses equal, bit for bit, the
@@ -264,7 +265,8 @@ class CloudRunner:
             except ValidationError as exc:
                 self._note_malformed(exc, camera_id=cam, frame_id=fid)
                 return
-        camera.window.append((t, measure_poses(t.poses)))
+        geometry = measure_poses(t.poses)
+        camera.window.append((t, geometry))
         self.reports[(cam, fid)] = infer(*zip(*camera.window))
 
         if repeat:
@@ -275,7 +277,7 @@ class CloudRunner:
             kept = {s: p for s, p in last.proxies.items() if keys.get(s) == last.keys[s]}
             self.proxies_reused += len(kept)
             self.proxies_drawn += len(keys) - len(kept)
-            proxies = render_proxies(t.poses, camera.size, kept)
+            proxies = render_proxies(t.poses, geometry, camera.size, kept)
             png = encode_png(reconstruct(env, proxies), RECONSTRUCTION_LEVEL)
             camera.drawn = _Drawn(t.env_png, keys, kept, png)
         (self.out_dir / recon_name(cam, fid)).write_bytes(camera.drawn.png)

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError
 from ..geometry import BoundingBox
 from ..raster import SilhouetteCanvas
 from ..skeleton import BONES, HEAD_JOINTS, KeypointSet, NOSE
@@ -222,20 +221,6 @@ def _mask_rle(mask: np.ndarray) -> list[int]:
     if flat[0]:
         runs = [0] + runs
     return [int(r) for r in runs]
-
-
-def mask_from_rle(runs: list[int], shape: tuple[int, int]) -> np.ndarray:
-    flat = np.zeros(shape[0] * shape[1], dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
-    if pos != flat.size:
-        raise ValidationError("run lengths do not cover the mask")
-    return flat.reshape(shape)
 
 
 def ground_truth_records(gts: list[GroundTruthFrame]) -> list[dict]:

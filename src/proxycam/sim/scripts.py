@@ -134,41 +134,3 @@ def make_behavior_scene(
         actors=(actor,),
         seed=seed,
     )
-
-
-def make_crossing_scene(
-    seed: int = 0,
-    width: int = 320,
-    height: int = 240,
-    frame_count: int = 80,
-) -> SceneSpec:
-    """Two walkers crossing paths at different depths.
-
-    Their trajectories swap sides horizontally while the nearer one stays
-    a bit lower in the image, so boxes overlap mid-scene but identities
-    are geometrically resolvable.
-    """
-    a = ActorSpec(
-        actor_id="left",
-        clothing=(200, 60, 60),
-        skin=(224, 180, 150),
-        height_px=110,
-        trajectory=((0, 60.0, 185.0), (frame_count - 1, 230.0, 185.0)),
-        actions=((0, frame_count, "walk"),),
-    )
-    b = ActorSpec(
-        actor_id="right",
-        clothing=(60, 90, 210),
-        skin=(200, 160, 130),
-        height_px=110,
-        trajectory=((0, 230.0, 215.0), (frame_count - 1, 60.0, 215.0)),
-        actions=((0, frame_count, "walk"),),
-    )
-    return SceneSpec(
-        width=width,
-        height=height,
-        frame_count=frame_count,
-        background=_BG,
-        actors=(a, b),
-        seed=seed,
-    )

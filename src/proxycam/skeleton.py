@@ -3,15 +3,22 @@
 Joint order follows the common 17-keypoint convention (nose, eyes, ears,
 shoulders, elbows, wrists, hips, knees, ankles). A joint is visible or not;
 a hidden joint's coordinates carry no meaning beyond being clamped in-range.
+
+`measure_poses` is the one measurement of a pose: it gives one
+`PoseGeometry` record per pose of a tuple, and the renderer, the painter's
+order and the classifier all read these records, so a pose's midpoints,
+extent and depth are computed in one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import BoundingBox
 
 NOSE = 0
 L_EYE, R_EYE = 1, 2
@@ -85,32 +92,117 @@ class KeypointSet:
             and self.head_yaw == other.head_yaw
         )
 
-    def visible_points(self) -> np.ndarray:
-        return self.points[self.visible]
 
-    def is_visible(self, idx: int) -> bool:
-        return bool(self.visible[idx])
+class PoseGeometry(NamedTuple):
+    """What the renderer and the classifier read of one pose, measured in
+    float32 from its points unless said otherwise.
 
-    def midpoint(self, a: int, b: int) -> np.ndarray | None:
-        """Midpoint of two paired joints, using whichever side is visible."""
-        va, vb = self.is_visible(a), self.is_visible(b)
-        if va and vb:
-            return (self.points[a] + self.points[b]) / 2.0
-        if va:
-            return self.points[a].copy()
-        if vb:
-            return self.points[b].copy()
-        return None
+    joints: the visible joint count. hip: the hip midpoint, the half-sum of
+    both hips or the one visible, None when both are hidden. center: the
+    hip midpoint, or the visible joints' mean when both hips are hidden.
+    knee_v: the knee midpoint's v. spine: shoulder midpoint minus hip
+    midpoint, and torso its length, both None unless both midpoints exist.
+    lo and hi: the visible joints' least and greatest (u, v); width and
+    height: hi - lo; box: `extent_box` of that extent. depth: the ankle
+    midpoint's v, or the greatest visible v when both ankles are hidden.
+    nose: whether the nose is visible. ears: the distance between the ears
+    in float64, None unless both are visible. A pose with no visible joint
+    has no center, extent, box or depth.
+    """
 
-    def hip_mid(self) -> np.ndarray | None:
-        return self.midpoint(L_HIP, R_HIP)
+    joints: int
+    hip: tuple[float, float] | None
+    center: tuple[float, float] | None
+    knee_v: float | None
+    spine: tuple[float, float] | None
+    torso: float | None
+    lo: tuple[float, float] | None
+    hi: tuple[float, float] | None
+    width: float
+    height: float
+    box: BoundingBox | None
+    depth: float | None
+    nose: bool
+    ears: float | None
 
-    def shoulder_mid(self) -> np.ndarray | None:
-        return self.midpoint(L_SHOULDER, R_SHOULDER)
 
-    def torso_length(self) -> float | None:
-        """Shoulder-midpoint to hip-midpoint distance, None if unmeasurable."""
-        sm, hm = self.shoulder_mid(), self.hip_mid()
-        if sm is None or hm is None:
-            return None
-        return float(np.hypot(*(sm - hm)))
+_UNSEEN = PoseGeometry(
+    0, None, None, None, None, None, None, None, 0.0, 0.0, None, None, False, None
+)
+
+# left and right joints of the pairs whose midpoints a record reads: hip,
+# shoulder, knee, ankle
+_PAIRS = np.array([[L_HIP, L_SHOULDER, L_KNEE, L_ANKLE], [R_HIP, R_SHOULDER, R_KNEE, R_ANKLE]])
+_EXTENT_MARGIN_FRAC = 0.10     # keypoint extent box growth, relative
+
+
+def measure_poses(poses: Sequence[tuple[int, KeypointSet]]) -> list[PoseGeometry]:
+    """One `PoseGeometry` per pose of a tuple, in the order of `poses`.
+
+    The joints of all poses are measured together as (S, 17, 2) arrays.
+    The visible joints' mean is their float32 sum over a float32 count:
+    on the wire's grid a sum of 17 points is exact, so it equals the mean
+    of the visible rows alone.
+    """
+    if not poses:
+        return []
+    points = np.array([kp.points for _, kp in poses])
+    visible = np.array([kp.visible for _, kp in poses])
+
+    pairs, seen_pairs = points[:, _PAIRS], visible[:, _PAIRS]
+    a, b, va, vb = pairs[:, 0], pairs[:, 1], seen_pairs[:, 0], seen_pairs[:, 1]
+    # the half-sum of both sides, or the one visible
+    mids = np.where(vb[..., None], np.where(va[..., None], (a + b) / 2.0, b), a)
+    spines = mids[:, 1] - mids[:, 0]
+    torsos = np.hypot(spines[:, 0], spines[:, 1])
+
+    seen = visible[..., None]
+    counts = visible.sum(axis=1)
+    sums = np.where(seen, points, 0.0).sum(axis=1)
+    means = sums / np.maximum(counts, 1)[:, None].astype(np.float32)
+    lo = np.where(seen, points, np.inf).min(axis=1)
+    hi = np.where(seen, points, -np.inf).max(axis=1)
+    extents = hi - lo
+    ears = points[:, L_EAR].astype(np.float64) - points[:, R_EAR]
+    ears = np.hypot(ears[:, 0], ears[:, 1])
+
+    has_mid = (va | vb).tolist()
+    has_ears = (visible[:, L_EAR] & visible[:, R_EAR]).tolist()
+    mids, spines, torsos, means = mids.tolist(), spines.tolist(), torsos.tolist(), means.tolist()
+    lo, hi, extents, ears = lo.tolist(), hi.tolist(), extents.tolist(), ears.tolist()
+    out = []
+    for s, (count, nose) in enumerate(zip(counts.tolist(), visible[:, NOSE].tolist())):
+        if not count:
+            out.append(_UNSEEN)
+            continue
+        has_hip, has_shoulder, has_knee, has_ankle = has_mid[s]
+        hip = tuple(mids[s][0]) if has_hip else None
+        both = has_hip and has_shoulder
+        width, height = extents[s]
+        out.append(
+            PoseGeometry(
+                joints=count,
+                hip=hip,
+                center=hip if hip is not None else tuple(means[s]),
+                knee_v=mids[s][2][1] if has_knee else None,
+                spine=tuple(spines[s]) if both else None,
+                torso=torsos[s] if both else None,
+                lo=tuple(lo[s]),
+                hi=tuple(hi[s]),
+                width=width,
+                height=height,
+                box=extent_box(*lo[s], width, height),
+                depth=mids[s][3][1] if has_ankle else hi[s][1],
+                nose=nose,
+                ears=ears[s] if has_ears[s] else None,
+            )
+        )
+    return out
+
+
+def extent_box(x0: float, y0: float, width: float, height: float) -> BoundingBox:
+    """The box around joints whose extent starts at (x0, y0), grown by a
+    relative margin. The cloud reports it as the subject's box, and its
+    height feeds the renderer's torso fallback: the tracker box never
+    crosses the wire."""
+    return BoundingBox(x0, y0, width, height).scaled(1.0 + _EXTENT_MARGIN_FRAC)

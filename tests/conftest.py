@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import time
@@ -9,9 +10,21 @@ import pytest
 
 import proxycam.runner
 from proxycam.cli import main
-from proxycam.cloud.kinematics import measure_poses
+from proxycam.cloud.infer import infer
+from proxycam.errors import ValidationError
+from proxycam.metrics import BehaviorMetrics
+from proxycam.proxy import render_proxies
 from proxycam.sim.spec import ActorSpec, BackgroundSpec, SceneSpec
-from proxycam.skeleton import GRID, KeypointSet
+from proxycam.skeleton import (
+    GRID,
+    L_HIP,
+    L_SHOULDER,
+    R_HIP,
+    R_SHOULDER,
+    KeypointSet,
+    extent_box,
+    measure_poses,
+)
 
 DEMO = Path(__file__).resolve().parent.parent / "scenes" / "demo.json"
 
@@ -57,6 +70,113 @@ def measured(poses):
     """The `PoseGeometry` records of a list of poses, each measured as the
     one pose of its tuple, which is how a camera's window holds them."""
     return [measure_poses([(0, kp)])[0] for kp in poses]
+
+
+def infer_measured(window):
+    """`infer` of a window of tuples, each tuple's poses measured as a
+    camera's window holds them."""
+    return infer(window, [measure_poses(t.poses) for t in window])
+
+
+def records(poses):
+    """The `PoseGeometry` records of poses by subject id, by subject id:
+    what `occlusion_order` reads."""
+    return dict(zip(poses, measure_poses(list(poses.items()))))
+
+
+def subjects(poses):
+    """Poses by subject id as `render_proxy` takes them: each pose with its
+    record."""
+    return {sid: (poses[sid], record) for sid, record in records(poses).items()}
+
+
+def proxies_of(poses, frame_size):
+    """`render_proxies` of (subject id, pose) pairs, measured here."""
+    poses = list(poses)
+    return render_proxies(poses, measure_poses(poses), frame_size)
+
+
+# the per-pose measurements that `measure_poses` replaced, kept as the
+# references its records are checked against
+
+
+def visible_points(kp):
+    return kp.points[kp.visible]
+
+
+def midpoint(kp, a, b):
+    """Midpoint of two paired joints, using whichever side is visible."""
+    va, vb = kp.visible[a], kp.visible[b]
+    if va and vb:
+        return (kp.points[a] + kp.points[b]) / 2.0
+    if va:
+        return kp.points[a].copy()
+    if vb:
+        return kp.points[b].copy()
+    return None
+
+
+def hip_mid(kp):
+    return midpoint(kp, L_HIP, R_HIP)
+
+
+def shoulder_mid(kp):
+    return midpoint(kp, L_SHOULDER, R_SHOULDER)
+
+
+def torso_length(kp):
+    """Shoulder-midpoint to hip-midpoint distance, None if unmeasurable."""
+    sm, hm = shoulder_mid(kp), hip_mid(kp)
+    if sm is None or hm is None:
+        return None
+    return float(np.hypot(*(sm - hm)))
+
+
+def keypoint_extent_box(kp):
+    vis = visible_points(kp)
+    if vis.shape[0] == 0:
+        raise ValidationError("no visible joints to box")
+    x0, y0 = vis.min(axis=0)
+    x1, y1 = vis.max(axis=0)
+    return extent_box(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
+
+
+def merge_metrics(a, b):
+    """The `BehaviorMetrics` of two scored sets together."""
+    return BehaviorMetrics(
+        *(getattr(a, f.name) + getattr(b, f.name) for f in dataclasses.fields(BehaviorMetrics))
+    )
+
+
+def mask_from_rle(runs, shape):
+    """The boolean mask of row-major run lengths, alternating and starting
+    with a zero run, as the ground-truth file writes them."""
+    flat = np.zeros(shape[0] * shape[1], dtype=bool)
+    pos = 0
+    value = False
+    for run in runs:
+        if value:
+            flat[pos : pos + run] = True
+        pos += run
+        value = not value
+    if pos != flat.size:
+        raise ValidationError("run lengths do not cover the mask")
+    return flat.reshape(shape)
+
+
+def make_crossing_scene():
+    """Two walkers crossing paths at different depths over 80 frames.
+
+    Their trajectories swap sides horizontally while the nearer one stays
+    a bit lower in the image, so boxes overlap mid-scene but identities
+    are geometrically resolvable.
+    """
+    walk = ((0, 80, "walk"),)
+    left = solo_actor(walk, actor_id="left", clothing=(200, 60, 60), height_px=110,
+                      trajectory=((0, 60.0, 185.0), (79, 230.0, 185.0)))
+    right = solo_actor(walk, actor_id="right", clothing=(60, 90, 210), skin=(200, 160, 130),
+                       height_px=110, trajectory=((0, 230.0, 215.0), (79, 60.0, 215.0)))
+    return scene([left, right], 80, seed=0)
 
 
 @pytest.fixture

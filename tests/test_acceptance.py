@@ -16,8 +16,7 @@ from proxycam.audit.attack import build_gallery, identity_attack
 from proxycam.audit.independence import mask_independence_audit
 from proxycam.cli import main
 from proxycam.config import RunConfig
-from proxycam.cloud.infer import infer
-from proxycam.cloud.reconstruct import reconstruct, render_proxies
+from proxycam.cloud.reconstruct import reconstruct
 from proxycam.edge.pipeline import EdgeState, detect, process_frame
 from proxycam.edge.track import TrackerState, track_step
 from proxycam.errors import ValidationError
@@ -27,14 +26,14 @@ from proxycam.pngio import WIRE_LEVEL, decode_png, encode_png
 from proxycam.proxy import occlusion_order
 from proxycam.runner import build_tuple, run_e2e
 from proxycam.sim.generate import generate_scene
-from proxycam.sim.scripts import make_behavior_scene, make_crossing_scene
+from proxycam.sim.scripts import make_behavior_scene
 from proxycam.sim.spec import ActorSpec, BackgroundSpec, SceneSpec, save_scene_spec
 from proxycam.skeleton import KeypointSet
 from proxycam.transport.codec import decode, encode
 from proxycam.transport.model import RepresentationTuple, SyncKey
 from proxycam.transport.replay import read_packets, write_packets
 
-from conftest import DEMO
+from conftest import DEMO, infer_measured, make_crossing_scene, merge_metrics, proxies_of, records
 
 CALIBRATION_SEEDS = range(1000, 1020)
 EVALUATION_SEEDS = range(5000, 5020)
@@ -175,7 +174,7 @@ class TestCriterion4RenderEquivalence:
         for frame_id, (frame, gt) in enumerate(zip(frames, gts)):
             output = process_frame(state, frame, gt)
             t = decode(encode(build_tuple(output, 0, frame_id, frame_id * 33333)))
-            proxies = render_proxies(t.poses, (scene.width, scene.height))
+            proxies = proxies_of(t.poses, (scene.width, scene.height))
             recon = reconstruct(decode_png(t.env_png), proxies)
             if not np.array_equal(recon, output.composite):
                 mismatches += 1
@@ -196,7 +195,7 @@ def score_scene(seed: int) -> BehaviorMetrics:
     for i, (frame, gt) in enumerate(zip(frames, gts)):
         output = process_frame(state, frame, gt)
         window.append(build_tuple(output, 0, i, i * 33333))
-        reports[i] = infer(list(window))
+        reports[i] = infer_measured(list(window))
     return evaluate_behavior(scene, gts, reports)
 
 
@@ -204,7 +203,7 @@ class TestCriterion5BehaviorUtility:
     def test_fall_recall_and_sit_false_alarms(self):
         calibration = BehaviorMetrics()
         for seed in CALIBRATION_SEEDS:
-            calibration = calibration.merge(score_scene(seed))
+            calibration = merge_metrics(calibration, score_scene(seed))
         print(
             f"\ncalibration set (frozen defaults): recall "
             f"{calibration.fall_recall:.3f} over {calibration.fall_frames} fall "
@@ -214,7 +213,7 @@ class TestCriterion5BehaviorUtility:
 
         evaluation = BehaviorMetrics()
         for seed in EVALUATION_SEEDS:
-            evaluation = evaluation.merge(score_scene(seed))
+            evaluation = merge_metrics(evaluation, score_scene(seed))
         report(
             5,
             evaluation.fall_recall >= 0.95
@@ -252,7 +251,7 @@ class TestCriterion6TrackingStability:
         invalid_orders = 0
         for frame, gt in zip(frames, gts):
             output = process_frame(state, frame, gt)
-            order = occlusion_order(dict(output.poses))
+            order = occlusion_order(records(dict(output.poses)))
             if sorted(order) != sorted(sid for sid, _ in output.poses):
                 invalid_orders += 1
         report(

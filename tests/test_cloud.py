@@ -14,9 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 from proxycam.cloud.classify import FALL_VY_FRAC, classify_behavior
 from proxycam.cloud.infer import infer
 from proxycam.cloud.kinematics import KinematicFeatures, extract_kinematics
-from proxycam.cloud.reconstruct import reconstruct, render_proxies
+from proxycam.cloud.reconstruct import reconstruct
 from proxycam.config import RunConfig
 from proxycam.edge.pipeline import EdgeParams, EdgeState, process_frame
+from proxycam.edge.pose import estimate_pose
 from proxycam.errors import ValidationError
 from proxycam.geometry import BoundingBox
 from proxycam.pngio import decode_png
@@ -24,8 +25,6 @@ from proxycam.proxy import (
     FILL_COLOR,
     OUTLINE_COLOR,
     _layout,
-    is_drawable,
-    keypoint_extent_box,
     occlusion_order,
     render_proxy,
 )
@@ -49,7 +48,20 @@ from proxycam.transport.gate import privacy_gate
 from proxycam.transport.model import RepresentationTuple, SyncKey
 from proxycam.transport.reorder import ReorderBuffer
 
-from conftest import filtered_png, inflate_bomb_png, measured, on_grid, scene, solo_actor
+from conftest import (
+    filtered_png,
+    infer_measured,
+    inflate_bomb_png,
+    keypoint_extent_box,
+    measured,
+    midpoint,
+    on_grid,
+    proxies_of,
+    records,
+    scene,
+    solo_actor,
+    subjects,
+)
 
 # the package re-exports the function `infer` under the module's name
 infer_module = importlib.import_module("proxycam.cloud.infer")
@@ -171,11 +183,11 @@ class TestClassifyBehavior:
 class TestInfer:
     def test_empty_window_rejected(self):
         with pytest.raises(ValidationError):
-            infer([])
+            infer([], [])
 
     def test_no_subjects_gives_empty_report_with_key(self, empty_scene):
         tuples, _ = run_tuples(empty_scene)
-        report = infer(tuples[:3])
+        report = infer_measured(tuples[:3])
         assert report.subjects == ()
         assert report.key == tuples[2].key
 
@@ -184,7 +196,7 @@ class TestInfer:
         labels = []
         for i in range(len(tuples)):
             window = tuples[max(0, i - 4) : i + 1]
-            report = infer(window)
+            report = infer_measured(window)
             labels.append(report.subjects[0].label)
         # compare against the script outside the +-5 frame transition zone
         # around the phase boundary at frame 40 (and scene start)
@@ -211,7 +223,7 @@ class TestInfer:
             ),
         ]
         tuples, gts = run_tuples(scene(actors, frame_count=60))
-        report = infer(tuples[-5:])
+        report = infer_measured(tuples[-5:])
         assert len(report.subjects) == 2
         by_label = {s.label for s in report.subjects}
         assert by_label == {"standing", "sitting"}
@@ -219,7 +231,7 @@ class TestInfer:
     def test_unordered_window_rejected(self, stand_scene):
         tuples, _ = run_tuples(stand_scene)
         with pytest.raises(ValidationError):
-            infer([tuples[3], tuples[1]])
+            infer_measured([tuples[3], tuples[1]])
 
 
 def histories_of(window):
@@ -309,7 +321,7 @@ class TestLazyHysteresis:
         for _ in range(1500):
             window = random_window(rng)
             expected = replay_labels(window)
-            report = infer(window)
+            report = infer_measured(window)
             got = [(s.subject_id, s.label, s.confidence, s.box) for s in report.subjects]
             assert as_bits(got) == as_bits(expected)
             histories = histories_of(window)
@@ -332,7 +344,7 @@ class TestLazyHysteresis:
         kp, _ = pose_at(actor, 0)
         window = window_of([[(3, invisible_pose())]] + [[(3, kp)]] * 4)
         assert replay_labels(window[1:])[0][1] == "standing"
-        (subject,) = infer(window).subjects
+        (subject,) = infer_measured(window).subjects
         assert (subject.label, subject.confidence) == ("unknown", 0.5)
         assert subject.box == BoundingBox(0.0, 0.0, 0.0, 0.0)
 
@@ -356,7 +368,7 @@ class TestLazyHysteresis:
         window = window_of([[(1, fallen)]] + [[(1, leaning)]] * 4)
         expected = replay_labels(window)
         assert [(label, conf) for _, label, conf, _ in expected] == [("fallen", 0.5)]
-        (subject,) = infer(window).subjects
+        (subject,) = infer_measured(window).subjects
         assert (subject.label, subject.confidence) == ("fallen", 0.5)
 
     @pytest.mark.parametrize(
@@ -380,7 +392,7 @@ class TestLazyHysteresis:
         monkeypatch.setattr(infer_module, "extract_kinematics", counting)
         for i in range(4, len(tuples)):
             calls.clear()
-            report = infer(tuples[i - 4 : i + 1])
+            report = infer_measured(tuples[i - 4 : i + 1])
             assert [s.label for s in report.subjects] == [label]
             assert calls == [5]
 
@@ -406,7 +418,7 @@ def overlapping_pair_scene():
 class TestReconstruct:
     def test_empty_poses_is_fully_transparent(self):
         env = np.random.default_rng(0).integers(0, 256, (48, 64, 3), dtype=np.uint8)
-        proxies = render_proxies([], (64, 48))
+        proxies = proxies_of([], (64, 48))
         assert proxies == []
         assert np.array_equal(reconstruct(env, proxies), env)
 
@@ -424,16 +436,16 @@ class TestReconstruct:
             state = EdgeState(spec.width, spec.height)
             for i, (frame, gt) in enumerate(zip(frames, gts)):
                 out = process_frame(state, frame, gt)
-                assert tuple(occlusion_order(dict(out.poses))) == order
+                assert tuple(occlusion_order(records(dict(out.poses)))) == order
                 t = build_tuple(out, 0, i, i * 33333)
-                proxies = render_proxies(t.poses, (spec.width, spec.height))
+                proxies = proxies_of(t.poses, (spec.width, spec.height))
                 recon = reconstruct(decode_png(t.env_png), proxies)
                 assert np.array_equal(recon, out.composite)
 
     def test_reconstruction_palette_inside_alpha(self, stand_scene):
         tuples, _ = run_tuples(stand_scene)
         t = tuples[-1]
-        proxies = render_proxies(t.poses, (320, 240))
+        proxies = proxies_of(t.poses, (320, 240))
         recon = reconstruct(decode_png(t.env_png), proxies)
         opaque = support(proxies, (320, 240))
         colors = {tuple(c) for c in np.unique(recon[opaque], axis=0)}
@@ -443,7 +455,7 @@ class TestReconstruct:
         tuples, _ = run_tuples(stand_scene)
         t = tuples[-1]
         env = decode_png(t.env_png)
-        proxies = render_proxies(t.poses, (320, 240))
+        proxies = proxies_of(t.poses, (320, 240))
         recon = reconstruct(env, proxies)
         outside = ~support(proxies, (320, 240))
         assert np.array_equal(recon[outside], env[outside])
@@ -455,7 +467,7 @@ class TestReconstruct:
         kp_a, _ = pose_at(actor_a, 0)
         kp_b, _ = pose_at(actor_b, 0)
         env = np.zeros((240, 320, 3), np.uint8)
-        a, b = render_proxies([(1, kp_a), (2, kp_b)], (320, 240))
+        a, b = proxies_of([(1, kp_a), (2, kp_b)], (320, 240))
         overlap = support([a], (320, 240)) & support([b], (320, 240))
         assert overlap.any()
         for back, front in ((a, b), (b, a)):
@@ -476,8 +488,8 @@ class TestReconstruct:
         lone = KeypointSet(points=np.zeros((17, 2)), visible=np.arange(17) == L_ANKLE)
         lone.points[L_ANKLE] = (100.0, 239.0)
         poses = [(1, near), (2, lone), (3, far)]
-        proxies = render_proxies(poses, (320, 240))
-        drawn = render_proxy({3: far, 1: near}, (320, 240))
+        proxies = proxies_of(poses, (320, 240))
+        drawn = render_proxy(subjects({3: far, 1: near}), (320, 240))
         expected = [drawn[3], drawn[1]]
         assert [p.anchor for p in proxies] == [p.anchor for p in expected]
         for got, want in zip(proxies, expected):
@@ -507,7 +519,7 @@ class TestRenderEquivalence:
             out = process_frame(state, frame, gt)
             t = decode(encode(build_tuple(out, 0, i, i * 33333)))
             drawn += len(t.poses)
-            proxies = render_proxies(t.poses, (spec.width, spec.height))
+            proxies = proxies_of(t.poses, (spec.width, spec.height))
             recon = reconstruct(decode_png(t.env_png), proxies)
             mismatches += not np.array_equal(recon, out.composite)
         assert drawn == len(frames)
@@ -530,12 +542,12 @@ class TestRenderEquivalence:
         for i, (frame, gt) in enumerate(zip(frames[:97], gts[:97])):
             out = process_frame(state, frame, gt)
             t = decode(encode(build_tuple(out, 0, i, i * 33333)))
-            proxies = render_proxies(t.poses, (spec.width, spec.height))
+            proxies = proxies_of(t.poses, (spec.width, spec.height))
             recon = reconstruct(decode_png(t.env_png), proxies)
             assert np.array_equal(recon, out.composite), i
-        hidden = [sid for sid, kp in out.poses if kp.midpoint(L_ANKLE, R_ANKLE) is None]
+        hidden = [sid for sid, kp in out.poses if midpoint(kp, L_ANKLE, R_ANKLE) is None]
         assert hidden == [3]
-        assert occlusion_order(dict(out.poses)) == [1, 3, 2]
+        assert occlusion_order(records(dict(out.poses))) == [1, 3, 2]
 
 
 def ankles_at(x, y=20.0):
@@ -547,10 +559,10 @@ def ankles_at(x, y=20.0):
 
 
 # where a pose's joints lie along one axis of a frame of size n: inside
-# [0, n), straddling an edge, or past it by less or by more than the least
-# margin of a proxy's patch (4.75 px)
+# the closed frame [0, n], straddling an edge, or past it by less or by
+# more than the least margin of a proxy's patch (4.75 px)
 SPANS = (
-    lambda n: (0.0, float(np.nextafter(np.float32(n), np.float32(0)))),
+    lambda n: (0.0, float(n)),
     lambda n: (-6.0, n + 6.0),
     lambda n: (-4.75, 0.0),
     lambda n: (float(n), n + 4.75),
@@ -569,7 +581,7 @@ def undrawable_or_not(draw):
 
     def coordinate(n):
         # inside on more than half the axes, so about one pose in five
-        # takes is_drawable's in-frame rule
+        # lies in the closed frame, where the edge's rule applies
         lo, hi = draw(st.just(SPANS[0]) | st.sampled_from(SPANS))(n)
         return st.sampled_from([lo, hi, 0.0, -0.0]) | st.floats(lo, hi, width=32)
 
@@ -581,6 +593,39 @@ def undrawable_or_not(draw):
     visible = np.isin(np.arange(17), sorted(shown))
     yaw = draw(st.none() | st.floats(-math.pi, math.pi))
     return KeypointSet(points=points, visible=visible, head_yaw=yaw), (width, height)
+
+
+def in_closed_frame(points, frame_size):
+    width, height = frame_size
+    u, v = points[:, 0], points[:, 1]
+    return bool(np.all((u >= 0) & (u <= width) & (v >= 0) & (v <= height)))
+
+
+class GroundTruthActor:
+    """What `estimate_pose` reads of a ground-truth actor."""
+
+    def __init__(self, keypoints):
+        self.keypoints = keypoints
+
+
+@st.composite
+def estimated_poses(draw):
+    """A frame, a box inside its closed extent, and an actor whose joints
+    lie in, on or past the box, for `estimate_pose` with pose noise."""
+    width, height = draw(st.integers(1, 400)), draw(st.integers(1, 300))
+
+    def corner(n):
+        return st.sampled_from([0.0, float(n)]) | st.floats(0.0, float(n))
+
+    x0, x1 = sorted((draw(corner(width)), draw(corner(width))))
+    y0, y1 = sorted((draw(corner(height)), draw(corner(height))))
+    box = BoundingBox(x0, y0, x1 - x0, y1 - y0)
+    coords = st.floats(-40.0, 440.0, width=32)
+    points = np.array([(draw(coords), draw(coords)) for _ in range(17)], np.float32)
+    visible = np.isin(np.arange(17), sorted(draw(st.sets(st.integers(0, 16), max_size=17))))
+    actor = GroundTruthActor(KeypointSet(points, visible, draw(st.none() | st.just(0.5))))
+    noise = draw(st.sampled_from([0.0, 0.5, 2.0, 8.0]))
+    return actor, box, noise, draw(st.integers(0, 2**32 - 1)), (width, height)
 
 
 class TestUndrawablePose:
@@ -609,34 +654,48 @@ class TestUndrawablePose:
         env = np.full((240, 320, 3), 90, np.uint8)
         recons = [decode_png((tmp_path / name).read_bytes()) for name in cloud.recon_files]
         assert np.array_equal(recons[0], env)
-        normal_proxy = render_proxy({1: normal}, self.FRAME)[1]
+        normal_proxy = render_proxy(subjects({1: normal}), self.FRAME)[1]
         assert np.array_equal(recons[1], reconstruct(env, [normal_proxy]))
 
     def test_clip_box_of_zero_width_at_the_frame_edge_is_undrawable(self):
         # a quarter pixel inward, the patch is one pixel wide and drawn
         size = (64, 48)
         for x, drawable in ((64 + 4.75, False), (64 + 4.5, True), (-4.75, False), (-4.5, True)):
-            assert is_drawable(ankles_at(x), size) is drawable, x
-            assert (1 in render_proxy({1: ankles_at(x)}, size)) is drawable, x
+            (record,) = measured([ankles_at(x)])
+            assert (_layout(record, size) is not None) is drawable, x
+            assert (1 in render_proxy(subjects({1: ankles_at(x)}), size)) is drawable, x
 
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(case=undrawable_or_not())
     @example(case=(ankles_at(64 + 4.75), (64, 48)))  # zero width at the right edge
     @example(case=(ankles_at(-4.75), (64, 48)))  # zero width at the left edge
     @example(case=(ankles_at(-0.0, 0.0), (1, 1)))  # inside a 1x1 frame
-    @example(case=(ankles_at(64.0), (64, 48)))  # on the far edge, outside the frame
+    @example(case=(ankles_at(64.0), (64, 48)))  # on the far edge of the closed frame
+    @example(case=(ankles_at(64.0, 48.0), (64, 48)))  # on the far corner
     @example(case=(ankles_at(200.0, 300.0), (64, 48)))  # entirely off the frame
     @example(
         # one visible joint, inside the frame
         case=(KeypointSet(np.full((17, 2), 20.0, np.float32), np.arange(17) == 0), (64, 48))
     )
     def test_edge_verdict_equals_the_renderer_verdict(self, case):
-        # is_drawable decides an in-frame pose without the layout; its
-        # verdict must still be the layout's and the renderer's
+        # the layout gives None exactly when no proxy is drawn; and inside
+        # the closed frame, where every edge pose lies, a pose is drawn if
+        # and only if it shows two joints, which is the edge's rule
         pose, size = case
-        drawable = is_drawable(pose, size)
-        assert drawable == (_layout(pose, size) is not None)
-        assert drawable == (1 in render_proxy({1: pose}, size))
+        (record,) = measured([pose])
+        drawn = 1 in render_proxy({1: (pose, record)}, size)
+        assert drawn == (_layout(record, size) is not None)
+        if in_closed_frame(pose.points[pose.visible], size):
+            assert drawn == (np.count_nonzero(pose.visible) >= 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=estimated_poses())
+    def test_an_estimated_pose_lies_in_the_frame_and_is_drawn_iff_it_shows_two_joints(self, case):
+        actor, box, noise, seed, size = case
+        pose = estimate_pose(actor, box, noise_sigma=noise, rng=np.random.default_rng(seed))
+        assert in_closed_frame(pose.points, size)
+        drawn = 1 in render_proxy(subjects({1: pose}), size)
+        assert drawn == (np.count_nonzero(pose.visible) >= 2)
 
 
 class SteppingClock:

@@ -15,9 +15,8 @@ from proxycam.edge.track import TrackerState, track_step
 from proxycam.errors import ValidationError
 from proxycam.geometry import BoundingBox, iou
 from proxycam.sim.generate import generate_scene
-from proxycam.sim.scripts import make_crossing_scene
 
-from conftest import scene, solo_actor
+from conftest import make_crossing_scene, scene, solo_actor
 
 
 class TestDetect:

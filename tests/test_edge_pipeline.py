@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,12 @@ from proxycam.proxy import occlusion_order
 from proxycam.raster import SilhouetteCanvas
 from proxycam.runner import run_edge
 from proxycam.sim.generate import generate_scene
+from proxycam.skeleton import KeypointSet
 from proxycam.transport.codec import decode
 
-from conftest import joint_mask_of, scene, solo_actor
+from conftest import joint_mask_of, records, scene, solo_actor
+
+pipeline_module = importlib.import_module("proxycam.edge.pipeline")
 
 
 def run_scene(spec):
@@ -27,7 +32,7 @@ class TestProcessFrame:
         out = outputs[0]
         assert np.array_equal(out.desensitized, frames[0])
         assert out.poses == ()
-        assert occlusion_order(dict(out.poses)) == []
+        assert occlusion_order(records(dict(out.poses))) == []
 
     def test_single_actor_leaves_no_appearance_pixels(self, fall_scene):
         frames, gts, outputs = run_scene(fall_scene)
@@ -59,7 +64,21 @@ class TestProcessFrame:
         _, _, outputs = run_scene(scene(actors, frame_count=10))
         out = outputs[-1]
         assert len(out.poses) == 3
-        assert sorted(occlusion_order(dict(out.poses))) == sorted(sid for sid, _ in out.poses)
+        assert sorted(occlusion_order(records(dict(out.poses)))) == sorted(sid for sid, _ in out.poses)
+
+    @pytest.mark.parametrize("shown", [0, 1, 2, 17])
+    def test_a_pose_goes_on_the_wire_iff_it_shows_two_joints(
+        self, stand_scene, monkeypatch, shown
+    ):
+        real = pipeline_module.estimate_pose
+
+        def showing(*args, **kwargs):
+            pose = real(*args, **kwargs)
+            return KeypointSet(pose.points, np.arange(17) < shown, pose.head_yaw)
+
+        monkeypatch.setattr(pipeline_module, "estimate_pose", showing)
+        _, _, outputs = run_scene(stand_scene)
+        assert all(len(out.poses) == (shown >= 2) for out in outputs)
 
     def test_raw_frame_never_in_output(self, stand_scene):
         frames, _, outputs = run_scene(stand_scene)

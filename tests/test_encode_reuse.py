@@ -18,8 +18,8 @@ import pytest
 
 import proxycam.runner as runner_module
 from proxycam import pngio
-from proxycam.cloud.infer import INFER_WINDOW, infer
-from proxycam.cloud.reconstruct import reconstruct, render_proxies
+from proxycam.cloud.infer import INFER_WINDOW
+from proxycam.cloud.reconstruct import reconstruct
 from proxycam.config import RunConfig
 from proxycam.edge.pipeline import EdgeOutput
 from proxycam.errors import GateViolationError, ValidationError
@@ -30,7 +30,7 @@ from proxycam.skeleton import KeypointSet
 from proxycam.transport.codec import decode, encode
 from proxycam.transport.model import RepresentationTuple, SyncKey
 
-from conftest import on_grid, scene, solo_actor
+from conftest import infer_measured, on_grid, proxies_of, scene, solo_actor
 
 # the cloud's retained growth per camera for one released frame of
 # `one_frame_cameras`, before it kept a drawn frame's key and PNG
@@ -101,7 +101,7 @@ def fresh_reconstruction(t: RepresentationTuple) -> bytes:
     """One frame decoded, drawn and encoded with no state kept from another."""
     env = pngio.decode_png(t.env_png)
     size = (env.shape[1], env.shape[0])
-    image = reconstruct(env, render_proxies(t.poses, size))
+    image = reconstruct(env, proxies_of(t.poses, size))
     return pngio.encode_png(image, pngio.RECONSTRUCTION_LEVEL)
 
 
@@ -145,7 +145,7 @@ class TestEncodeOncePerDistinctImage:
         window = deque(maxlen=INFER_WINDOW)
         for i, t in enumerate(tuples):
             window.append(t)
-            assert cloud.reports[(0, i)] == infer(list(window))
+            assert cloud.reports[(0, i)] == infer_measured(list(window))
             assert recon(tmp_path, 0, i) == fresh_reconstruction(t)
 
     def test_edge_log_says_which_frames_reused_their_bytes(self, tmp_path):
@@ -312,6 +312,6 @@ def test_memory_per_camera_grows_by_the_kept_png_alone(tmp_path):
     assert per_camera <= PER_CAMERA_BYTES_WITHOUT_MEMO + kept_png + 1024
     # a kept proxy costs a byte per patch pixel; an RGBA raster costs four
     (pose,) = decode(packets[0]).poses
-    patch_pixels = sum(p.codes.size for p in render_proxies([pose], (320, 240)))
+    patch_pixels = sum(p.codes.size for p in proxies_of([pose], (320, 240)))
     assert per_camera <= kept_png + patch_pixels + PER_CAMERA_BYTES_BESIDE_PNG_AND_CODES + 1024
     assert per_camera < 320 * 240 * 3  # no decoded image is kept

@@ -1,10 +1,13 @@
 """Each pose is measured once, and the records give the per-pose bits.
 
 The references here are the per-pose computations the records replace:
-`reference_kinematics` measures a history of `KeypointSet`s with the
-pose's own methods, and the tracker's cost is `1 - geometry.iou` of each
-pair. The records and the tracker's cost matrix must equal them bit for
-bit, signed zeros included.
+`reference_record` measures one `KeypointSet` with conftest's per-pose
+helpers (`midpoint`, `visible_points`, `torso_length`,
+`keypoint_extent_box`) and the depth and ear rules the renderer once ran
+on the pose, `reference_kinematics` measures a history of them, and the
+tracker's cost is `1 - geometry.iou` of each pair. On poses whose points
+lie on the wire's 1/16 px grid, the records and the tracker's cost matrix
+must equal them bit for bit.
 """
 
 import importlib
@@ -13,37 +16,46 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from proxycam.cloud.kinematics import (
-    VELOCITY_WINDOW,
-    KinematicFeatures,
-    extract_kinematics,
-    measure_poses,
-)
+from proxycam.cloud.kinematics import VELOCITY_WINDOW, KinematicFeatures, extract_kinematics
 from proxycam.config import RunConfig
 from proxycam.edge.pipeline import EdgeState, process_frame
 from proxycam.edge.track import Track, TrackerState, track_step
 from proxycam.errors import ValidationError
 from proxycam.geometry import BoundingBox, iou
-from proxycam.proxy import keypoint_extent_box
 from proxycam.runner import CloudRunner, build_tuple
 from proxycam.sim.generate import generate_scene
 from proxycam.skeleton import (
+    COORD_LIMIT,
+    GRID,
+    L_ANKLE,
     L_EAR,
     L_HIP,
     L_KNEE,
     L_SHOULDER,
+    NOSE,
+    R_ANKLE,
     R_EAR,
     R_HIP,
     R_KNEE,
     R_SHOULDER,
     KeypointSet,
+    PoseGeometry,
+    measure_poses,
 )
 from proxycam.transport.codec import encode
 
-from conftest import scene, solo_actor
+from conftest import (
+    hip_mid,
+    keypoint_extent_box,
+    midpoint,
+    scene,
+    shoulder_mid,
+    solo_actor,
+    torso_length,
+    visible_points,
+)
 
 runner_module = importlib.import_module("proxycam.runner")
-infer_module = importlib.import_module("proxycam.cloud.infer")
 track_module = importlib.import_module("proxycam.edge.track")
 
 
@@ -60,35 +72,35 @@ def reference_slope(values):
 
 def reference_kinematics(history):
     """Features of a frame-ordered history of `KeypointSet`s, each pose
-    measured through its own methods."""
+    measured on its own."""
     if not history:
         raise ValidationError("empty pose history")
     current = history[-1]
     if not current.visible.any():
         raise ValidationError("every joint is invisible")
 
-    sm, hm = current.shoulder_mid(), current.hip_mid()
+    sm, hm = shoulder_mid(current), hip_mid(current)
     if sm is not None and hm is not None:
         dx, dy = sm[0] - hm[0], sm[1] - hm[1]
         spine = math.degrees(math.atan2(abs(dx), -dy))
     else:
         spine = 0.0
 
-    vis = current.visible_points()
+    vis = visible_points(current)
     width = float(vis[:, 0].max() - vis[:, 0].min())
     height = float(vis[:, 1].max() - vis[:, 1].min())
     aspect = height / max(width, 1e-6)
 
-    torso = current.torso_length()
+    torso = torso_length(current)
     if torso is None or torso <= 0.0:
         torso = max(0.3 * height, 1e-6)
 
-    recent = [kp.hip_mid() for kp in history[-VELOCITY_WINDOW:]]
+    recent = [hip_mid(kp) for kp in history[-VELOCITY_WINDOW:]]
     recent = [p for p in recent if p is not None]
     hip_vx = reference_slope([p[0] for p in recent])
     hip_vy = reference_slope([p[1] for p in recent])
 
-    knee = current.midpoint(L_KNEE, R_KNEE)
+    knee = midpoint(current, L_KNEE, R_KNEE)
     hip = hm if hm is not None else (vis.mean(axis=0))
     return KinematicFeatures(
         spine_angle_deg=spine,
@@ -101,10 +113,50 @@ def reference_kinematics(history):
     )
 
 
+def pair(point):
+    return None if point is None else (float(point[0]), float(point[1]))
+
+
+def reference_record(kp):
+    """The `PoseGeometry` of one pose, each field measured on its own."""
+    vis = visible_points(kp)
+    if not len(vis):
+        return PoseGeometry(0, None, None, None, None, None, None, None, 0.0, 0.0, None, None,
+                            False, None)
+    hm, sm = hip_mid(kp), shoulder_mid(kp)
+    knee, ankle = midpoint(kp, L_KNEE, R_KNEE), midpoint(kp, L_ANKLE, R_ANKLE)
+    lo, hi = vis.min(axis=0), vis.max(axis=0)
+    pts = kp.points.astype(np.float64)
+    return PoseGeometry(
+        joints=len(vis),
+        hip=pair(hm),
+        center=pair(hm if hm is not None else vis.mean(axis=0)),
+        knee_v=None if knee is None else float(knee[1]),
+        spine=None if sm is None or hm is None else pair(sm - hm),
+        torso=torso_length(kp),
+        lo=pair(lo),
+        hi=pair(hi),
+        width=float(hi[0] - lo[0]),
+        height=float(hi[1] - lo[1]),
+        box=keypoint_extent_box(kp),
+        # the painter's depth: the ankle midpoint's row, else the lowest
+        # visible joint's
+        depth=float(ankle[1]) if ankle is not None else float(vis[:, 1].max()),
+        nose=bool(kp.visible[NOSE]),
+        # the head radius's inter-ear distance, in float64
+        ears=(
+            float(np.hypot(*(pts[L_EAR] - pts[R_EAR])))
+            if kp.visible[L_EAR] and kp.visible[R_EAR]
+            else None
+        ),
+    )
+
+
 def bits(value):
-    """float.hex of every float in a value, None and tuples kept."""
-    if value is None:
-        return None
+    """float.hex of every float in a value; None, ints and bools kept, and
+    tuples, records and boxes walked."""
+    if value is None or isinstance(value, (bool, int)):
+        return value
     if isinstance(value, KinematicFeatures):
         return bits(tuple(getattr(value, f) for f in value.__dataclass_fields__))
     if isinstance(value, BoundingBox):
@@ -114,26 +166,22 @@ def bits(value):
     return float(value).hex()
 
 
-LIMIT = 2.0**24
+# wire coordinates: a u16 count of 1/16 px, the grid's ends drawn often
 coords = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, -1.0, 3.0, LIMIT, -LIMIT, LIMIT - 1.0]),
-    st.floats(0.0, 320.0, width=32),
-    st.floats(-LIMIT, LIMIT, width=32),
+    st.sampled_from([0.0, 1.0 / GRID, 0.5, 3.0, 160.0, COORD_LIMIT - 1.0 / GRID]),
+    st.integers(0, 320 * GRID).map(lambda k: k / GRID),
+    st.integers(0, 2**16 - 1).map(lambda k: k / GRID),
 )
-signed_zeros = st.sampled_from([0.0, -0.0])
-PAIRED = (L_HIP, R_HIP, L_SHOULDER, R_SHOULDER, L_KNEE, R_KNEE, L_EAR, R_EAR)
+PAIRED = (L_HIP, R_HIP, L_SHOULDER, R_SHOULDER, L_KNEE, R_KNEE, L_ANKLE, R_ANKLE, L_EAR, R_EAR)
 
 
 @st.composite
 def poses(draw):
-    kind = draw(st.sampled_from(["spread", "coincident", "zeros"]))
-    if kind == "coincident":
+    if draw(st.sampled_from(["spread", "spread", "coincident"])) == "coincident":
         points = [(draw(coords), draw(coords))] * 17
-    elif kind == "zeros":
-        points = draw(st.lists(st.tuples(signed_zeros, signed_zeros), min_size=17, max_size=17))
     else:
         points = draw(st.lists(st.tuples(coords, coords), min_size=17, max_size=17))
-    shown = draw(st.sampled_from([0, 1, 2, 17, 17]))
+    shown = draw(st.sampled_from([0, 1, 2, 3, 17, 17]))
     visible = np.zeros(17, bool)
     visible[draw(st.permutations(range(17)))[:shown]] = True
     # hide paired joints singly and in pairs
@@ -168,6 +216,16 @@ def outcome(fn, *args):
         return fn(*args)
     except ValidationError:
         return "degenerate"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(poses(), max_size=6))
+@example([zero_pose()])
+def test_every_record_field_equals_the_per_pose_measurement(frame):
+    records = measure_poses(list(enumerate(frame)))
+    assert len(records) == len(frame)
+    for kp, record in zip(frame, records):
+        assert bits(record) == bits(reference_record(kp))
 
 
 @settings(max_examples=250, derandomize=True, deadline=None)
@@ -258,17 +316,31 @@ def test_a_released_tuple_is_measured_once(tmp_path, monkeypatch):
     packets = [encode(build_tuple(process_frame(state, f, gt), 0, i, i * 33333))
                for i, (f, gt) in enumerate(zip(frames, gts))]
 
-    measured = []
+    measured, inferred, drawn = [], [], []
 
     def counting(poses):
-        measured.append(len(poses))
-        return measure_poses(poses)
+        measured.append(measure_poses(poses))
+        return measured[-1]
 
+    def infer(window, geometry):
+        inferred.append(geometry[-1])
+        return real_infer(window, geometry)
+
+    def render_proxies(poses, geometry, *args):
+        drawn.append(geometry)
+        return real_render(poses, geometry, *args)
+
+    real_infer, real_render = runner_module.infer, runner_module.render_proxies
     monkeypatch.setattr(runner_module, "measure_poses", counting)
-    monkeypatch.setattr(infer_module, "measure_poses", counting)
+    monkeypatch.setattr(runner_module, "infer", infer)
+    monkeypatch.setattr(runner_module, "render_proxies", render_proxies)
     cloud = CloudRunner(config=RunConfig(), out_dir=tmp_path)
     for packet in packets:
         cloud.feed(packet)
     cloud.finish()
     assert len(cloud.reports) == 30
-    assert measured == [3] * 30
+    assert [len(records) for records in measured] == [3] * 30
+    # the classifier and the renderer read the very records measured
+    assert all(a is b for a, b in zip(inferred, measured, strict=True))
+    assert len(drawn) == 30
+    assert all(a is b for a, b in zip(drawn, measured, strict=True))

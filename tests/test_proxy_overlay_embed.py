@@ -14,7 +14,6 @@ from proxycam.proxy import (
     occlusion_order,
     overlay,
     pose_key,
-    render_proxies,
     render_proxy,
     support,
 )
@@ -25,7 +24,7 @@ from proxycam.skeleton import L_ANKLE, L_KNEE, R_ANKLE, KeypointSet
 from proxycam.transport.codec import encode
 from proxycam.transport.model import RepresentationTuple, SyncKey
 
-from conftest import on_grid, scene, solo_actor
+from conftest import midpoint, on_grid, proxies_of, records, scene, solo_actor, subjects
 
 FRAME_SIZE = (320, 240)
 
@@ -41,7 +40,7 @@ def stand_pose(x=110.0, clothing=(200, 40, 40)):
 
 def draw(pose, frame_size=FRAME_SIZE):
     """One subject's proxy, drawn alone."""
-    return render_proxy({1: pose}, frame_size)[1]
+    return render_proxy(subjects({1: pose}), frame_size)[1]
 
 
 class TestRenderProxy:
@@ -87,7 +86,7 @@ class TestRenderProxy:
 
     def test_too_few_visible_joints_degenerate(self):
         kp = KeypointSet(points=np.full((17, 2), 100.0), visible=np.arange(17) == 0)
-        assert render_proxy({1: kp}, FRAME_SIZE) == {}
+        assert render_proxy(subjects({1: kp}), FRAME_SIZE) == {}
 
 
 def crowd_poses():
@@ -115,7 +114,7 @@ class TestProxyBatch:
     def test_one_call_draws_each_subject_as_drawn_alone(self):
         poses = crowd_poses()
         assert len(poses) == 8
-        together = render_proxy(poses, FRAME_SIZE)
+        together = render_proxy(subjects(poses), FRAME_SIZE)
         assert sorted(together) == sorted(poses)
         for sid, pose in poses.items():
             assert same_proxy(together[sid], draw(pose))
@@ -127,7 +126,7 @@ class TestProxyBatch:
             points=poses[10].points - np.float32(500.0), visible=poses[10].visible
         )
         mixed = {10: poses[10], 1: lone, 11: poses[11], 2: off_frame, 12: poses[12]}
-        together = render_proxy(mixed, FRAME_SIZE)
+        together = render_proxy(subjects(mixed), FRAME_SIZE)
         assert sorted(together) == [10, 11, 12]
         for sid in (10, 11, 12):
             assert same_proxy(together[sid], draw(poses[sid]))
@@ -192,8 +191,8 @@ class ReuseCloud:
     def assert_drawn_afresh(self):
         """Every reconstruction equals the frame drawn alone, with no reuse."""
         for fid, (env, poses) in enumerate(self.sent):
-            drawn = render_proxy(poses, FRAME_SIZE)
-            order = occlusion_order({sid: poses[sid] for sid in drawn})
+            drawn = render_proxy(subjects(poses), FRAME_SIZE)
+            order = occlusion_order({sid: r for sid, r in records(poses).items() if sid in drawn})
             recon = decode_png((self.dir / f"cam0_frame{fid}.png").read_bytes())
             assert np.array_equal(recon, overlay(env, [drawn[sid] for sid in order])), fid
 
@@ -364,7 +363,7 @@ class TestCloudProxyReuse:
         poses = {0: stand_pose(), 1: stand_pose(x=220.0)}
         env = np.full((FRAME_SIZE[1], FRAME_SIZE[0], 3), 90, np.uint8)
         expected = {
-            camera: overlay(env, render_proxies([(1, pose)], FRAME_SIZE))
+            camera: overlay(env, proxies_of([(1, pose)], FRAME_SIZE))
             for camera, pose in poses.items()
         }
         render = CountingRender()
@@ -405,7 +404,7 @@ def rgba_overlay(frame, proxies):
 class TestOverlay:
     def test_equals_the_rgba_paste_of_each_proxy_in_turn(self):
         base = np.random.default_rng(2).integers(0, 256, (240, 320, 3), dtype=np.uint8)
-        crowd = render_proxies(crowd_poses().items(), FRAME_SIZE)
+        crowd = proxies_of(crowd_poses().items(), FRAME_SIZE)
         squares = [square_proxy(1 + i % 2, x0, y0, size=30)
                    for i, (x0, y0) in enumerate([(-12, 100), (300, -8), (-20, -20), (305, 225)])]
         holed = square_proxy(2, 60, 150, size=40)
@@ -463,7 +462,7 @@ class TestSupport:
 
     def test_equals_the_painted_pixels_of_a_crowd(self):
         poses = crowd_poses()
-        proxies = render_proxies(poses.items(), FRAME_SIZE)
+        proxies = proxies_of(poses.items(), FRAME_SIZE)
         mask = support(proxies, FRAME_SIZE)
         assert mask.dtype == bool and mask.shape == (240, 320)
         assert mask.any()
@@ -498,7 +497,7 @@ def track_based_order(tracks, poses):
     by_id = {t.subject_id: t for t in tracks}
     keyed = []
     for sid, pose in poses.items():
-        ankle = pose.midpoint(L_ANKLE, R_ANKLE)
+        ankle = midpoint(pose, L_ANKLE, R_ANKLE)
         if ankle is not None:
             depth = float(ankle[1])
         else:
@@ -526,11 +525,11 @@ def poses_with_an_ankle_and_tracks(draw):
 
 class TestOcclusionOrder:
     def test_singleton(self):
-        assert occlusion_order({1: pose_with_ankles(100)}) == [1]
+        assert occlusion_order(records({1: pose_with_ankles(100)})) == [1]
 
     def test_lower_ankles_are_nearer(self):
         poses = {1: pose_with_ankles(200), 2: pose_with_ankles(120)}
-        assert occlusion_order(poses) == [2, 1]
+        assert occlusion_order(records(poses)) == [2, 1]
 
     def test_hidden_ankles_use_the_lowest_visible_joint(self):
         # subject 1 hides both ankles (their rows, 200, do not count); its
@@ -539,17 +538,17 @@ class TestOcclusionOrder:
         hidden = pose_with_ankles(200, visible=False)
         hidden.points[L_KNEE] = (98.0, 170.0)
         poses = {1: hidden, 2: pose_with_ankles(180), 3: pose_with_ankles(160)}
-        assert occlusion_order(poses) == [3, 1, 2]
+        assert occlusion_order(records(poses)) == [3, 1, 2]
 
     def test_tie_breaks_on_subject_id(self):
         poses = {3: pose_with_ankles(150), 1: pose_with_ankles(150)}
-        assert occlusion_order(poses) == [1, 3]
+        assert occlusion_order(records(poses)) == [1, 3]
 
     @settings(max_examples=200, deadline=None)
     @given(poses_with_an_ankle_and_tracks())
     def test_equals_the_track_based_order_while_an_ankle_shows(self, case):
         tracks, poses = case
-        assert occlusion_order(poses) == track_based_order(tracks, poses)
+        assert occlusion_order(records(poses)) == track_based_order(tracks, poses)
 
 
 class TestEmbed:

@@ -12,7 +12,6 @@ from proxycam.sim.generate import (
     crop_silhouette,
     generate_scene,
     ground_truth_records,
-    mask_from_rle,
 )
 from proxycam.sim.kinematics import pose_at
 from proxycam.sim.scripts import make_behavior_scene
@@ -25,11 +24,21 @@ from proxycam.sim.spec import (
 )
 from proxycam.skeleton import L_KNEE, R_KNEE
 
-from conftest import DEMO, joint_mask_of, scene, solo_actor
+from conftest import (
+    DEMO,
+    hip_mid,
+    joint_mask_of,
+    mask_from_rle,
+    midpoint,
+    scene,
+    shoulder_mid,
+    solo_actor,
+    visible_points,
+)
 
 
 def spine_angle_deg(kp):
-    v = kp.shoulder_mid() - kp.hip_mid()
+    v = shoulder_mid(kp) - hip_mid(kp)
     return math.degrees(math.atan2(abs(float(v[0])), -float(v[1])))
 
 
@@ -54,7 +63,7 @@ class TestGenerateScene:
         )
         _, gts = generate_scene(spec)
         hip_y = {
-            f: float(gts[f].actors[0].keypoints.hip_mid()[1]) for f in (40, 60)
+            f: float(hip_mid(gts[f].actors[0].keypoints)[1]) for f in (40, 60)
         }
         assert hip_y[60] - hip_y[40] > 0.3 * 120
 
@@ -70,7 +79,7 @@ class TestGenerateScene:
         _, gts = generate_scene(fall_scene)
         for gt in gts:
             for actor in gt.actors:
-                vis = actor.keypoints.visible_points()
+                vis = visible_points(actor.keypoints)
                 assert np.all(vis[:, 0] >= actor.box.x - 2)
                 assert np.all(vis[:, 0] <= actor.box.x2 + 2)
                 assert np.all(vis[:, 1] >= actor.box.y - 2)
@@ -262,7 +271,7 @@ class TestPoseAt:
     def test_sit_end_hip_at_knee_height(self):
         actor = solo_actor([(0, 40, "sit")])
         kp, _ = pose_at(actor, 39)
-        gap = abs(float(kp.hip_mid()[1]) - float(kp.midpoint(L_KNEE, R_KNEE)[1]))
+        gap = abs(float(hip_mid(kp)[1]) - float(midpoint(kp, L_KNEE, R_KNEE)[1]))
         assert gap <= 2.0
 
     def test_frame_out_of_range(self):
