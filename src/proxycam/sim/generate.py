@@ -9,6 +9,12 @@ ground truth keeps each silhouette cropped to its box, not as a frame.
 
 Occlusion is resolved by depth = ankle-midpoint image row: actors lower in
 the image are nearer and painted last.
+
+A still actor is painted once. An actor's masks are a function of its
+float32 joint points, its height and the frame size alone, so when its
+points equal, bit for bit, those it last painted, the frame reuses that
+paint: the same masks, box and read-only crop. Only the other actors are
+queued for the frame's one `paint`.
 """
 
 from __future__ import annotations
@@ -76,16 +82,20 @@ class GroundTruthFrame:
         return mask
 
 
-def crop_silhouette(patch: np.ndarray, x0: int, y0: int) -> tuple[BoundingBox, np.ndarray]:
+def crop_silhouette(patch: np.ndarray, x0: int, y0: int) -> tuple[BoundingBox, np.ndarray] | None:
     """The box of a silhouette painted into `patch` at frame position
-    (x0, y0), and a copy of its pixels cropped to that box, so the patch
-    itself is not kept."""
+    (x0, y0), and a read-only copy of its pixels cropped to that box, so
+    the patch itself is not kept; None if no pixel is set."""
     rows = np.flatnonzero(patch.any(axis=1))
+    if rows.size == 0:
+        return None
     cols = np.flatnonzero(patch.any(axis=0))
     r0, r1 = int(rows[0]), int(rows[-1]) + 1
     c0, c1 = int(cols[0]), int(cols[-1]) + 1
     box = BoundingBox(float(x0 + c0), float(y0 + r0), float(c1 - c0), float(r1 - r0))
-    return box, patch[r0:r1, c0:c1].copy()
+    silhouette = patch[r0:r1, c0:c1].copy()
+    silhouette.flags.writeable = False
+    return box, silhouette
 
 
 def render_background(spec: SceneSpec) -> np.ndarray:
@@ -143,12 +153,18 @@ def generate_scene(
     """Render every frame of the scene along with its ground truth.
 
     Pure function of the spec: the same spec always produces byte-identical
-    frames. Actors whose silhouette falls entirely outside the frame are
-    omitted from that frame's ground truth.
+    frames. Actors that paint no pixel of a frame, wholly outside it or
+    hidden in the margin of its edge, are omitted from that frame's ground
+    truth. A still actor's frames share one read-only silhouette crop.
     """
     validate_scene_spec(spec)
     background = render_background(spec)
     h, w = spec.height, spec.width
+    # by actor id: the points it last painted, and what they painted (the
+    # body and skin masks, their frame position, the box and the crop), or
+    # None where they paint no pixel
+    last_points: dict[str, bytes] = {}
+    painted: dict[str, tuple | None] = {}
 
     frames: list[np.ndarray] = []
     gts: list[GroundTruthFrame] = []
@@ -162,25 +178,32 @@ def generate_scene(
         # back-to-front: smaller ankle row is farther away
         staged.sort(key=lambda item: (item[0], item[1].actor_id))
 
-        # every actor of the frame in one painter pass
+        # every actor whose pose moved in one painter pass
         silhouettes = SilhouetteCanvas()
-        placed = [
-            (actor, pose, yaw, _draw_actor(silhouettes, pose, actor.height_px, w, h))
-            for _, actor, pose, yaw in staged
-        ]
-        masks = silhouettes.paint()
+        queued = {}
+        for _, actor, pose, _ in staged:
+            points = pose.points.tobytes()
+            if last_points.get(actor.actor_id) != points:
+                last_points[actor.actor_id] = points
+                queued[actor.actor_id] = _draw_actor(silhouettes, pose, actor.height_px, w, h)
+        masks = silhouettes.paint() if queued else []
+        for actor_id, parts in queued.items():
+            if parts is not None:
+                body_patch, skin_patch, x0, y0 = parts
+                body, skin = masks[body_patch], masks[skin_patch]
+                crop = crop_silhouette(body | skin, x0, y0)
+                parts = None if crop is None else (body, skin, x0, y0, *crop)
+            painted[actor_id] = parts
 
         truths: list[ActorTruth] = []
-        for actor, pose, yaw, parts in placed:
+        for _, actor, pose, yaw in staged:
+            parts = painted[actor.actor_id]
             if parts is None:
                 continue
-            body_patch, skin_patch, x0, y0 = parts
-            body, skin = masks[body_patch], masks[skin_patch]
+            body, skin, x0, y0, box, silhouette = parts
             region = canvas[y0 : y0 + body.shape[0], x0 : x0 + body.shape[1]]
             region[body] = actor.clothing
             region[skin] = actor.skin
-
-            box, silhouette = crop_silhouette(body | skin, x0, y0)
             truths.append(
                 ActorTruth(
                     actor_id=actor.actor_id,

@@ -12,9 +12,19 @@ import proxycam.runner
 from proxycam.cli import main
 from proxycam.cloud.infer import infer
 from proxycam.errors import ValidationError
+from proxycam.geometry import BoundingBox
 from proxycam.metrics import BehaviorMetrics
 from proxycam.proxy import render_proxies
-from proxycam.sim.spec import ActorSpec, BackgroundSpec, SceneSpec
+from proxycam.raster import SilhouetteCanvas
+from proxycam.sim.generate import (
+    ActorTruth,
+    GroundTruthFrame,
+    _draw_actor,
+    _with_visibility,
+    render_background,
+)
+from proxycam.sim.kinematics import pose_at
+from proxycam.sim.spec import ActorSpec, BackgroundSpec, SceneSpec, validate_scene_spec
 from proxycam.skeleton import (
     GRID,
     L_HIP,
@@ -162,6 +172,59 @@ def mask_from_rle(runs, shape):
     if pos != flat.size:
         raise ValidationError("run lengths do not cover the mask")
     return flat.reshape(shape)
+
+
+def reference_generate_scene(spec):
+    """`generate_scene` as it was before it reused a still actor's paint:
+    every actor of every frame queued on that frame's one `SilhouetteCanvas`,
+    and each silhouette cropped to the extent of its set pixels. Kept as the
+    reference the simulator's frames and ground truth are checked against."""
+    validate_scene_spec(spec)
+    background = render_background(spec)
+    h, w = spec.height, spec.width
+    frames, gts = [], []
+    for f in range(spec.frame_count):
+        canvas = background.copy()
+        staged = []
+        for actor in spec.actors:
+            pose, yaw = pose_at(actor, f)
+            staged.append((float(pose.points[15:17, 1].mean()), actor, pose, yaw))
+        staged.sort(key=lambda item: (item[0], item[1].actor_id))
+        silhouettes = SilhouetteCanvas()
+        placed = [
+            (actor, pose, yaw, _draw_actor(silhouettes, pose, actor.height_px, w, h))
+            for _, actor, pose, yaw in staged
+        ]
+        masks = silhouettes.paint()
+        truths = []
+        for actor, pose, yaw, parts in placed:
+            if parts is None:
+                continue
+            body_patch, skin_patch, x0, y0 = parts
+            body, skin = masks[body_patch], masks[skin_patch]
+            region = canvas[y0 : y0 + body.shape[0], x0 : x0 + body.shape[1]]
+            region[body] = actor.clothing
+            region[skin] = actor.skin
+            ys, xs = np.nonzero(body | skin)
+            if ys.size == 0:
+                continue
+            r0, r1, c0, c1 = ys.min(), ys.max() + 1, xs.min(), xs.max() + 1
+            truths.append(
+                ActorTruth(
+                    actor_id=actor.actor_id,
+                    box=BoundingBox(float(x0 + c0), float(y0 + r0), float(c1 - c0), float(r1 - r0)),
+                    silhouette=(body | skin)[r0:r1, c0:c1],
+                    frame_shape=(h, w),
+                    keypoints=_with_visibility(pose, w, h),
+                    head_yaw=yaw,
+                    action=actor.action_at(f)[2],
+                )
+            )
+        order = {a.actor_id: i for i, a in enumerate(spec.actors)}
+        truths.sort(key=lambda t: order[t.actor_id])
+        frames.append(canvas)
+        gts.append(GroundTruthFrame(frame_idx=f, actors=tuple(truths), background=background))
+    return frames, gts
 
 
 def make_crossing_scene():

@@ -2,8 +2,10 @@
 
 `tests/byte_contract.json` holds digests of what the CLI writes for
 `scenes/demo.json` at seed 7, with and without `edge.noise_sigma: 2.0`,
-of the simulator's `ground_truth.jsonl` for that scene, and of
-the reduced audit's `audit_report.json`. The simulator's
+of the simulator's frames and `ground_truth.jsonl` for that scene, of
+the frames and ground truth of one simulated scene of still and moving
+actors, and of the reduced audit's `audit_report.json`. The actors'
+painted colours never reach the wire, so only the frame digests pin them. The simulator's
 backgrounds are static, so the demo's scrubbed pixels do not depend on the
 background model's EMA weight, and no demo frame breaks a depth tie in the
 occlusion order where proxies overlap. One more stream, made in process,
@@ -16,7 +18,7 @@ and says so.
 PNG bytes depend on the zlib build, so images are pinned by their decoded
 pixels: a packet by its non-PNG bytes (the header and the poses; the env
 length and the CRC follow from the PNG) and its env image's pixels, a
-reconstruction by its name and pixels. The raw digests of the packets and
+reconstruction or a simulated frame by its name and pixels. The raw digests of the packets and
 of the reconstruction files are checked only where zlib's runtime version
 is the one they were taken with.
 """
@@ -33,7 +35,7 @@ from proxycam.cli import main
 from proxycam.config import RunConfig
 from proxycam.pngio import decode_png
 from proxycam.runner import CloudRunner, run_edge
-from proxycam.sim.generate import generate_scene
+from proxycam.sim.generate import generate_scene, write_ground_truth_jsonl
 
 from conftest import DEMO, run_demo_e2e, scene, solo_actor
 
@@ -123,7 +125,48 @@ def tie_and_sensor_noise_contract(out: Path) -> dict:
 def sim_contract(out: Path) -> dict:
     assert main(["sim", "--scene", str(DEMO), "--out", str(out)]) == 0
     truth = (out / "ground_truth.jsonl").read_bytes()
-    return {"ground_truth_sha256": hashlib.sha256(truth).hexdigest()}
+    names = json.loads((out / "summary.json").read_text())["files"]
+    pixels = hashlib.sha256()
+    frames = [name for name in names if name.startswith("frames/")]
+    for name in frames:
+        pixels.update(name.encode() + decode_png((out / name).read_bytes()).tobytes())
+    return {
+        "ground_truth_sha256": hashlib.sha256(truth).hexdigest(),
+        "frames": len(frames),
+        "frames_pixels_sha256": pixels.hexdigest(),
+    }
+
+
+def still_and_moving_contract(out: Path) -> dict:
+    """A standing actor, one that sits, one that falls, one that raises an
+    arm, one cut by the right edge, and a walker that passes in front of
+    and behind them: most actor-frames repeat the actor's previous pose."""
+    walk = ((0, 40, "walk"),)
+    actors = [
+        solo_actor([(0, 40, "stand")], actor_id="still", trajectory=((0, 60.0, 200.0),)),
+        solo_actor([(0, 8, "stand"), (8, 40, "sit")], actor_id="sit", clothing=(40, 160, 60),
+                   trajectory=((0, 120.0, 215.0),)),
+        solo_actor([(0, 10, "stand"), (10, 40, "fall")], actor_id="fall",
+                   clothing=(60, 60, 200), trajectory=((0, 150.0, 170.0),)),
+        solo_actor([(0, 5, "stand"), (5, 40, "raise_arm")], actor_id="arm",
+                   clothing=(200, 200, 40), trajectory=((0, 250.0, 225.0),)),
+        solo_actor([(0, 40, "stand")], actor_id="cut", clothing=(120, 40, 160), height_px=90,
+                   trajectory=((0, 316.0, 120.0),)),
+        solo_actor(walk, actor_id="walker", clothing=(40, 200, 200), height_px=100,
+                   trajectory=((0, 20.0, 205.0), (39, 300.0, 205.0))),
+    ]
+    frames, gts = generate_scene(scene(actors, frame_count=40))
+    pixels = hashlib.sha256()
+    for frame in frames:
+        pixels.update(frame.tobytes())
+    out.mkdir(parents=True, exist_ok=True)
+    write_ground_truth_jsonl(gts, out / "ground_truth.jsonl")
+    truth = (out / "ground_truth.jsonl").read_bytes()
+    return {
+        "ground_truth_sha256": hashlib.sha256(truth).hexdigest(),
+        "frames": len(frames),
+        "frames_pixels_sha256": pixels.hexdigest(),
+    }
 
 
 def audit_contract(out: Path) -> dict:
@@ -159,6 +202,10 @@ def test_simulated_ground_truth_equals_the_pinned_bytes(tmp_path):
     check("sim_demo_seed7", sim_contract(tmp_path))
 
 
+def test_still_and_moving_actors_equal_the_pinned_bytes(tmp_path):
+    check("sim_still_and_moving", still_and_moving_contract(tmp_path))
+
+
 def test_reduced_audit_report_equals_the_pinned_bytes(tmp_path):
     check("audit", audit_contract(tmp_path))
 
@@ -170,6 +217,7 @@ def write_contract(scratch: Path) -> None:
         cases[case] = e2e_contract(scratch / case / "run", packets)
     cases["tie_and_sensor_noise"] = tie_and_sensor_noise_contract(scratch / "tie")
     cases["sim_demo_seed7"] = sim_contract(scratch / "sim")
+    cases["sim_still_and_moving"] = still_and_moving_contract(scratch / "still")
     cases["audit"] = audit_contract(scratch / "audit")
     contract = {"zlib": zlib.ZLIB_RUNTIME_VERSION, "cases": cases}
     CONTRACT.write_text(json.dumps(contract, indent=2) + "\n")

@@ -5,9 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proxycam.errors import ValidationError
+from proxycam.raster import SilhouetteCanvas
 from proxycam.sim.generate import (
+    ActorTruth,
     GroundTruthFrame,
     crop_silhouette,
     generate_scene,
@@ -16,13 +19,14 @@ from proxycam.sim.generate import (
 from proxycam.sim.kinematics import pose_at
 from proxycam.sim.scripts import make_behavior_scene
 from proxycam.sim.spec import (
+    ACTIONS,
     SceneSpec,
     load_scene_spec,
     save_scene_spec,
     scene_spec_from_dict,
     validate_scene_spec,
 )
-from proxycam.skeleton import L_KNEE, R_KNEE
+from proxycam.skeleton import BONES, L_KNEE, R_KNEE
 
 from conftest import (
     DEMO,
@@ -30,6 +34,7 @@ from conftest import (
     joint_mask_of,
     mask_from_rle,
     midpoint,
+    reference_generate_scene,
     scene,
     shoulder_mid,
     solo_actor,
@@ -204,6 +209,170 @@ class TestGroundTruthCrops:
         # would hold about 1.2 KB more per actor
         assert held <= areas + gts[0].background.nbytes + 2048 * len(truths)
         assert held < 14 * 10 * spec.width * spec.height // 8
+
+
+# a 16 px actor standing on row 0: its patch's margin reaches into the
+# frame, but none of its shapes covers a pixel centre there
+HIDDEN_SPOTS = ((160.0, 0.0), (0.0, 0.0), (319.0, 0.0))
+
+
+@pytest.mark.parametrize("x, y", HIDDEN_SPOTS)
+def test_an_actor_that_paints_no_pixel_is_left_out(x, y):
+    hidden = solo_actor([(0, 3, "stand")], actor_id="hidden", clothing=(40, 200, 40),
+                        height_px=16, trajectory=((0, x, y),))
+    spec = scene([hidden, solo_actor([(0, 3, "walk")])], frame_count=3)
+    frames, gts = generate_scene(spec)
+    alone, _ = generate_scene(dataclasses.replace(spec, actors=spec.actors[1:]))
+    for frame, other, gt in zip(frames, alone, gts):
+        assert [a.actor_id for a in gt.actors] == ["a0"]
+        assert np.array_equal(frame, other)
+
+
+# small frames, so that few sampled positions lie on each edge and corner
+SMALL_W, SMALL_H = 160, 120
+XS = (0.0, 3.0, 40.0, 80.0, 156.0, 159.0)
+YS = (0.0, 2.0, 60.0, 100.0, 117.0, 119.0)
+
+
+def painted_scene(actors, frame_count):
+    """A scene of (height, trajectory, actions) actors, each given its own
+    id and colours."""
+    return scene(
+        [
+            solo_actor(actions, actor_id=f"a{i}", clothing=(20 + 9 * i, 200 - 7 * i, 90),
+                       height_px=height, trajectory=trajectory)
+            for i, (height, trajectory, actions) in enumerate(actors)
+        ],
+        frame_count=frame_count, width=SMALL_W, height=SMALL_H,
+    )
+
+
+@st.composite
+def still_and_moving_scenes(draw):
+    """Actors of every action and of holds: scripted poses that stop
+    changing, and trajectories that stop. Positions on the frame's edges and
+    corners, 16 px actors on row 0 that paint nothing, ankle rows shared by
+    several actors, and twins that hold one pose at one spot."""
+    frame_count = draw(st.integers(2, 26))
+    actors = []
+    for _ in range(draw(st.integers(1, 4))):
+        cuts = sorted(set(draw(st.lists(st.integers(1, frame_count - 1), max_size=2))))
+        bounds = [0, *cuts, frame_count]
+        actions = tuple(
+            (a, b, draw(st.sampled_from(ACTIONS))) for a, b in zip(bounds, bounds[1:])
+        )
+        trajectory = ((0, draw(st.sampled_from(XS)), draw(st.sampled_from(YS))),)
+        if draw(st.booleans()):
+            stop = draw(st.integers(1, frame_count))
+            trajectory += ((stop, draw(st.sampled_from(XS)), draw(st.sampled_from(YS))),)
+        actor = (draw(st.sampled_from((16, 24, 50, 90))), trajectory, actions)
+        actors += [actor] * draw(st.integers(1, 2))
+    return painted_scene(actors, frame_count)
+
+
+def assert_same_scene(spec):
+    frames, gts = generate_scene(spec)
+    ref_frames, ref_gts = reference_generate_scene(spec)
+    assert len(frames) == len(ref_frames) == len(gts) == len(ref_gts) == spec.frame_count
+    for frame, ref in zip(frames, ref_frames):
+        assert frame.dtype == ref.dtype and frame.shape == ref.shape
+        assert frame.tobytes() == ref.tobytes()
+    for gt, ref in zip(gts, ref_gts):
+        assert gt.frame_idx == ref.frame_idx
+        assert np.array_equal(gt.background, ref.background)
+        assert [a.actor_id for a in gt.actors] == [a.actor_id for a in ref.actors]
+        for actor, expected in zip(gt.actors, ref.actors):
+            for field in dataclasses.fields(ActorTruth):
+                got, want = getattr(actor, field.name), getattr(expected, field.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+                else:
+                    assert got == want, field.name
+
+
+class TestStillActorsArePaintedOnce:
+    """`generate_scene` reuses the paint of an actor whose points equal those
+    it last painted; frames and ground truth equal a repaint of every actor
+    in every frame."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(still_and_moving_scenes())
+    @example(painted_scene(
+        [
+            (16, ((0, 80.0, 0.0),), ((0, 24, "stand"),)),  # paints no pixel
+            (50, ((0, 0.0, 60.0),), ((0, 6, "walk"), (6, 24, "sit"))),
+            (50, ((0, 159.0, 60.0),), ((0, 3, "stand"), (3, 24, "fall"))),
+            (90, ((0, 80.0, 119.0),), ((0, 24, "raise_arm"),)),
+            (90, ((0, 80.0, 119.0),), ((0, 24, "raise_arm"),)),  # its twin
+            (24, ((0, 3.0, 100.0), (12, 156.0, 100.0)), ((0, 24, "walk"),)),
+        ],
+        frame_count=24,
+    ))
+    def test_frames_and_truth_equal_a_repaint_of_every_actor(self, spec):
+        assert_same_scene(spec)
+
+    @staticmethod
+    def painter_calls(monkeypatch):
+        """The shapes queued before each `paint`, appended as it runs."""
+        queued, paints = [0], []
+        add, paint = SilhouetteCanvas.add_capsule, SilhouetteCanvas.paint
+
+        def counting_add(self, *args):
+            queued[0] += 1
+            return add(self, *args)
+
+        def counting_paint(self):
+            paints.append(queued[0])
+            queued[0] = 0
+            return paint(self)
+
+        monkeypatch.setattr(SilhouetteCanvas, "add_capsule", counting_add)
+        monkeypatch.setattr(SilhouetteCanvas, "paint", counting_paint)
+        return paints
+
+    @staticmethod
+    def still_actors(k, frame_count):
+        return [
+            solo_actor([(0, frame_count, "stand")], actor_id=f"still{i}",
+                       clothing=(20 + 30 * i, 40, 200 - 30 * i),
+                       trajectory=((0, 40.0 + 60.0 * i, 130.0 + 20.0 * (i % 2)),))
+            for i in range(k)
+        ]
+
+    def test_only_the_walker_is_queued_after_frame_0(self, monkeypatch):
+        shapes = len(BONES) + 1  # every bone and the head disc
+        k, frames = 4, 6
+        walker = solo_actor([(0, frames, "walk")], actor_id="walker",
+                            trajectory=((0, 20.0, 220.0), (frames - 1, 300.0, 220.0)))
+        paints = self.painter_calls(monkeypatch)
+        generate_scene(scene([*self.still_actors(k, frames), walker], frame_count=frames))
+        assert paints == [(k + 1) * shapes] + [shapes] * (frames - 1)
+
+    def test_an_all_still_scene_paints_once(self, monkeypatch):
+        paints = self.painter_calls(monkeypatch)
+        _, gts = generate_scene(scene(self.still_actors(4, 8), frame_count=8))
+        assert paints == [4 * (len(BONES) + 1)]
+        assert all(len(gt.actors) == 4 for gt in gts)
+
+    def test_shared_crops_are_read_only_and_masks_are_fresh(self):
+        _, gts = generate_scene(scene(self.still_actors(3, 4), frame_count=4))
+        first = gts[0].actors
+        for gt in gts[1:]:
+            for actor, shared in zip(gt.actors, first):
+                assert actor.silhouette is shared.silhouette
+                assert not actor.silhouette.flags.writeable
+                with pytest.raises(ValueError):
+                    actor.silhouette[0, 0] = False
+        for gt in gts:
+            for actor in gt.actors:
+                mask = actor.mask
+                assert mask.flags.writeable and mask is not actor.mask
+                mask[:] = True
+                assert actor.mask.sum() == actor.silhouette.sum()
+            joint = gt.joint_mask()
+            assert joint.flags.writeable
+            joint[:] = True
+            assert gt.joint_mask().sum() < joint.size
 
 
 class TestSpecValidation:
